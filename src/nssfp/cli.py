@@ -8,6 +8,7 @@ with the same inputs and seed are byte-identical.
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -16,7 +17,7 @@ from . import corpus as corpus_mod
 from . import fingerprint as fp
 from . import interchange, matcher, sampler, sidechannel, stats
 from .config import PipelineConfig, env_overrides, read_config_file, resolve_config
-from .errors import NssfpError, UsageError
+from .errors import NssfpError, UsageError, parse_field
 from .model import load_model, save_model, train_model
 
 
@@ -138,13 +139,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _prepare_pool(traces, drop_fraction):
-    slope = sidechannel.estimate_global_slope(traces)
-    rescored = sidechannel.rescore_noise(traces, slope)
-    kept, dropped = sidechannel.filter_noisy(rescored, drop_fraction)
-    return kept, dropped, slope
-
-
 def cmd_fit(args) -> int:
     cfg = _resolve(args)
     records, n = interchange.read_distances(args.distances)
@@ -157,7 +151,7 @@ def cmd_fit(args) -> int:
             raise UsageError("--traces requires --nss for ground truth")
         series, _ = interchange.read_nss(args.nss)
         traces, _ = sidechannel.read_traces(args.traces)
-        kept, _, _ = _prepare_pool(traces, cfg.drop_fraction)
+        kept, _, _ = sidechannel.prepare_pool(traces, cfg.drop_fraction)
         truth = {x.seq_id: x for x in series}
         errors = []
         for t in kept:
@@ -193,11 +187,15 @@ def _models_from_fit(path, n):
     if not rows:
         raise UsageError(f"fit report {path} has no row for N={n}")
     row = rows[0]
+    if math.isnan(row["d"]) or math.isnan(row["tau"]):
+        raise UsageError(f"fit report {path} has no d(N) or tau for N={n}; "
+                         "fit it with --nss and --traces before matching")
     eps = 0.0
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.startswith("# epsilon="):
-                eps = float(line.split("=", 1)[1])
+                eps = parse_field(float, line.split("=", 1)[1].strip(), "epsilon",
+                                  path, lineno)
     uniq = stats.UniquenessModel(length=n, log_mu=row["log_mu"],
                                  log_sigma=row["log_sigma"],
                                  epsilon=eps or 1e-18, radius=row["U"])
@@ -210,10 +208,9 @@ def _models_from_fit(path, n):
 def cmd_match(args) -> int:
     cfg = _resolve(args)
     series, _ = interchange.read_nss(args.nss)
+    models = _models_from_fit(args.fit, series[0].length)
     traces, _ = sidechannel.read_traces(args.traces)
-    kept, _, _ = _prepare_pool(traces, cfg.drop_fraction)
-    n = series[0].length
-    models = _models_from_fit(args.fit, n)
+    kept, _, _ = sidechannel.prepare_pool(traces, cfg.drop_fraction)
     targets = [x for x in series if not args.target or x.seq_id == args.target]
     if not targets:
         raise UsageError(f"no series named {args.target!r} in {args.nss}")
@@ -252,7 +249,7 @@ def cmd_evaluate(args) -> int:
     traces = [sidechannel.segment_and_reconstruct(
         sidechannel.simulate_trace(x, len(vocab), channel), channel, len(vocab))
         for x in series]
-    kept, _, _ = _prepare_pool(traces, cfg.drop_fraction)
+    kept, _, _ = sidechannel.prepare_pool(traces, cfg.drop_fraction)
     truth = {x.seq_id: x for x in series}
     errors = [matcher._window_distance(truth[t.seq_id].sizes.astype(np.float64),
                                        t.estimated_sizes) for t in kept]
@@ -261,7 +258,7 @@ def cmd_evaluate(args) -> int:
     report = matcher.evaluate(series, sequences, len(vocab), channel, (uniq, err),
                               rng_seed=cfg.seed, drop_fraction=cfg.drop_fraction,
                               variability_threshold=cfg.variability_threshold,
-                              similarity_window=cfg.similarity_window)
+                              similarity_window=cfg.similarity_window, traces=traces)
     header = list(cfg.resolved_lines()) + [
         f"U={uniq.radius!r}", f"d={err.bound!r}", f"tau={err.tau!r}"]
     matcher.write_evaluation_report(args.out, report, header_lines=header)

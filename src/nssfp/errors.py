@@ -27,6 +27,18 @@ class ParseError(NssfpError):
         super().__init__(f"{loc}{message}")
 
 
+def parse_field(convert, text: str, what: str, path, line: int):
+    """``convert(text)`` for one field of an input file.
+
+    A value ``convert`` rejects becomes a :class:`ParseError` that names the
+    field and gives ``path:line``.
+    """
+    try:
+        return convert(text)
+    except ValueError:
+        raise ParseError(f"bad {what} {text!r}", path=str(path), line=line) from None
+
+
 class InsufficientDataError(NssfpError):
     """Not enough samples to fit a distribution or estimate a slope."""
 

@@ -15,7 +15,7 @@ pairwise distance samples the fitting stage consumes.
 
 import numpy as np
 
-from .errors import ParseError, UsageError, ValidationError
+from .errors import ParseError, UsageError, ValidationError, parse_field
 from .fingerprint import Nss
 from .model import Distribution, Sequence
 
@@ -78,17 +78,9 @@ def ingest_distributions(path):
                 raise ParseError("expected seq_id<TAB>position<TAB>payload",
                                  path=str(path), line=lineno)
             seq_id, pos_str, payload = parts
-            try:
-                position = int(pos_str)
-            except ValueError as exc:
-                raise ParseError(f"bad position {pos_str!r}",
-                                 path=str(path), line=lineno) from exc
+            position = parse_field(int, pos_str, "position", path, lineno)
             if payload.startswith("n="):
-                try:
-                    size = int(payload[2:])
-                except ValueError as exc:
-                    raise ParseError(f"bad nucleus size {payload!r}",
-                                     path=str(path), line=lineno) from exc
+                size = parse_field(int, payload[2:], "nucleus size", path, lineno)
                 if size < 0:
                     raise ValidationError(f"{path}:{lineno}: negative nucleus size")
                 yield seq_id, position, size
@@ -162,7 +154,8 @@ def read_sequences(path) -> tuple[list[Sequence], int]:
                 continue
             if lineno == 1:
                 meta = _parse_header(line, SEQ_HEADER, path, lineno)
-                vocab_size = int(meta.get("vocab_size", 0))
+                vocab_size = parse_field(int, meta.get("vocab_size", "0"), "vocab_size",
+                                         path, lineno)
                 continue
             if line.startswith("#"):
                 continue
@@ -201,7 +194,7 @@ def read_distances(path) -> tuple[list[tuple[str, str, float]], int]:
                 continue
             if lineno == 1:
                 meta = _parse_header(line, DIST_HEADER, path, lineno)
-                length = int(meta.get("length", 0))
+                length = parse_field(int, meta.get("length", "0"), "length", path, lineno)
                 continue
             if line.startswith("#"):
                 continue
@@ -210,5 +203,5 @@ def read_distances(path) -> tuple[list[tuple[str, str, float]], int]:
             except ValueError as exc:
                 raise ParseError("expected x_id,y_id,distance",
                                  path=str(path), line=lineno) from exc
-            records.append((x_id, y_id, float(d)))
+            records.append((x_id, y_id, parse_field(float, d, "distance", path, lineno)))
     return records, length

@@ -15,8 +15,8 @@ from .errors import UsageError
 from .fingerprint import (DEFAULT_SIMILARITY_WINDOW, DEFAULT_VARIABILITY_THRESHOLD,
                           Nss, similar, variability)
 from .model import Sequence
-from .sidechannel import (ChannelConfig, Trace, estimate_global_slope, filter_noisy,
-                          rescore_noise, segment_and_reconstruct, simulate_trace)
+from .sidechannel import (ChannelConfig, Trace, prepare_pool, segment_and_reconstruct,
+                          simulate_trace)
 from .stats import ErrorModel, UniquenessModel
 
 MATCHED = "matched"
@@ -119,15 +119,17 @@ def evaluate(corpus_nss: list[Nss], sequences: list[Sequence], vocab_size: int,
              rng_seed: int | None = None,
              drop_fraction: float = 0.06,
              variability_threshold: float = DEFAULT_VARIABILITY_THRESHOLD,
-             similarity_window: int = DEFAULT_SIMILARITY_WINDOW) -> EvaluationReport:
+             similarity_window: int = DEFAULT_SIMILARITY_WINDOW,
+             traces: list[Trace] | None = None) -> EvaluationReport:
     """End-to-end attack evaluation over a corpus.
 
-    One trace is simulated per sequence and the noisiest fraction dropped;
-    every variable NSS is then matched against the surviving pool. The own
-    trace's offset-0 window is ground truth; a match into a non-similar
-    sequence's trace is a false positive, and matches between similar
-    sequences count as neither. Recall is over variable sequences whose
-    own trace survived filtering.
+    One trace is simulated per sequence, unless ``traces`` already holds
+    the reconstructed trace of each sequence in corpus order, and the
+    noisiest fraction is dropped; every variable NSS is then matched
+    against the surviving pool. The own trace's offset-0 window is ground
+    truth; a match into a non-similar sequence's trace is a false
+    positive, and matches between similar sequences count as neither.
+    Recall is over variable sequences whose own trace survived filtering.
     """
     if len(corpus_nss) < 2:
         raise UsageError("evaluation needs at least 2 sequences")
@@ -141,11 +143,12 @@ def evaluate(corpus_nss: list[Nss], sequences: list[Sequence], vocab_size: int,
     if rng_seed is not None:
         cfg = cfg.with_seed(rng_seed)
 
-    traces = [segment_and_reconstruct(simulate_trace(x, vocab_size, cfg), cfg, vocab_size)
-              for x in corpus_nss]
-    slope = estimate_global_slope(traces)
-    traces = rescore_noise(traces, slope)
-    kept, dropped = filter_noisy(traces, drop_fraction)
+    if traces is None:
+        traces = [segment_and_reconstruct(simulate_trace(x, vocab_size, cfg), cfg,
+                                          vocab_size) for x in corpus_nss]
+    elif [t.seq_id for t in traces] != [x.seq_id for x in corpus_nss]:
+        raise UsageError("one trace per NSS required, in the same order")
+    kept, dropped, _ = prepare_pool(traces, drop_fraction)
     kept_ids = {t.seq_id for t in kept}
 
     by_id = {s.id: i for i, s in enumerate(sequences)}

@@ -158,6 +158,11 @@ class NgramModel:
         self.model_id = model_id
         v = len(vocabulary)
         self.unigram_probs = (unigram_counts + 1.0) / (unigram_counts.sum() + v)
+        # add-one smoothing leaves few distinct unigram probabilities: keep
+        # them ascending, with each id's level and each level's size, so that
+        # nucleus sizes can be computed without a dense sort per context
+        self.unigram_levels, self.unigram_level_of, self.unigram_level_sizes = np.unique(
+            self.unigram_probs, return_inverse=True, return_counts=True)
 
     @property
     def vocab_size(self) -> int:
@@ -176,9 +181,24 @@ class NgramModel:
         span = min(self.order - 1, position - last)
         return tuple(int(w) for w in sequence.words[position - span:position])
 
-    def context_probs(self, ctx: tuple[int, ...]) -> np.ndarray:
-        """Interpolated probability vector for a context tuple."""
-        parts = []  # (weight, kind)
+    def contexts(self, sequence: Sequence) -> list[tuple[int, ...]]:
+        """``context_at`` for every position of the sequence, in one pass."""
+        words = sequence.words.tolist()
+        stops = list(sequence.boundaries[1:]) + [len(words)]
+        out = []
+        for start, stop in zip(sequence.boundaries, stops):
+            for t in range(start, stop):
+                out.append(tuple(words[max(start, t - self.order + 1):t]))
+        return out
+
+    def mixture(self, ctx: tuple[int, ...]) -> list[tuple[float, tuple | None]] | None:
+        """Normalized components of a context's distribution, lowest order first.
+
+        Each component is (coefficient, entry): entry None stands for the
+        unigram table, otherwise it is the (successor ids, counts) table
+        entry. Returns None when no available order carries weight.
+        """
+        parts = []  # (weight, entry)
         for k in range(1, self.order + 1):
             w = self.weights[k - 1]
             if w == 0.0:
@@ -193,15 +213,22 @@ class NgramModel:
                 parts.append((w, entry))
         wsum = sum(w for w, _ in parts)
         if wsum == 0.0:
+            return None
+        return [(w / wsum, entry) for w, entry in parts]
+
+    def context_probs(self, ctx: tuple[int, ...]) -> np.ndarray:
+        """Interpolated probability vector for a context tuple."""
+        parts = self.mixture(ctx)
+        if parts is None:
             # nothing available carries weight; fall back to the unigram floor
             return self.unigram_probs.copy()
         probs = np.zeros(self.vocab_size)
-        for w, entry in parts:
+        for c, entry in parts:
             if entry is None:
-                probs += (w / wsum) * self.unigram_probs
+                probs += c * self.unigram_probs
             else:
                 ids, counts = entry
-                probs[ids] += (w / wsum) * (counts / counts.sum())
+                probs[ids] += c * (counts / counts.sum())
         return probs
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientDataError, UsageError, ValidationError
+from .errors import (InsufficientDataError, ParseError, UsageError, ValidationError,
+                     parse_field)
 from .fingerprint import Nss
 
 DEFAULT_CAPTURE_FRACTION = 0.011
@@ -267,6 +268,18 @@ def filter_noisy(traces: list[Trace], drop_fraction: float = DEFAULT_DROP_FRACTI
     return kept, dropped
 
 
+def prepare_pool(traces: list[Trace], drop_fraction: float = DEFAULT_DROP_FRACTION
+                 ) -> tuple[list[Trace], list[Trace], float]:
+    """Score every trace against the global slope and drop the noisiest.
+
+    Returns (kept, dropped, global slope), the pool that d(N) is fitted on
+    and that candidates are matched against.
+    """
+    slope = estimate_global_slope(traces)
+    kept, dropped = filter_noisy(rescore_noise(traces, slope), drop_fraction)
+    return kept, dropped, slope
+
+
 def write_traces(path, traces: list[Trace], cfg: ChannelConfig, header_lines=()):
     """Trace interchange file: one rescaled measurement record per step."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -281,12 +294,14 @@ def write_traces(path, traces: list[Trace], cfg: ChannelConfig, header_lines=())
 
 
 def read_traces(path) -> tuple[list[Trace], dict]:
-    """Parse a trace file; returns traces (noise scored per own slope) and header meta."""
-    from .errors import ParseError
+    """Parse a trace file; returns traces (noise scored per own slope) and header meta.
 
+    Records may arrive in any order; the steps of each trace must form a
+    dense 0..len-1 range with no step repeated.
+    """
     meta: dict = {}
-    rows: dict[str, list[tuple[int, int, float, float]]] = {}
-    order: list[str] = []
+    # seq_id -> (line of its first record, step -> (count, duration, size))
+    rows: dict[str, tuple[int, dict[int, tuple[int, float, float]]]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -295,7 +310,8 @@ def read_traces(path) -> tuple[list[Trace], dict]:
             if line.startswith("#trace"):
                 for part in line.split()[2:]:
                     k, _, v = part.partition("=")
-                    meta[k] = float(v) if k == "capture" else int(v)
+                    meta[k] = parse_field(float if k == "capture" else int, v, k,
+                                          path, lineno)
                 continue
             if line.startswith("#"):
                 continue
@@ -303,23 +319,29 @@ def read_traces(path) -> tuple[list[Trace], dict]:
             if len(parts) != 5:
                 raise ParseError(f"expected 5 tab-separated fields, got {len(parts)}",
                                  path=str(path), line=lineno)
-            try:
-                seq_id, step, count, dur, size = (parts[0], int(parts[1]), int(parts[2]),
-                                                  float(parts[3]), float(parts[4]))
-            except ValueError as exc:
-                raise ParseError(str(exc), path=str(path), line=lineno) from exc
-            rows.setdefault(seq_id, []).append((step, count, dur, size))
-            if seq_id not in order:
-                order.append(seq_id)
+            seq_id = parts[0]
+            step = parse_field(int, parts[1], "step", path, lineno)
+            record = (parse_field(int, parts[2], "hit count", path, lineno),
+                      parse_field(float, parts[3], "duration", path, lineno),
+                      parse_field(float, parts[4], "estimated size", path, lineno))
+            steps = rows.setdefault(seq_id, (lineno, {}))[1]
+            if step in steps:
+                raise ParseError(f"step {step} of {seq_id!r} repeats",
+                                 path=str(path), line=lineno)
+            steps[step] = record
     if "capture" not in meta:
         raise ParseError("missing '#trace v1' header", path=str(path), line=1)
     capture = meta["capture"]
     traces = []
-    for seq_id in order:
-        recs = sorted(rows[seq_id])
-        counts = np.array([r[1] for r in recs], dtype=np.int64)
-        durations = np.array([r[2] for r in recs])
-        sizes = np.array([r[3] for r in recs])
+    for seq_id, (first_line, steps) in rows.items():
+        n = len(steps)
+        if min(steps) != 0 or max(steps) != n - 1:
+            raise ParseError(f"steps of {seq_id!r} are not dense 0..{n - 1}",
+                             path=str(path), line=first_line)
+        recs = [steps[i] for i in range(n)]
+        counts = np.array([r[0] for r in recs], dtype=np.int64)
+        durations = np.array([r[1] for r in recs])
+        sizes = np.array([r[2] for r in recs])
         trace = Trace(seq_id=seq_id, estimated_sizes=sizes, per_step_hit_counts=counts,
                       per_step_durations=durations,
                       estimated_iterations=counts / capture, noise_level=0.0)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, UsageError, ValidationError
+from .errors import (InsufficientDataError, ParseError, UsageError, ValidationError,
+                     parse_field)
 
 DEFAULT_EPSILON = 1e-18
 ERROR_BOUND_SIGMAS = 10.0
@@ -190,15 +191,21 @@ def write_fit_report(path, rows, header_lines=()):
                      f"{uniq.radius!r},{d},{tau}\n")
 
 
+_FIT_COLUMNS = (("N", int), ("log_mu", float), ("log_sigma", float), ("U", float),
+                ("d", float), ("tau", float))
+
+
 def read_fit_report(path) -> list[dict]:
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("N,"):
                 continue
-            n, log_mu, log_sigma, u, d, tau = line.split(",")
-            rows.append({"N": int(n), "log_mu": float(log_mu),
-                         "log_sigma": float(log_sigma), "U": float(u),
-                         "d": float(d), "tau": float(tau)})
+            fields = line.split(",")
+            if len(fields) != len(_FIT_COLUMNS):
+                raise ParseError(f"expected {len(_FIT_COLUMNS)} comma-separated fields, "
+                                 f"got {len(fields)}", path=str(path), line=lineno)
+            rows.append({name: parse_field(convert, text, name, path, lineno)
+                         for (name, convert), text in zip(_FIT_COLUMNS, fields)})
     return rows

@@ -135,6 +135,43 @@ def test_evaluate_matches_command_composition(tmp_path, corpus_file, capsys):
     assert chain == composed
 
 
+NSS_ONE = "#nss v1 model=m q=0.9\ns\t0\tn=5\ns\t1\tn=7\n"
+FIT_HEAD = "N,log_mu,log_sigma,U,d,tau\n"
+
+
+@pytest.mark.parametrize("command, files", [
+    (["fit", "--distances", "{dist}"], {"dist": "#pairdist v1 length=2\na,b,far\n"}),
+    (["fit", "--distances", "{dist}"], {"dist": "#pairdist v1 length=two\na,b,1.5\n"}),
+    (["report", "--fit", "{fit}"], {"fit": FIT_HEAD + "2,1.0,wide,5.0,1.0,4.0\n"}),
+    (["report", "--fit", "{fit}"], {"fit": FIT_HEAD + "2,1.0,0.5,5.0\n"}),
+    (["match", "--nss", "{nss}", "--traces", "{trc}", "--fit", "{fit}"],
+     {"nss": NSS_ONE, "fit": FIT_HEAD + "2,1.0,0.5,5.0,1.0,4.0\n",
+      "trc": "#trace v1 seed=one capture=0.011\ns\t0\t1\t0.0\t5.0\n"}),
+    (["analyze", "--nss", "{nss}", "--seqs", "{seqs}"],
+     {"nss": NSS_ONE, "seqs": "#seq v1 vocab_size=abc\ns\t0\t1,2\n"}),
+])
+def test_malformed_numbers_end_in_one_error_line(tmp_path, capsys, command, files):
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    argv = [a.format(**paths) for a in command] + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and f"{tmp_path}" in errors[0], errors
+
+
+def test_match_rejects_fit_without_error_bound(tmp_path, capsys):
+    nss, fit, trc = tmp_path / "s.nss", tmp_path / "fit.csv", tmp_path / "pool.trc"
+    nss.write_text(NSS_ONE)
+    fit.write_text(FIT_HEAD + "2,1.0,0.5,5.0,nan,nan\n")
+    trc.write_text("#trace v1 seed=0 capture=0.5\ns\t0\t2\t10.0\t5.0\n"
+                   "s\t1\t4\t20.0\t7.0\n")
+    assert main(["match", "--nss", str(nss), "--traces", str(trc), "--fit", str(fit)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "--traces" in err
+
+
 def test_bench_and_report(tmp_path, capsys):
     bench = tmp_path / "bench.csv"
     assert run(["bench", "--variant", "both", "--vocab-size", "2000",

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nssfp import fingerprint as fp
+from nssfp.cli import main as cli_main
 from nssfp.errors import UsageError, ValidationError
-from nssfp.model import Sequence, next_distribution
-from nssfp.sampler import nucleus_size
+from nssfp.model import Sequence, Vocabulary, next_distribution, train_model
+from nssfp.sampler import nucleus_size, nucleus_size_from_probs
 
 
 def test_generate_nss_single_prefix(tiny_model, tiny_corpus):
@@ -41,6 +44,72 @@ def test_generate_nss_deterministic_and_boundary_spike(tiny_model, tiny_corpus):
     # the size at the boundary equals the empty-context size
     empty_size = nucleus_size(next_distribution(tiny_model, joined, b), 0.9)
     assert a.sizes[b] == empty_size
+
+
+@st.composite
+def _tied_models(draw):
+    """Small models whose unigram table is mostly tie blocks."""
+    v = draw(st.integers(2, 40))
+    order = draw(st.integers(1, 3))
+    raw = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+                        min_size=order, max_size=order).filter(any))
+    weights = [w / sum(raw) for w in raw]
+    # ids drawn from a few values keep most unigram counts equal
+    alphabet = draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=6))
+    seqs = []
+    for i in range(draw(st.integers(1, 4))):
+        words = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=30))
+        cut = draw(st.integers(0, len(words) - 1))
+        seqs.append(Sequence(id=f"s{i}", words=np.array(words),
+                             boundaries=(0, cut) if cut else (0,)))
+    vocab = Vocabulary.from_tokens([f"w{i:02d}" for i in range(v)])
+    return train_model(seqs, order=order, weights=weights, vocabulary=vocab), seqs
+
+
+def test_sparse_nucleus_sizes_equal_dense_oracle(monkeypatch):
+    """Every context, ties at p included, gets the dense path's size."""
+    fallbacks = []
+
+    def oracle(probs, p):
+        fallbacks.append(p)
+        return nucleus_size_from_probs(probs, p)
+
+    monkeypatch.setattr(fp, "nucleus_size_from_probs", oracle)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tied_models(), st.data())
+    def check(built, data):
+        model, seqs = built
+        contexts = list(dict.fromkeys(
+            [()] + [c for s in seqs for c in model.contexts(s)]
+            + [tuple(data.draw(st.lists(st.integers(0, model.vocab_size - 1),
+                                        max_size=model.order - 1)))]))
+        # p at an exact prefix sum of the oracle puts a block boundary on p
+        ctx = data.draw(st.sampled_from(contexts))
+        cum = np.cumsum(np.sort(model.context_probs(ctx))[::-1])
+        at_sum = float(min(cum[data.draw(st.integers(0, cum.size - 1))], 1.0))
+        p = data.draw(st.one_of(st.just(at_sum), st.just(1.0),
+                                st.floats(0.01, 1.0, exclude_min=True)))
+        expected = [nucleus_size_from_probs(model.context_probs(c), p) for c in contexts]
+        assert fp._nucleus_sizes(model, contexts, p) == expected
+
+    check()
+    assert fallbacks, "no context took the dense fallback"
+
+
+def test_nss_file_equals_dense_path_on_c9_corpus(tmp_path, monkeypatch):
+    """`nssfp nss` writes the same bytes with every context sized densely."""
+    corpus, model = tmp_path / "corpus.tsv", tmp_path / "model.json"
+    assert cli_main(["synth", "--authors", "200", "--vocab-size", "12000",
+                     "--target-words", "1200", "--seed", "43", "--out", str(corpus)]) == 0
+    shape = ["--corpus", str(corpus), "--cap", "3000", "--min-words", "1000"]
+    assert cli_main(["train", *shape, "--out", str(model)]) == 0
+    nss = ["nss", *shape, "--model", str(model), "--truncate", "--length", "1000"]
+    assert cli_main([*nss, "--out", str(tmp_path / "sparse.nss")]) == 0
+    monkeypatch.setattr(fp, "_nucleus_sizes", lambda m, contexts, p: [
+        nucleus_size_from_probs(m.context_probs(c), p) for c in contexts])
+    assert cli_main([*nss, "--out", str(tmp_path / "dense.nss")]) == 0
+    assert (tmp_path / "sparse.nss").read_bytes() == (tmp_path / "dense.nss").read_bytes()
 
 
 def test_generate_nss_rejects_foreign_tokens(tiny_model):

@@ -7,7 +7,7 @@ from nssfp.fingerprint import Nss
 from nssfp.matcher import (MATCHED, NO_MATCH, NOT_VARIABLE, evaluate,
                            gen_candidate_subtraces, match, match_all)
 from nssfp.model import Sequence
-from nssfp.sidechannel import ChannelConfig, Trace
+from nssfp.sidechannel import ChannelConfig, Trace, segment_and_reconstruct, simulate_trace
 from nssfp.stats import ErrorModel, UniquenessModel
 
 
@@ -176,6 +176,20 @@ def test_evaluate_excludes_similar_duplicates(rng):
     assert dup_row["matched"] == "u0"
     # everyone matches their own trace except dup, which hit u0's first
     assert report.true_matches == len(series) - 1
+
+
+def test_evaluate_reuses_given_traces(rng):
+    sequences, series = _corpus(rng)
+    cfg = ChannelConfig(capture_fraction=0.2, rng_seed=4)
+    models = _models(120, radius=5000.0, bound=500.0)
+    traces = [segment_and_reconstruct(simulate_trace(x, 4096, cfg), cfg, 4096)
+              for x in series]
+    simulated = evaluate(series, sequences, 4096, cfg, models, variability_threshold=100)
+    given = evaluate(series, sequences, 4096, cfg, models, variability_threshold=100,
+                     traces=traces)
+    assert given == simulated
+    with pytest.raises(UsageError):
+        evaluate(series, sequences, 4096, cfg, models, traces=traces[::-1])
 
 
 def test_evaluate_requires_two_sequences(rng):

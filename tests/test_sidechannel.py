@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nssfp.errors import InsufficientDataError, UsageError, ValidationError
+from nssfp.errors import InsufficientDataError, ParseError, UsageError, ValidationError
 from nssfp.fingerprint import Nss
 from nssfp.sidechannel import (ChannelConfig, Trace, estimate_global_slope,
                                filter_noisy, noise_level, read_traces, rescore_noise,
@@ -200,3 +200,15 @@ def test_trace_file_roundtrip(tmp_path):
         assert np.array_equal(a.per_step_hit_counts, b.per_step_hit_counts)
         assert np.array_equal(a.per_step_durations, b.per_step_durations)
         assert a.noise_level == pytest.approx(b.noise_level)
+
+
+@pytest.mark.parametrize("rows, line", [
+    (["u\t0\t1\t0.0\t5.0", "u\t1\t1\t0.0\t5.0", "u\t1\t2\t0.0\t5.0"], 4),
+    (["v\t0\t1\t0.0\t5.0", "u\t0\t1\t0.0\t5.0", "u\t2\t2\t0.0\t5.0"], 3),
+])
+def test_read_traces_rejects_repeated_or_missing_steps(tmp_path, rows, line):
+    path = tmp_path / "pool.trc"
+    path.write_text("\n".join(["#trace v1 seed=0 capture=0.5"] + rows) + "\n")
+    with pytest.raises(ParseError) as exc:
+        read_traces(path)
+    assert exc.value.line == line and str(exc.value).startswith(f"{path}:{line}:")
