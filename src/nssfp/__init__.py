@@ -9,17 +9,16 @@ texts, and benchmarks the constant-iteration mitigation of the leak.
 from .config import PipelineConfig
 from .corpus import (AuthorSequence, PostCorpus, aggregate_by_author, load_corpus,
                      save_corpus, synthesize_corpus)
-from .errors import (ConfigurationError, InsufficientDataError, InternalError,
-                     NssfpError, ParseError, UsageError, ValidationError)
+from .errors import (ConfigurationError, InsufficientDataError, NssfpError, ParseError,
+                     UsageError, ValidationError)
 from .fingerprint import (Nss, VariabilityReport, generate_nss, nss_distance,
                           similar, variability)
 from .matcher import (EvaluationReport, MatchResult, evaluate, gen_candidate_subtraces,
-                      match, match_all)
-from .model import (Distribution, NgramModel, Sequence, Vocabulary, load_model,
-                    next_distribution, save_model, tokenize, train_model)
-from .sampler import (FilterOutcome, TimingSample, bench_filter, multinomial_sample,
-                      nucleus_size, sample_next, top_p_filter_mitigated,
-                      top_p_filter_vulnerable)
+                      match, match_all, measurement_error)
+from .model import (NgramModel, Sequence, Vocabulary, load_model, save_model, tokenize,
+                    train_model)
+from .sampler import (FilterOutcome, TimingSample, bench_filter, nucleus_size_from_probs,
+                      top_p_filter_mitigated, top_p_filter_vulnerable)
 from .sidechannel import (ChannelConfig, RawTrace, Trace, estimate_global_slope,
                           filter_noisy, noise_level, segment_and_reconstruct,
                           simulate_trace)

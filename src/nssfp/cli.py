@@ -156,10 +156,8 @@ def cmd_fit(args) -> int:
         errors = []
         for t in kept:
             x = truth.get(t.seq_id)
-            if x is None or x.length < n or t.step_count < n:
-                continue
-            d = x.truncated(n).sizes.astype(np.float64) - t.estimated_sizes[:n]
-            errors.append(float(np.sqrt(np.sum(d * d))))
+            if x is not None and x.length >= n and t.step_count >= n:
+                errors.append(matcher.measurement_error(x.truncated(n), t))
         err = stats.error_bound(np.array(errors), uniq)
     header = list(cfg.resolved_lines()) + [f"epsilon={cfg.epsilon!r}"]
     stats.write_fit_report(args.out, [(uniq, err)], header_lines=header)
@@ -251,14 +249,13 @@ def cmd_evaluate(args) -> int:
         for x in series]
     kept, _, _ = sidechannel.prepare_pool(traces, cfg.drop_fraction)
     truth = {x.seq_id: x for x in series}
-    errors = [matcher._window_distance(truth[t.seq_id].sizes.astype(np.float64),
-                                       t.estimated_sizes) for t in kept]
+    errors = [matcher.measurement_error(truth[t.seq_id], t) for t in kept]
     err = stats.error_bound(np.array(errors), uniq)
 
-    report = matcher.evaluate(series, sequences, len(vocab), channel, (uniq, err),
-                              rng_seed=cfg.seed, drop_fraction=cfg.drop_fraction,
+    report = matcher.evaluate(series, sequences, traces, (uniq, err),
+                              drop_fraction=cfg.drop_fraction,
                               variability_threshold=cfg.variability_threshold,
-                              similarity_window=cfg.similarity_window, traces=traces)
+                              similarity_window=cfg.similarity_window)
     header = list(cfg.resolved_lines()) + [
         f"U={uniq.radius!r}", f"d={err.bound!r}", f"tau={err.tau!r}"]
     matcher.write_evaluation_report(args.out, report, header_lines=header)

@@ -41,7 +41,3 @@ def parse_field(convert, text: str, what: str, path, line: int):
 
 class InsufficientDataError(NssfpError):
     """Not enough samples to fit a distribution or estimate a slope."""
-
-
-class InternalError(NssfpError):
-    """A condition the surrounding pipeline is supposed to make impossible."""

@@ -1,12 +1,9 @@
 """Line-delimited interchange formats.
 
-The NSS/distribution format is the seam between this pipeline and any
-real language model: an external generator can dump per-prefix nucleus
-sizes (``n=`` payloads) or full descending probability vectors (``p=``
-payloads) and every downstream stage works unchanged.
+The NSS format carries one nucleus size per prefix:
 
     #nss v1 model=<id> q=<float>
-    <seq_id> TAB <position> TAB n=<int> | p=<p1,p2,...>
+    <seq_id> TAB <position> TAB n=<int>
 
 Sibling formats use the same shape: ``#seq v1`` persists token-id
 sequences with their session boundaries, and ``#pairdist v1`` carries the
@@ -17,7 +14,7 @@ import numpy as np
 
 from .errors import ParseError, UsageError, ValidationError, parse_field
 from .fingerprint import Nss
-from .model import Distribution, Sequence
+from .model import Sequence
 
 NSS_HEADER = "#nss v1"
 SEQ_HEADER = "#seq v1"
@@ -36,7 +33,7 @@ def _parse_header(line: str, expected: str, path, lineno: int) -> dict:
     return meta
 
 
-# --- NSS / distributions ----------------------------------------------------
+# --- NSS --------------------------------------------------------------------
 
 def write_nss(path, nss_list: list[Nss], header_lines=()):
     if not nss_list:
@@ -54,24 +51,18 @@ def write_nss(path, nss_list: list[Nss], header_lines=()):
                 fh.write(f"{x.seq_id}\t{pos}\tn={int(size)}\n")
 
 
-def ingest_distributions(path):
-    """Yield (seq_id, position, payload) records in file order.
+def read_nss(path) -> tuple[list[Nss], dict]:
+    """Assemble full series from an NSS file in one pass.
 
-    The payload is an int nucleus size for ``n=`` records or a
-    :class:`Distribution` for ``p=`` records; each record is validated as
-    it is read.
+    Records may arrive in any order; positions of each sequence must form
+    a dense 0..len-1 range. A file without records is malformed.
     """
+    acc: dict[str, dict[int, int]] = {}  # in order of first appearance
     with open(path, encoding="utf-8") as fh:
-        header_seen = False
-        for lineno, line in enumerate(fh, start=1):
+        meta = _parse_header(fh.readline().rstrip("\n"), NSS_HEADER, path, 1)
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
-            if not line:
-                continue
-            if not header_seen:
-                _parse_header(line, NSS_HEADER, path, lineno)
-                header_seen = True
-                continue
-            if line.startswith("#"):
+            if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
@@ -79,52 +70,18 @@ def ingest_distributions(path):
                                  path=str(path), line=lineno)
             seq_id, pos_str, payload = parts
             position = parse_field(int, pos_str, "position", path, lineno)
-            if payload.startswith("n="):
-                size = parse_field(int, payload[2:], "nucleus size", path, lineno)
-                if size < 0:
-                    raise ValidationError(f"{path}:{lineno}: negative nucleus size")
-                yield seq_id, position, size
-            elif payload.startswith("p="):
-                try:
-                    probs = np.array([float(v) for v in payload[2:].split(",")])
-                except ValueError as exc:
-                    raise ParseError(f"bad probability list {payload!r}",
-                                     path=str(path), line=lineno) from exc
-                if np.any(np.diff(probs) > 0):
-                    raise ValidationError(
-                        f"{path}:{lineno}: probabilities must be in descending order")
-                dist = Distribution.from_probs(probs)
-                yield seq_id, position, dist
-            else:
+            if not payload.startswith("n="):
                 raise ParseError(f"unknown payload {payload!r}", path=str(path), line=lineno)
-
-
-def read_nss(path) -> tuple[list[Nss], dict]:
-    """Assemble full series from an ``n=`` interchange file.
-
-    Records may arrive in any order; positions of each sequence must form
-    a dense 0..len-1 range.
-    """
-    meta: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        meta = _parse_header(first, NSS_HEADER, path, 1)
-    q = float(meta.get("q", "nan"))
+            size = parse_field(int, payload[2:], "nucleus size", path, lineno)
+            if size < 0:
+                raise ValidationError(f"{path}:{lineno}: negative nucleus size")
+            acc.setdefault(seq_id, {})[position] = size
+    if not acc:
+        raise ParseError("no nucleus size records", path=str(path), line=1)
+    q = parse_field(float, meta.get("q", "nan"), "q", path, 1)
     model_id = meta.get("model", "")
-    acc: dict[str, dict[int, int]] = {}
-    order: list[str] = []
-    for seq_id, position, payload in ingest_distributions(path):
-        if not isinstance(payload, int):
-            raise ValidationError(
-                f"{path}: record for {seq_id!r}@{position} is a distribution; "
-                "full series files must use n= payloads")
-        if seq_id not in acc:
-            acc[seq_id] = {}
-            order.append(seq_id)
-        acc[seq_id][position] = payload
     out = []
-    for seq_id in order:
-        positions = acc[seq_id]
+    for seq_id, positions in acc.items():
         n = len(positions)
         if sorted(positions) != list(range(n)):
             raise ValidationError(f"{path}: positions of {seq_id!r} are not dense 0..{n - 1}")

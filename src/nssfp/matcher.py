@@ -15,8 +15,9 @@ from .errors import UsageError
 from .fingerprint import (DEFAULT_SIMILARITY_WINDOW, DEFAULT_VARIABILITY_THRESHOLD,
                           Nss, similar, variability)
 from .model import Sequence
-from .sidechannel import (ChannelConfig, Trace, prepare_pool, segment_and_reconstruct,
-                          simulate_trace)
+# simulate_trace is unused here but stays importable: perfbench/test_smoke.py
+# checks that the tracer rebinds it as a from-imported name
+from .sidechannel import Trace, prepare_pool, simulate_trace  # noqa: F401
 from .stats import ErrorModel, UniquenessModel
 
 MATCHED = "matched"
@@ -63,6 +64,39 @@ def _window_distance(sizes: np.ndarray, window: np.ndarray) -> float:
     return float(np.sqrt(np.sum(d * d)))
 
 
+def measurement_error(truth: Nss, trace: Trace) -> float:
+    """Distance from a true NSS to the first ``truth.length`` estimates of
+    its own trace: the error that d(N) bounds."""
+    return _window_distance(truth.sizes.astype(np.float64),
+                            trace.estimated_sizes[:truth.length])
+
+
+def _scan(x_nss: Nss, traces: list[Trace], models: tuple[UniquenessModel, ErrorModel],
+          variability_threshold: float):
+    """Yield a MATCHED result for every window within tau, in trace then
+    offset order.
+
+    A non-variable candidate yields one NOT_VARIABLE result before any
+    distance is computed. A non-positive tau (non-matchable configuration)
+    yields nothing.
+    """
+    uniq, err = models
+    if uniq.length != x_nss.length or err.length != x_nss.length:
+        raise UsageError(
+            f"models fitted for N={uniq.length}/{err.length}, NSS has N={x_nss.length}")
+    tau = err.tau
+    if not variability(x_nss, variability_threshold).is_variable:
+        yield MatchResult(verdict=NOT_VARIABLE, threshold_used=tau)
+        return
+    if err.matchable:
+        sizes = x_nss.sizes.astype(np.float64)
+        for trace_id, offset, window in gen_candidate_subtraces(traces, x_nss.length):
+            d = _window_distance(sizes, window)
+            if d < tau:
+                yield MatchResult(verdict=MATCHED, trace_id=trace_id, offset=offset,
+                                  distance=d, threshold_used=tau)
+
+
 def match(x_nss: Nss, traces: list[Trace],
           models: tuple[UniquenessModel, ErrorModel],
           variability_threshold: float = DEFAULT_VARIABILITY_THRESHOLD) -> MatchResult:
@@ -71,21 +105,8 @@ def match(x_nss: Nss, traces: list[Trace],
     Non-variable candidates short-circuit before any distance is computed.
     A non-positive tau (non-matchable configuration) can never match.
     """
-    uniq, err = models
-    if uniq.length != x_nss.length or err.length != x_nss.length:
-        raise UsageError(
-            f"models fitted for N={uniq.length}/{err.length}, NSS has N={x_nss.length}")
-    tau = err.tau
-    if not variability(x_nss, variability_threshold).is_variable:
-        return MatchResult(verdict=NOT_VARIABLE, threshold_used=tau)
-    if err.matchable:
-        sizes = x_nss.sizes.astype(np.float64)
-        for trace_id, offset, window in gen_candidate_subtraces(traces, x_nss.length):
-            d = _window_distance(sizes, window)
-            if d < tau:
-                return MatchResult(verdict=MATCHED, trace_id=trace_id, offset=offset,
-                                   distance=d, threshold_used=tau)
-    return MatchResult(verdict=NO_MATCH, threshold_used=tau)
+    return next(_scan(x_nss, traces, models, variability_threshold),
+                MatchResult(verdict=NO_MATCH, threshold_used=models[1].tau))
 
 
 def match_all(x_nss: Nss, traces: list[Trace],
@@ -96,38 +117,21 @@ def match_all(x_nss: Nss, traces: list[Trace],
     Under the fitted bounds at most one text can match, so a multi-element
     result is direct evidence that an assumption was violated.
     """
-    uniq, err = models
-    if uniq.length != x_nss.length or err.length != x_nss.length:
-        raise UsageError(
-            f"models fitted for N={uniq.length}/{err.length}, NSS has N={x_nss.length}")
-    tau = err.tau
-    if not variability(x_nss, variability_threshold).is_variable:
-        return [MatchResult(verdict=NOT_VARIABLE, threshold_used=tau)]
-    hits = []
-    if err.matchable:
-        sizes = x_nss.sizes.astype(np.float64)
-        for trace_id, offset, window in gen_candidate_subtraces(traces, x_nss.length):
-            d = _window_distance(sizes, window)
-            if d < tau:
-                hits.append(MatchResult(verdict=MATCHED, trace_id=trace_id, offset=offset,
-                                        distance=d, threshold_used=tau))
-    return hits or [MatchResult(verdict=NO_MATCH, threshold_used=tau)]
+    return (list(_scan(x_nss, traces, models, variability_threshold))
+            or [MatchResult(verdict=NO_MATCH, threshold_used=models[1].tau)])
 
 
-def evaluate(corpus_nss: list[Nss], sequences: list[Sequence], vocab_size: int,
-             cfg: ChannelConfig, models: tuple[UniquenessModel, ErrorModel],
-             rng_seed: int | None = None,
+def evaluate(corpus_nss: list[Nss], sequences: list[Sequence], traces: list[Trace],
+             models: tuple[UniquenessModel, ErrorModel],
              drop_fraction: float = 0.06,
              variability_threshold: float = DEFAULT_VARIABILITY_THRESHOLD,
-             similarity_window: int = DEFAULT_SIMILARITY_WINDOW,
-             traces: list[Trace] | None = None) -> EvaluationReport:
+             similarity_window: int = DEFAULT_SIMILARITY_WINDOW) -> EvaluationReport:
     """End-to-end attack evaluation over a corpus.
 
-    One trace is simulated per sequence, unless ``traces`` already holds
-    the reconstructed trace of each sequence in corpus order, and the
-    noisiest fraction is dropped; every variable NSS is then matched
-    against the surviving pool. The own trace's offset-0 window is ground
-    truth; a match into a non-similar sequence's trace is a false
+    ``traces`` holds the reconstructed trace of each sequence in corpus
+    order. The noisiest fraction is dropped; every variable NSS is then
+    matched against the surviving pool. The own trace's offset-0 window is
+    ground truth; a match into a non-similar sequence's trace is a false
     positive, and matches between similar sequences count as neither.
     Recall is over variable sequences whose own trace survived filtering.
     """
@@ -135,19 +139,14 @@ def evaluate(corpus_nss: list[Nss], sequences: list[Sequence], vocab_size: int,
         raise UsageError("evaluation needs at least 2 sequences")
     if len(corpus_nss) != len(sequences):
         raise UsageError("one sequence per NSS required")
+    if [t.seq_id for t in traces] != [x.seq_id for x in corpus_nss]:
+        raise UsageError("one trace per NSS required, in the same order")
     n = models[0].length
     corpus_nss = [x.truncated(n) for x in corpus_nss]
     sequences = [s.truncated(n) for s in sequences]
     if any(x.length != n for x in corpus_nss):
         raise UsageError(f"all NSS must reach length {n} before evaluation")
-    if rng_seed is not None:
-        cfg = cfg.with_seed(rng_seed)
 
-    if traces is None:
-        traces = [segment_and_reconstruct(simulate_trace(x, vocab_size, cfg), cfg,
-                                          vocab_size) for x in corpus_nss]
-    elif [t.seq_id for t in traces] != [x.seq_id for x in corpus_nss]:
-        raise UsageError("one trace per NSS required, in the same order")
     kept, dropped, _ = prepare_pool(traces, drop_fraction)
     kept_ids = {t.seq_id for t in kept}
 
@@ -157,8 +156,7 @@ def evaluate(corpus_nss: list[Nss], sequences: list[Sequence], vocab_size: int,
                               false_positives=0, recall=0.0)
     for idx, x in enumerate(corpus_nss):
         var = variability(x, variability_threshold)
-        own = traces[idx]
-        error = _window_distance(x.sizes.astype(np.float64), own.estimated_sizes)
+        error = measurement_error(x, traces[idx])
         result = match(x, kept, models, variability_threshold)
         own_kept = x.seq_id in kept_ids
         false_positive = False

@@ -1,9 +1,8 @@
 """Next-word probability models.
 
-The pipeline never talks to a neural network. Distributions come either
-from an interpolated n-gram model trained on a corpus (this module) or
-from replayed interchange files (see :mod:`nssfp.interchange`), so every
-downstream stage is independent of any specific language model.
+The pipeline never talks to a neural network. Distributions come from an
+interpolated n-gram model trained on a corpus; downstream stages see only
+the nucleus sizes it yields (see :mod:`nssfp.interchange`).
 """
 
 import hashlib
@@ -90,46 +89,6 @@ class Sequence:
         return Sequence(id=self.id, words=self.words[:length], boundaries=keep)
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """A next-word probability vector plus its descending sort order.
-
-    Ties in probability are broken by ascending token id so that the sort
-    order, and with it every nucleus size, is deterministic.
-    """
-
-    probs: np.ndarray
-    sorted_ids: np.ndarray
-
-    SUM_TOLERANCE = 1e-9
-
-    @classmethod
-    def from_probs(cls, probs) -> "Distribution":
-        probs = np.asarray(probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValidationError("probs must be a non-empty 1-d vector")
-        if np.any(probs < 0):
-            raise ValidationError("probabilities must be non-negative")
-        total = float(probs.sum())
-        if abs(total - 1.0) > cls.SUM_TOLERANCE:
-            raise ValidationError(f"probabilities sum to {total!r}, not 1")
-        order = np.argsort(-probs, kind="stable")
-        return cls(probs=probs, sorted_ids=order)
-
-    @classmethod
-    def from_logits(cls, logits) -> "Distribution":
-        logits = np.asarray(logits, dtype=np.float64)
-        if not np.all(np.isfinite(logits)):
-            raise ValidationError("logits must be finite")
-        return cls.from_probs(softmax(logits))
-
-    def sorted_probs(self) -> np.ndarray:
-        return self.probs[self.sorted_ids]
-
-    def __len__(self) -> int:
-        return int(self.probs.size)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max()
     e = np.exp(z)
@@ -169,7 +128,11 @@ class NgramModel:
         return len(self.vocabulary)
 
     def context_at(self, sequence: Sequence, position: int) -> tuple[int, ...]:
-        """Conditioning context: prefix words since the last session boundary."""
+        """Conditioning context: prefix words since the last session boundary.
+
+        At a boundary the context is empty, so the model is re-initialized.
+        The per-position reference for :meth:`contexts`.
+        """
         if position < 0 or position > len(sequence):
             raise UsageError(f"position {position} out of range [0, {len(sequence)}]")
         last = 0
@@ -237,7 +200,7 @@ def train_model(corpus: list[Sequence], order: int = DEFAULT_ORDER,
     """Count n-grams over the corpus and return a deterministic model.
 
     N-grams never cross session boundaries, matching the reset semantics of
-    :func:`next_distribution`. The model id is a content hash of the corpus
+    :meth:`NgramModel.context_at`. The model id is a content hash of the corpus
     and the training configuration.
     """
     if not corpus:
@@ -297,16 +260,6 @@ def train_model(corpus: list[Sequence], order: int = DEFAULT_ORDER,
         vocabulary = Vocabulary(tokens=fake, index={w: i for i, w in enumerate(fake)})
     model_id = hasher.hexdigest()[:16]
     return NgramModel(order, weights, vocabulary, tables, unigram, model_id)
-
-
-def next_distribution(model: NgramModel, sequence: Sequence, position: int) -> Distribution:
-    """Distribution of the next word given the prefix since the last boundary.
-
-    At a boundary the context is empty, i.e. the model is re-initialized
-    and the result is the unigram-level distribution.
-    """
-    ctx = model.context_at(sequence, position)
-    return Distribution.from_probs(model.context_probs(ctx))
 
 
 def save_model(path, model: NgramModel):

@@ -1,5 +1,5 @@
 """Top-p (nucleus) filtering: the leaking variant, the constant-iteration
-mitigation, sampling, and the timing micro-benchmark harness.
+mitigation, and the timing micro-benchmark harness.
 
 The vulnerable filter walks an index list of out-of-nucleus tokens and
 assigns -inf one token at a time, so its trip count equals the number of
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalError, UsageError, ValidationError
-from .model import Distribution, softmax
+from .errors import UsageError, ValidationError
+from .model import softmax
 
 VULNERABLE = "vulnerable"
 MITIGATED = "mitigated"
@@ -41,19 +41,14 @@ def _cumulative(sorted_probs: np.ndarray) -> np.ndarray:
     return np.minimum(np.cumsum(sorted_probs), 1.0)
 
 
-def nucleus_size(dist: Distribution, p: float) -> int:
+def nucleus_size_from_probs(probs: np.ndarray, p: float) -> int:
     """Number of top-ranked tokens whose cumulative probability is <= p.
 
     Exactly the complement of the vulnerable filter's removal count:
-    ``nucleus_size == vocab - removed_count`` for every input.
+    ``nucleus_size_from_probs(softmax(logits), p) == vocab - removed_count``
+    for every input. Sorting the values alone ranks them as the filters'
+    stable argsort does, so the cumulative sums are the same floats.
     """
-    _check_p(p)
-    cum = _cumulative(dist.sorted_probs())
-    return int(np.searchsorted(cum, p, side="right"))
-
-
-def nucleus_size_from_probs(probs: np.ndarray, p: float) -> int:
-    """Same count computed from a raw probability vector (no id bookkeeping)."""
     _check_p(p)
     cum = _cumulative(np.sort(probs)[::-1])
     return int(np.searchsorted(cum, p, side="right"))
@@ -75,7 +70,13 @@ class FilterOutcome:
     nucleus_size: int
 
 
-def _prepare(logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rank(logits, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The step both filters share: validate, softmax, stable descending
+    argsort (ties by ascending id), clamped cumulative sums in rank order.
+
+    Returns ``(logits, order, cum)``.
+    """
+    _check_p(p)
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 1 or logits.size == 0:
         raise ValidationError("logits must be a non-empty 1-d vector")
@@ -83,7 +84,21 @@ def _prepare(logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValidationError("logits must be finite")
     probs = softmax(logits)
     order = np.argsort(-probs, kind="stable")
-    return logits, probs, order
+    return logits, order, _cumulative(probs[order])
+
+
+def _remove_vulnerable(filtered: np.ndarray, not_in_p: np.ndarray):
+    """The leaking loop: one -inf assignment per out-of-nucleus token."""
+    filtered[not_in_p] = -np.inf           # len(not_in_p) trips
+
+
+def _remove_mitigated(filtered: np.ndarray, order: np.ndarray, sorted_logits: np.ndarray,
+                      cum: np.ndarray, p: float) -> np.ndarray:
+    """Subtract +inf or 0 at every rank; returns the subtracted term."""
+    z = np.where(cum > p, np.inf, 0.0)     # == indicator * MAXFLOAT * 2 after overflow
+    filtered[order] = sorted_logits - z    # vocab-size trips, unconditionally
+    return z
+
 
 def top_p_filter_vulnerable(logits, p: float) -> tuple[np.ndarray, FilterOutcome]:
     """Reference top-p filter with the input-dependent removal loop.
@@ -92,12 +107,10 @@ def top_p_filter_vulnerable(logits, p: float) -> tuple[np.ndarray, FilterOutcome
     The assignment pass is the leaking loop: it runs once per removed
     token, and that count is what the instrumented trip counter reports.
     """
-    _check_p(p)
-    logits, probs, order = _prepare(logits)
-    cum = _cumulative(probs[order])
+    logits, order, cum = _rank(logits, p)
     not_in_p = order[cum > p]              # build pass over all ranks
     filtered = logits.copy()
-    filtered[not_in_p] = -np.inf           # removal loop: len(not_in_p) trips
+    _remove_vulnerable(filtered, not_in_p)
     removed = int(not_in_p.size)
     outcome = FilterOutcome(
         kept_ids=np.sort(order[cum <= p]),
@@ -117,13 +130,9 @@ def top_p_filter_mitigated(logits, p: float) -> tuple[np.ndarray, FilterOutcome]
     branch-free selection form of that indicator product; no control flow
     or indexing depends on the comparison outcome.
     """
-    _check_p(p)
-    logits, probs, order = _prepare(logits)
-    sorted_logits = logits[order]
-    cum = _cumulative(probs[order])
+    logits, order, cum = _rank(logits, p)
     filtered = logits.copy()
-    z = np.where(cum > p, np.inf, 0.0)     # == indicator * MAXFLOAT * 2 after overflow
-    filtered[order] = sorted_logits - z    # vocab-size trips, unconditionally
+    z = _remove_mitigated(filtered, order, logits[order], cum, p)
     removed = int(np.count_nonzero(z))
     outcome = FilterOutcome(
         kept_ids=np.sort(order[z == 0.0]),
@@ -135,38 +144,6 @@ def top_p_filter_mitigated(logits, p: float) -> tuple[np.ndarray, FilterOutcome]
 
 
 FILTERS = {VULNERABLE: top_p_filter_vulnerable, MITIGATED: top_p_filter_mitigated}
-
-
-def multinomial_sample(filtered_logits, rng) -> int:
-    """Sample a token id proportionally to softmax over the finite logits."""
-    rng = as_generator(rng)
-    filtered = np.asarray(filtered_logits, dtype=np.float64)
-    finite = np.flatnonzero(np.isfinite(filtered))
-    if finite.size == 0:
-        raise InternalError("all logits are -inf; nucleus clamp missing upstream")
-    probs = softmax(filtered[finite])
-    return int(finite[rng.choice(finite.size, p=probs)])
-
-
-def sample_next(logits, p: float, rng, variant: str = VULNERABLE) -> tuple[int, FilterOutcome]:
-    """Filter then sample, clamping an empty nucleus to the top-1 token.
-
-    The recorded nucleus size still follows the literal filter (it may be
-    0); only the sampling step receives the clamp.
-    """
-    filtered, outcome = FILTERS[variant](logits, p)
-    if outcome.nucleus_size == 0:
-        logits = np.asarray(logits, dtype=np.float64)
-        top = int(np.argmax(logits))
-        filtered = filtered.copy()
-        filtered[top] = logits[top]
-    return multinomial_sample(filtered, rng), outcome
-
-
-def as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 # --- timing harness ---------------------------------------------------------
@@ -214,12 +191,13 @@ class _pinned_to_one_core:
 
 def bench_filter(variant: str, vocab_size: int, trials: int, rng_seed: int,
                  p: float = 0.9, repeats: int = 5) -> list[TimingSample]:
-    """Time the removal loop of one filter variant over random inputs.
+    """Time the removal step of one filter variant over random inputs.
 
-    Per trial the loop is timed ``repeats`` times on the highest-resolution
-    monotonic clock after one discarded warm-up run, and the median is
-    recorded. Sorting/cumsum preparation is excluded: only the removal
-    loop differs between the variants and only it leaks.
+    Per trial the filter's own removal function is timed ``repeats`` times
+    on the highest-resolution monotonic clock after one discarded warm-up
+    run, and the median is recorded. The ranking step and the vulnerable
+    filter's index-list build are excluded: only the removal differs
+    between the variants and only it leaks.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
@@ -229,25 +207,23 @@ def bench_filter(variant: str, vocab_size: int, trials: int, rng_seed: int,
     samples = []
     with _pinned_to_one_core():
         for _ in range(trials):
-            logits = _peaked_logits(rng, vocab_size)
-            probs = softmax(logits)
-            order = np.argsort(-probs, kind="stable")
+            logits, order, cum = _rank(_peaked_logits(rng, vocab_size), p)
             sorted_logits = logits[order]
-            cum = _cumulative(probs[order])
             mask = cum > p
             size = int(vocab_size - np.count_nonzero(mask))
             times = []
             for rep in range(repeats + 1):
                 filtered = logits.copy()
                 if variant == VULNERABLE:
+                    # a fresh list per run, as each filter call builds one;
+                    # a reused list makes the loop measurably faster
                     not_in_p = order[mask]
                     t0 = time.perf_counter_ns()
-                    filtered[not_in_p] = -np.inf
+                    _remove_vulnerable(filtered, not_in_p)
                     t1 = time.perf_counter_ns()
                 else:
                     t0 = time.perf_counter_ns()
-                    z = np.where(cum > p, np.inf, 0.0)
-                    filtered[order] = sorted_logits - z
+                    _remove_mitigated(filtered, order, sorted_logits, cum, p)
                     t1 = time.perf_counter_ns()
                 if rep > 0:  # discard warm-up
                     times.append(t1 - t0)

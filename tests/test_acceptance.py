@@ -21,13 +21,14 @@ import pytest
 from nssfp import fingerprint as fp
 from nssfp.cli import main as cli_main
 from nssfp.corpus import aggregate_by_author, synthesize_corpus
-from nssfp.matcher import evaluate
-from nssfp.model import Distribution, train_model
-from nssfp.sampler import (MITIGATED, VULNERABLE, bench_filter, nucleus_size,
+from nssfp.matcher import evaluate, measurement_error
+from nssfp.model import softmax, train_model
+from nssfp.sampler import (MITIGATED, VULNERABLE, bench_filter, nucleus_size_from_probs,
                            summarize_bench, top_p_filter_mitigated,
                            top_p_filter_vulnerable)
 from nssfp.sidechannel import (ChannelConfig, estimate_global_slope, filter_noisy,
-                               rescore_noise, segment_and_reconstruct, simulate_trace)
+                               prepare_pool, rescore_noise, segment_and_reconstruct,
+                               simulate_trace)
 from nssfp.stats import PairwiseDistanceSample, error_bound, normal_quantile, uniqueness_radius
 
 Q = 0.9
@@ -55,13 +56,12 @@ def _random_filter_inputs(seed: int, trials: int):
 
 
 def test_c01_filter_oracle_equivalence():
-    """nucleus_size == vocab - instrumented removal count, exactly, 10^4 inputs."""
+    """Nucleus size == vocab - instrumented removal count, exactly, 10^4 inputs."""
     t0 = time.perf_counter()
     mismatches = 0
     for logits, p in _random_filter_inputs(101, 10_000):
-        dist = Distribution.from_logits(logits)
         _, out = top_p_filter_vulnerable(logits, p)
-        if nucleus_size(dist, p) != logits.size - out.removed_count:
+        if nucleus_size_from_probs(softmax(logits), p) != logits.size - out.removed_count:
             mismatches += 1
     elapsed = time.perf_counter() - t0
     _criterion("C1 filter oracle equivalence",
@@ -169,9 +169,7 @@ def test_c06_uniqueness_radius_growth(corpus500):
     cfg = ChannelConfig(rng_seed=31)
     traces = [segment_and_reconstruct(simulate_trace(x, v, cfg), cfg, v)
               for x in series]
-    slope = estimate_global_slope(traces)
-    traces = rescore_noise(traces, slope)
-    kept, _ = filter_noisy(traces, 0.06)
+    kept, _, _ = prepare_pool(traces, 0.06)
     kept_truth = {x.seq_id: x for x in series}
 
     radii, taus = [], []
@@ -181,11 +179,8 @@ def test_c06_uniqueness_radius_growth(corpus500):
         records, _ = fp.collect_pairwise_distances(cut_series, cut_seqs)
         distances = np.array([d for _, _, d in records])
         uniq = uniqueness_radius(PairwiseDistanceSample(n, distances), eps=EPSILON_DESK)
-        errors = np.array([
-            float(np.sqrt(np.sum(
-                (kept_truth[t.seq_id].sizes[:n].astype(float) - t.estimated_sizes[:n]) ** 2)))
-            for t in kept
-        ])
+        errors = np.array([measurement_error(kept_truth[t.seq_id].truncated(n), t)
+                           for t in kept])
         err = error_bound(errors, uniq)
         radii.append(uniq.radius)
         taus.append(err.tau)
@@ -272,18 +267,12 @@ def test_c09_end_to_end_evaluation():
     cfg = ChannelConfig(rng_seed=47)
     traces = [segment_and_reconstruct(simulate_trace(x, v, cfg), cfg, v)
               for x in series]
-    slope = estimate_global_slope(traces)
-    traces = rescore_noise(traces, slope)
-    kept, _ = filter_noisy(traces, 0.06)
+    kept, _, _ = prepare_pool(traces, 0.06)
     truth = {x.seq_id: x for x in series}
-    errors = np.array([
-        float(np.sqrt(np.sum((truth[t.seq_id].sizes.astype(float) - t.estimated_sizes) ** 2)))
-        for t in kept
-    ])
+    errors = np.array([measurement_error(truth[t.seq_id], t) for t in kept])
     err = error_bound(errors, uniq)
 
-    report = evaluate(series, seqs, v, cfg, (uniq, err), rng_seed=47,
-                      drop_fraction=0.06)
+    report = evaluate(series, seqs, traces, (uniq, err), drop_fraction=0.06)
     elapsed = time.perf_counter() - t0
     _criterion("C9 end-to-end evaluation",
                report.false_positives == 0 and report.recall >= 0.90 and elapsed < 900,

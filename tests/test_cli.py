@@ -149,6 +149,9 @@ FIT_HEAD = "N,log_mu,log_sigma,U,d,tau\n"
       "trc": "#trace v1 seed=one capture=0.011\ns\t0\t1\t0.0\t5.0\n"}),
     (["analyze", "--nss", "{nss}", "--seqs", "{seqs}"],
      {"nss": NSS_ONE, "seqs": "#seq v1 vocab_size=abc\ns\t0\t1,2\n"}),
+    (["analyze", "--nss", "{nss}", "--seqs", "{seqs}"],
+     {"nss": NSS_ONE.replace("q=0.9", "q=high"),
+      "seqs": "#seq v1 vocab_size=9\ns\t0\t1,2\n"}),
 ])
 def test_malformed_numbers_end_in_one_error_line(tmp_path, capsys, command, files):
     paths = {}
@@ -159,6 +162,21 @@ def test_malformed_numbers_end_in_one_error_line(tmp_path, capsys, command, file
     assert main(argv) == 1
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and f"{tmp_path}" in errors[0], errors
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--nss", "{nss}", "--seqs", "{seqs}", "--out", "{out}"],
+    ["match", "--nss", "{nss}", "--traces", "{trc}", "--fit", "{fit}"],
+])
+def test_nss_without_records_ends_in_one_error_line(tmp_path, capsys, command):
+    paths = {name: tmp_path / name for name in ("nss", "seqs", "trc", "fit", "out")}
+    paths["nss"].write_text("#nss v1 model=m q=0.9\n")
+    paths["seqs"].write_text("#seq v1 vocab_size=9\ns\t0\t1,2\n")
+    paths["trc"].write_text("#trace v1 seed=0 capture=0.5\ns\t0\t2\t10.0\t5.0\n")
+    paths["fit"].write_text(FIT_HEAD + "2,1.0,0.5,5.0,1.0,4.0\n")
+    assert main([a.format(**paths) for a in command]) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and f"{paths['nss']}:1:" in errors[0], errors
 
 
 def test_match_rejects_fit_without_error_bound(tmp_path, capsys):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from nssfp import fingerprint as fp
 from nssfp.cli import main as cli_main
 from nssfp.errors import UsageError, ValidationError
-from nssfp.model import Sequence, Vocabulary, next_distribution, train_model
-from nssfp.sampler import nucleus_size, nucleus_size_from_probs
+from nssfp.model import Sequence, Vocabulary, train_model
+from nssfp.sampler import nucleus_size_from_probs
 
 
 def test_generate_nss_single_prefix(tiny_model, tiny_corpus):
@@ -21,15 +21,13 @@ def test_generate_nss_single_prefix(tiny_model, tiny_corpus):
 
 
 def test_generate_nss_matches_explicit_oracle(tiny_model, tiny_corpus):
-    # per-position sizes must equal nucleus_size(next_distribution(...), q)
+    # per-position sizes must equal the dense size of each position's context
     _, seqs, _ = tiny_corpus
     words = np.concatenate([seqs[2].words, seqs[3].words])
     joined = Sequence(id="j", words=words, boundaries=(0, len(seqs[2])))
     nss = fp.generate_nss(tiny_model, joined, 0.9)
-    expected = [
-        nucleus_size(next_distribution(tiny_model, joined, t), 0.9)
-        for t in range(len(joined))
-    ]
+    contexts = [tiny_model.context_at(joined, t) for t in range(len(joined))]
+    expected = [nucleus_size_from_probs(tiny_model.context_probs(c), 0.9) for c in contexts]
     assert list(nss.sizes) == expected
 
 
@@ -42,7 +40,7 @@ def test_generate_nss_deterministic_and_boundary_spike(tiny_model, tiny_corpus):
     again = fp.generate_nss(tiny_model, joined, 0.9)
     assert np.array_equal(a.sizes, again.sizes)
     # the size at the boundary equals the empty-context size
-    empty_size = nucleus_size(next_distribution(tiny_model, joined, b), 0.9)
+    empty_size = nucleus_size_from_probs(tiny_model.context_probs(()), 0.9)
     assert a.sizes[b] == empty_size
 
 

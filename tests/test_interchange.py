@@ -3,56 +3,51 @@ import pytest
 
 from nssfp.errors import ParseError, UsageError, ValidationError
 from nssfp.fingerprint import Nss
-from nssfp.interchange import (ingest_distributions, read_distances, read_nss,
-                               read_sequences, write_distances, write_nss,
-                               write_sequences)
-from nssfp.model import Distribution, Sequence
+from nssfp.interchange import (read_distances, read_nss, read_sequences, write_distances,
+                               write_nss, write_sequences)
+from nssfp.model import Sequence
 
 
 def test_ingest_single_distribution_record(tmp_path):
+    # full probability vectors (p= payloads) are not an NSS record
     path = tmp_path / "one.nss"
-    path.write_text("#nss v1 model=abc q=0.9\ns1\t0\tp=0.5,0.3,0.2\n")
-    records = list(ingest_distributions(path))
-    assert len(records) == 1
-    seq_id, pos, dist = records[0]
-    assert (seq_id, pos) == ("s1", 0)
-    assert isinstance(dist, Distribution)
-    assert list(dist.sorted_ids) == [0, 1, 2]
+    path.write_text("#nss v1 model=abc q=0.9\ns1\t0\tn=4\ns1\t1\tp=0.5,0.3,0.2\n")
+    with pytest.raises(ParseError, match="unknown payload") as exc:
+        read_nss(path)
+    assert exc.value.line == 3
 
 
 def test_ingest_empty_file(tmp_path):
-    path = tmp_path / "empty.nss"
-    path.write_text("")
-    assert list(ingest_distributions(path)) == []
+    empty = tmp_path / "empty.nss"
+    empty.write_text("")
+    with pytest.raises(ParseError) as exc:
+        read_nss(empty)
+    assert exc.value.line == 1
+
+    header_only = tmp_path / "header.nss"
+    header_only.write_text("#nss v1 model=m q=0.9\n# config seed=0\n\n")
+    with pytest.raises(ParseError, match="no nucleus size records") as exc:
+        read_nss(header_only)
+    assert exc.value.line == 1
 
 
 def test_ingest_error_reporting(tmp_path):
     no_header = tmp_path / "nh.nss"
     no_header.write_text("s1\t0\tn=5\n")
     with pytest.raises(ParseError) as exc:
-        list(ingest_distributions(no_header))
+        read_nss(no_header)
     assert exc.value.line == 1
 
     bad_fields = tmp_path / "bf.nss"
     bad_fields.write_text("#nss v1 model=a q=0.9\ns1 0 n=5\n")
     with pytest.raises(ParseError) as exc:
-        list(ingest_distributions(bad_fields))
+        read_nss(bad_fields)
     assert exc.value.line == 2
-
-    bad_sum = tmp_path / "bs.nss"
-    bad_sum.write_text("#nss v1 model=a q=0.9\ns1\t0\tp=0.5,0.3\n")
-    with pytest.raises(ValidationError):
-        list(ingest_distributions(bad_sum))
-
-    not_descending = tmp_path / "nd.nss"
-    not_descending.write_text("#nss v1 model=a q=0.9\ns1\t0\tp=0.3,0.7\n")
-    with pytest.raises(ValidationError):
-        list(ingest_distributions(not_descending))
 
     negative = tmp_path / "neg.nss"
     negative.write_text("#nss v1 model=a q=0.9\ns1\t0\tn=-3\n")
     with pytest.raises(ValidationError):
-        list(ingest_distributions(negative))
+        read_nss(negative)
 
 
 def test_nss_roundtrip(tmp_path):

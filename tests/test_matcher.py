@@ -5,7 +5,7 @@ import nssfp.matcher as matcher
 from nssfp.errors import UsageError
 from nssfp.fingerprint import Nss
 from nssfp.matcher import (MATCHED, NO_MATCH, NOT_VARIABLE, evaluate,
-                           gen_candidate_subtraces, match, match_all)
+                           gen_candidate_subtraces, match, match_all, measurement_error)
 from nssfp.model import Sequence
 from nssfp.sidechannel import ChannelConfig, Trace, segment_and_reconstruct, simulate_trace
 from nssfp.stats import ErrorModel, UniquenessModel
@@ -147,12 +147,17 @@ def _corpus(rng, n_seqs=8, length=120):
     return sequences, series
 
 
+def _simulated(series, cfg, vocab_size=4096):
+    return [segment_and_reconstruct(simulate_trace(x, vocab_size, cfg), cfg, vocab_size)
+            for x in series]
+
+
 def test_evaluate_lossless_channel(rng):
     sequences, series = _corpus(rng)
     cfg = ChannelConfig(capture_fraction=1.0, hit_jitter_std=0.0,
                         outlier_rate=0.0, rng_seed=4)
     models = _models(120, radius=5000.0, bound=500.0)
-    report = evaluate(series, sequences, 4096, cfg, models, rng_seed=4,
+    report = evaluate(series, sequences, _simulated(series, cfg), models,
                       drop_fraction=0.0, variability_threshold=100)
     assert report.recall == 1.0
     assert report.false_positives == 0
@@ -168,7 +173,7 @@ def test_evaluate_excludes_similar_duplicates(rng):
     cfg = ChannelConfig(capture_fraction=1.0, hit_jitter_std=0.0,
                         outlier_rate=0.0, rng_seed=4)
     models = _models(120, radius=5000.0, bound=500.0)
-    report = evaluate(series, sequences, 4096, cfg, models, rng_seed=4,
+    report = evaluate(series, sequences, _simulated(series, cfg), models,
                       drop_fraction=0.0, variability_threshold=100)
     # the duplicate matches u0's trace (insertion order) but is similar: no FP
     assert report.false_positives == 0
@@ -182,29 +187,28 @@ def test_evaluate_reuses_given_traces(rng):
     sequences, series = _corpus(rng)
     cfg = ChannelConfig(capture_fraction=0.2, rng_seed=4)
     models = _models(120, radius=5000.0, bound=500.0)
-    traces = [segment_and_reconstruct(simulate_trace(x, 4096, cfg), cfg, 4096)
-              for x in series]
-    simulated = evaluate(series, sequences, 4096, cfg, models, variability_threshold=100)
-    given = evaluate(series, sequences, 4096, cfg, models, variability_threshold=100,
-                     traces=traces)
-    assert given == simulated
+    traces = _simulated(series, cfg)
+    report = evaluate(series, sequences, traces, models, variability_threshold=100)
+    assert [row["measurement_error"] for row in report.details] == [
+        measurement_error(x, t) for x, t in zip(series, traces)]
     with pytest.raises(UsageError):
-        evaluate(series, sequences, 4096, cfg, models, traces=traces[::-1])
+        evaluate(series, sequences, traces[::-1], models)
 
 
 def test_evaluate_requires_two_sequences(rng):
     sequences, series = _corpus(rng, n_seqs=2)
-    cfg = ChannelConfig(rng_seed=1)
+    traces = _simulated(series, ChannelConfig(rng_seed=1))
     with pytest.raises(UsageError):
-        evaluate(series[:1], sequences[:1], 4096, cfg, _models(120, 100.0, 10.0))
+        evaluate(series[:1], sequences[:1], traces[:1], _models(120, 100.0, 10.0))
 
 
 def test_evaluation_report_file(tmp_path, rng):
     sequences, series = _corpus(rng)
     cfg = ChannelConfig(capture_fraction=1.0, hit_jitter_std=0.0,
                         outlier_rate=0.0, rng_seed=4)
-    report = evaluate(series, sequences, 4096, cfg, _models(120, 5000.0, 500.0),
-                      rng_seed=4, drop_fraction=0.0, variability_threshold=100)
+    report = evaluate(series, sequences, _simulated(series, cfg),
+                      _models(120, 5000.0, 500.0), drop_fraction=0.0,
+                      variability_threshold=100)
     path = tmp_path / "eval.csv"
     matcher.write_evaluation_report(path, report, header_lines=["seed=4"])
     lines = path.read_text().splitlines()

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from nssfp.errors import ConfigurationError, UsageError, ValidationError
-from nssfp.model import (Distribution, Sequence, Vocabulary, load_model,
-                         next_distribution, save_model, tokenize, train_model)
+from nssfp.model import (Sequence, Vocabulary, load_model, save_model, tokenize,
+                         train_model)
+
+
+def _probs(model, seq, t):
+    return model.context_probs(model.context_at(seq, t))
 
 
 def test_tokenize_lowercases_and_splits_punctuation():
@@ -37,24 +41,11 @@ def test_sequence_validation():
     assert list(cut.words) == [5, 6] and cut.boundaries == (0,)
 
 
-def test_distribution_invariants():
-    d = Distribution.from_probs([0.25, 0.5, 0.25])
-    # ties broken by ascending id
-    assert list(d.sorted_ids) == [1, 0, 2]
-    with pytest.raises(ValidationError):
-        Distribution.from_probs([0.5, 0.6])
-    with pytest.raises(ValidationError):
-        Distribution.from_probs([-0.1, 1.1])
-    with pytest.raises(ValidationError):
-        Distribution.from_logits([0.0, np.inf])
-
-
 def test_unigram_counts_from_symmetric_corpus():
     # "a b a b": symmetric counts stay 0.5/0.5 even with the add-one floor
     seq = Sequence(id="s", words=np.array([0, 1, 0, 1]))
     model = train_model([seq], order=1, weights=(1.0,))
-    d = next_distribution(model, seq, 0)
-    assert np.allclose(d.probs, [0.5, 0.5])
+    assert np.allclose(_probs(model, seq, 0), [0.5, 0.5])
 
 
 def test_training_is_deterministic():
@@ -92,12 +83,10 @@ def test_every_context_yields_normalized_distribution(rng):
     model = train_model(corpus, order=2, weights=(0.3, 0.7))
     for seq in corpus[:20]:
         for t in range(len(seq) + 1):
-            d = next_distribution(model, seq, t)
-            assert abs(d.probs.sum() - 1.0) <= 1e-9
+            assert abs(_probs(model, seq, t).sum() - 1.0) <= 1e-9
     # unseen context falls back to a valid distribution too
     unseen = Sequence(id="u", words=np.array([29, 29, 29]))
-    d = next_distribution(model, unseen, 3)
-    assert abs(d.probs.sum() - 1.0) <= 1e-9
+    assert abs(_probs(model, unseen, 3).sum() - 1.0) <= 1e-9
 
 
 def test_bigram_distribution_matches_hand_count(tiny_corpus, tiny_model):
@@ -122,8 +111,7 @@ def test_bigram_distribution_matches_hand_count(tiny_corpus, tiny_model):
     expected = 0.4 * uni + 0.6 * bi
 
     probe = Sequence(id="probe", words=np.array([the]), boundaries=(0,))
-    got = next_distribution(tiny_model, probe, 1)
-    assert np.allclose(got.probs, expected, atol=1e-12)
+    assert np.allclose(_probs(tiny_model, probe, 1), expected, atol=1e-12)
 
 
 def test_position_reset_semantics(tiny_model, tiny_corpus):
@@ -132,21 +120,18 @@ def test_position_reset_semantics(tiny_model, tiny_corpus):
     b = len(seqs[0])
     joined = Sequence(id="j", words=words, boundaries=(0, b))
     empty_ctx = tiny_model.context_probs(())
-    at_boundary = next_distribution(tiny_model, joined, b)
-    assert np.array_equal(at_boundary.probs, empty_ctx)
+    assert np.array_equal(_probs(tiny_model, joined, b), empty_ctx)
     # order-1 model: distribution independent of position
     uni_model = train_model(seqs, order=1, weights=(1.0,), vocabulary=vocab)
-    d3 = next_distribution(uni_model, joined, 3)
-    d7 = next_distribution(uni_model, joined, 7)
-    assert np.array_equal(d3.probs, d7.probs)
+    assert np.array_equal(_probs(uni_model, joined, 3), _probs(uni_model, joined, 7))
 
 
 def test_position_out_of_range(tiny_model, tiny_corpus):
     _, seqs, _ = tiny_corpus
     with pytest.raises(UsageError):
-        next_distribution(tiny_model, seqs[0], len(seqs[0]) + 1)
+        tiny_model.context_at(seqs[0], len(seqs[0]) + 1)
     with pytest.raises(UsageError):
-        next_distribution(tiny_model, seqs[0], -1)
+        tiny_model.context_at(seqs[0], -1)
 
 
 def test_model_save_load_roundtrip(tmp_path, tiny_model, tiny_corpus):
@@ -157,6 +142,4 @@ def test_model_save_load_roundtrip(tmp_path, tiny_model, tiny_corpus):
     assert loaded.model_id == tiny_model.model_id
     assert loaded.vocabulary.tokens == tiny_model.vocabulary.tokens
     for t in range(len(seqs[0]) + 1):
-        a = next_distribution(tiny_model, seqs[0], t)
-        b = next_distribution(loaded, seqs[0], t)
-        assert np.array_equal(a.probs, b.probs)
+        assert np.array_equal(_probs(tiny_model, seqs[0], t), _probs(loaded, seqs[0], t))

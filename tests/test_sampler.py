@@ -1,26 +1,27 @@
 import numpy as np
 import pytest
 
-from nssfp.errors import InternalError, UsageError, ValidationError
-from nssfp.model import Distribution
+import nssfp.sampler as sampler
+from nssfp.errors import UsageError, ValidationError
+from nssfp.model import softmax
 from nssfp.sampler import (MITIGATED, VULNERABLE, TimingSample, bench_filter,
-                           multinomial_sample, nucleus_size, pearson, sample_next,
-                           summarize_bench, top_p_filter_mitigated,
-                           top_p_filter_vulnerable, write_bench_report)
+                           nucleus_size_from_probs, pearson, summarize_bench,
+                           top_p_filter_mitigated, top_p_filter_vulnerable,
+                           write_bench_report)
 
 
 def test_nucleus_size_hand_examples():
-    d = Distribution.from_probs([0.5, 0.3, 0.15, 0.05])
+    probs = np.array([0.05, 0.5, 0.15, 0.3])
     # cumulative (0.5, 0.8, 0.95, 1.0): two positions at or below 0.9
-    assert nucleus_size(d, 0.9) == 2
-    assert nucleus_size(d, 0.5) == 1
-    assert nucleus_size(d, 1.0) == 4
-    single = Distribution.from_probs([1.0])
-    assert nucleus_size(single, 0.9) == 0  # the literal loop removes everything
+    assert nucleus_size_from_probs(probs, 0.9) == 2
+    assert nucleus_size_from_probs(probs, 0.5) == 1
+    assert nucleus_size_from_probs(probs, 1.0) == 4
+    single = np.array([1.0])
+    assert nucleus_size_from_probs(single, 0.9) == 0  # the literal loop removes everything
     with pytest.raises(UsageError):
-        nucleus_size(d, 0.0)
+        nucleus_size_from_probs(probs, 0.0)
     with pytest.raises(UsageError):
-        nucleus_size(d, 1.5)
+        nucleus_size_from_probs(probs, 1.5)
 
 
 def test_vulnerable_filter_hand_examples():
@@ -36,11 +37,16 @@ def test_vulnerable_filter_hand_examples():
     assert out1.removal_loop_iterations == 0
     assert np.array_equal(same, logits)
 
-    # uniform 8 tokens at p=0.9: only the last cumulative (1.0) exceeds p
+    # uniform 8 tokens at p=0.9: only the last cumulative (1.0) exceeds p,
+    # and ties rank by ascending id, so the highest id goes
     uniform = np.zeros(8)
     _, out8 = top_p_filter_vulnerable(uniform, 0.9)
-    assert out8.nucleus_size == 7
+    assert out8.nucleus_size == 7 and list(out8.kept_ids) == list(range(7))
     assert out8.removed_count == 1 and out8.removal_loop_iterations == 1
+
+    # a single token at p < 1: the literal filter keeps nothing
+    _, out_single = top_p_filter_vulnerable(np.array([3.0]), 0.9)
+    assert out_single.nucleus_size == 0 and out_single.removed_count == 1
 
 
 def test_mitigated_filter_hand_examples():
@@ -71,10 +77,9 @@ def test_filter_oracle_and_cross_variant_equivalence(rng):
         vocab = int(rng.integers(2, 400))
         logits = rng.normal(0, rng.uniform(0.5, 6.0), vocab)
         p = float(rng.choice([0.5, 0.9, 0.95, 1.0]))
-        dist = Distribution.from_logits(logits)
         fv, ov = top_p_filter_vulnerable(logits, p)
         fm, om = top_p_filter_mitigated(logits, p)
-        assert nucleus_size(dist, p) == vocab - ov.removed_count
+        assert nucleus_size_from_probs(softmax(logits), p) == vocab - ov.removed_count
         assert ov.removal_loop_iterations == ov.removed_count
         assert om.removal_loop_iterations == vocab
         assert np.array_equal(ov.kept_ids, om.kept_ids)
@@ -83,33 +88,9 @@ def test_filter_oracle_and_cross_variant_equivalence(rng):
 
 def test_nucleus_size_monotone_in_p(rng):
     for _ in range(50):
-        dist = Distribution.from_logits(rng.normal(0, 3, 50))
-        sizes = [nucleus_size(dist, p) for p in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)]
+        probs = softmax(rng.normal(0, 3, 50))
+        sizes = [nucleus_size_from_probs(probs, p) for p in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)]
         assert sizes == sorted(sizes)
-
-
-def test_multinomial_sample():
-    logits = np.array([-np.inf, 2.0, -np.inf])
-    assert multinomial_sample(logits, 0) == 1
-
-    two = np.array([1.0, 1.0, -np.inf])
-    rng = np.random.default_rng(42)
-    draws = np.array([multinomial_sample(two, rng) for _ in range(100_000)])
-    freq = (draws == 0).mean()
-    assert abs(freq - 0.5) < 0.01
-
-    assert multinomial_sample([0.4, 1.2, -0.3], 7) == multinomial_sample([0.4, 1.2, -0.3], 7)
-
-    with pytest.raises(InternalError):
-        multinomial_sample(np.array([-np.inf, -np.inf]), 0)
-
-
-def test_sample_next_clamps_empty_nucleus():
-    # single token at p=0.9 has nucleus 0; sampling must still succeed
-    token, out = sample_next(np.array([3.0]), 0.9, rng=0)
-    assert token == 0 and out.nucleus_size == 0
-    token, _ = sample_next(np.log([0.97, 0.01, 0.01, 0.01]), 0.5, rng=1, variant=MITIGATED)
-    assert token == 0
 
 
 def test_bench_filter_instrumentation():
@@ -126,6 +107,27 @@ def test_bench_filter_instrumentation():
         bench_filter(VULNERABLE, 256, trials=0, rng_seed=1)
     with pytest.raises(UsageError):
         bench_filter("other", 256, trials=1, rng_seed=1)
+
+
+def test_bench_times_the_filters_removal_step(monkeypatch):
+    calls = {"vulnerable": 0, "mitigated": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(sampler, "_remove_vulnerable",
+                        counting("vulnerable", sampler._remove_vulnerable))
+    monkeypatch.setattr(sampler, "_remove_mitigated",
+                        counting("mitigated", sampler._remove_mitigated))
+    bench_filter(VULNERABLE, vocab_size=64, trials=3, rng_seed=2, repeats=4)
+    bench_filter(MITIGATED, vocab_size=64, trials=3, rng_seed=2, repeats=4)
+    assert calls == {"vulnerable": 3 * 5, "mitigated": 3 * 5}
+    top_p_filter_vulnerable(np.zeros(4), 0.5)
+    top_p_filter_mitigated(np.zeros(4), 0.5)
+    assert calls == {"vulnerable": 3 * 5 + 1, "mitigated": 3 * 5 + 1}
 
 
 def test_pearson_degenerate():
