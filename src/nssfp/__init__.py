@@ -14,7 +14,7 @@ from .errors import (ConfigurationError, InsufficientDataError, NssfpError, Pars
 from .fingerprint import (Nss, VariabilityReport, generate_nss, nss_distance,
                           similar, variability)
 from .matcher import (EvaluationReport, MatchResult, evaluate, gen_candidate_subtraces,
-                      match, match_all, measurement_error)
+                      fit_error_bound, match, match_all, measurement_error)
 from .model import (NgramModel, Sequence, Vocabulary, load_model, save_model, tokenize,
                     train_model)
 from .sampler import (FilterOutcome, TimingSample, bench_filter, nucleus_size_from_probs,

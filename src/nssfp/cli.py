@@ -16,8 +16,9 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import fingerprint as fp
 from . import interchange, matcher, sampler, sidechannel, stats
-from .config import PipelineConfig, env_overrides, read_config_file, resolve_config
-from .errors import NssfpError, UsageError, parse_field
+from .config import (PipelineConfig, env_overrides, parse_weights, read_config_file,
+                     resolve_config)
+from .errors import NssfpError, UsageError
 from .model import load_model, save_model, train_model
 
 
@@ -32,7 +33,7 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--drop-fraction", type=float, dest="drop_fraction")
     p.add_argument("--cap", type=int, dest="word_cap")
     p.add_argument("--order", type=int, dest="order")
-    p.add_argument("--weights", dest="weights",
+    p.add_argument("--weights", type=parse_weights, dest="weights",
                    help="comma-separated interpolation weights, unigram first")
     p.add_argument("--seed", type=int, dest="seed")
     p.add_argument("--capture-fraction", type=float, dest="channel.capture_fraction")
@@ -49,8 +50,6 @@ def _resolve(args) -> PipelineConfig:
     for key, value in vars(args).items():
         if key in ("config", "command", "func") or value is None:
             continue
-        if key == "weights" and isinstance(value, str):
-            value = tuple(float(w) for w in value.split(","))
         if key.startswith("channel.") or key in PipelineConfig.__dataclass_fields__:
             flags[key] = value
     cfg = resolve_config(file_values, env_overrides(), flags)
@@ -152,18 +151,15 @@ def cmd_fit(args) -> int:
         series, _ = interchange.read_nss(args.nss)
         traces, _ = sidechannel.read_traces(args.traces)
         kept, _, _ = sidechannel.prepare_pool(traces, cfg.drop_fraction)
-        truth = {x.seq_id: x for x in series}
-        errors = []
-        for t in kept:
-            x = truth.get(t.seq_id)
-            if x is not None and x.length >= n and t.step_count >= n:
-                errors.append(matcher.measurement_error(x.truncated(n), t))
-        err = stats.error_bound(np.array(errors), uniq)
-    header = list(cfg.resolved_lines()) + [f"epsilon={cfg.epsilon!r}"]
-    stats.write_fit_report(args.out, [(uniq, err)], header_lines=header)
-    tau = err.tau if err else float("nan")
-    print(f"N={n} U={uniq.radius!r} d={err.bound if err else float('nan')!r} tau={tau!r}")
+        err = matcher.fit_error_bound(series, kept, uniq)
+    stats.write_fit_report(args.out, uniq, err, header_lines=cfg.resolved_lines())
+    print(_fit_line(uniq, err))
     return 0
+
+
+def _fit_line(uniq, err) -> str:
+    d, tau = (err.bound, err.tau) if err else (math.nan, math.nan)
+    return f"N={uniq.length} U={uniq.radius!r} d={d!r} tau={tau!r}"
 
 
 def cmd_simulate(args) -> int:
@@ -180,33 +176,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _models_from_fit(path, n):
-    rows = [r for r in stats.read_fit_report(path) if r["N"] == n]
-    if not rows:
-        raise UsageError(f"fit report {path} has no row for N={n}")
-    row = rows[0]
-    if math.isnan(row["d"]) or math.isnan(row["tau"]):
-        raise UsageError(f"fit report {path} has no d(N) or tau for N={n}; "
-                         "fit it with --nss and --traces before matching")
-    eps = 0.0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.startswith("# epsilon="):
-                eps = parse_field(float, line.split("=", 1)[1].strip(), "epsilon",
-                                  path, lineno)
-    uniq = stats.UniquenessModel(length=n, log_mu=row["log_mu"],
-                                 log_sigma=row["log_sigma"],
-                                 epsilon=eps or 1e-18, radius=row["U"])
-    err = stats.ErrorModel(length=n, mean=float("nan"), std=float("nan"),
-                           bound=row["d"], tau=row["tau"],
-                           matchable=row["tau"] > 0)
-    return uniq, err
-
-
 def cmd_match(args) -> int:
     cfg = _resolve(args)
     series, _ = interchange.read_nss(args.nss)
-    models = _models_from_fit(args.fit, series[0].length)
+    uniq, err = stats.read_fit_report(args.fit)
+    n = series[0].length
+    if uniq.length != n or err is None:
+        raise UsageError(f"fit report {args.fit} has no d(N) or tau for N={n}; "
+                         "fit it with --nss and --traces before matching")
     traces, _ = sidechannel.read_traces(args.traces)
     kept, _, _ = sidechannel.prepare_pool(traces, cfg.drop_fraction)
     targets = [x for x in series if not args.target or x.seq_id == args.target]
@@ -214,7 +191,7 @@ def cmd_match(args) -> int:
         raise UsageError(f"no series named {args.target!r} in {args.nss}")
     lines = []
     for x in targets:
-        r = matcher.match(x, kept, models, cfg.variability_threshold)
+        r = matcher.match(x, kept, (uniq, err), cfg.variability_threshold)
         lines.append(f"{x.seq_id}\t{r.verdict}\t{r.trace_id or '-'}\t"
                      f"{r.distance!r}\t{r.threshold_used!r}")
     out = "\n".join(lines)
@@ -243,14 +220,11 @@ def cmd_evaluate(args) -> int:
         length=n, distances=np.array([d for _, _, d in records]))
     uniq = stats.uniqueness_radius(sample, eps=cfg.epsilon)
 
-    channel = cfg.channel.with_seed(cfg.seed)
     traces = [sidechannel.segment_and_reconstruct(
-        sidechannel.simulate_trace(x, len(vocab), channel), channel, len(vocab))
+        sidechannel.simulate_trace(x, len(vocab), cfg.channel), cfg.channel, len(vocab))
         for x in series]
     kept, _, _ = sidechannel.prepare_pool(traces, cfg.drop_fraction)
-    truth = {x.seq_id: x for x in series}
-    errors = [matcher.measurement_error(truth[t.seq_id], t) for t in kept]
-    err = stats.error_bound(np.array(errors), uniq)
+    err = matcher.fit_error_bound(series, kept, uniq)
 
     report = matcher.evaluate(series, sequences, traces, (uniq, err),
                               drop_fraction=cfg.drop_fraction,
@@ -294,8 +268,7 @@ def cmd_report(args) -> int:
                     print(line.rstrip())
         return 0
     if args.fit:
-        for row in stats.read_fit_report(args.fit):
-            print(f"N={row['N']} U={row['U']!r} d={row['d']!r} tau={row['tau']!r}")
+        print(_fit_line(*stats.read_fit_report(args.fit)))
         return 0
     if args.distances:
         if not args.out:
@@ -311,14 +284,7 @@ def cmd_report(args) -> int:
         print(f"wrote {args.buckets}-bucket histogram to {args.out}")
         return 0
     if args.bench:
-        rows = []
-        with open(args.bench, encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("#") or line.startswith("variant,"):
-                    continue
-                variant, vocab, size, ns = line.rstrip().split(",")
-                rows.append(sampler.TimingSample(variant, int(size), int(ns), int(vocab)))
-        summary = sampler.summarize_bench(rows)
+        summary = sampler.summarize_bench(sampler.read_bench_report(args.bench))
         for key, value in sorted(summary.items()):
             print(f"{key}: {value}")
         return 0

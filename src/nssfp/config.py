@@ -10,8 +10,12 @@ import dataclasses
 import os
 from dataclasses import dataclass, field
 
+from .corpus import DEFAULT_WORD_CAP
 from .errors import ConfigurationError
-from .sidechannel import ChannelConfig
+from .fingerprint import DEFAULT_SIMILARITY_WINDOW, DEFAULT_VARIABILITY_THRESHOLD
+from .model import DEFAULT_ORDER, DEFAULT_WEIGHTS
+from .sidechannel import DEFAULT_DROP_FRACTION, ChannelConfig
+from .stats import DEFAULT_EPSILON
 
 ENV_PREFIX = "NSSFP_"
 
@@ -19,14 +23,14 @@ ENV_PREFIX = "NSSFP_"
 @dataclass(frozen=True)
 class PipelineConfig:
     q: float = 0.9
-    variability_threshold: float = 1450.0
-    similarity_window: int = 50
-    epsilon: float = 1e-18
+    variability_threshold: float = DEFAULT_VARIABILITY_THRESHOLD
+    similarity_window: int = DEFAULT_SIMILARITY_WINDOW
+    epsilon: float = DEFAULT_EPSILON
     sequence_length: int = 2700
-    drop_fraction: float = 0.06
-    word_cap: int = 3000
-    order: int = 3
-    weights: tuple[float, ...] = (0.1, 0.3, 0.6)
+    drop_fraction: float = DEFAULT_DROP_FRACTION
+    word_cap: int = DEFAULT_WORD_CAP
+    order: int = DEFAULT_ORDER
+    weights: tuple[float, ...] = DEFAULT_WEIGHTS
     seed: int = 0
     channel: ChannelConfig = field(default_factory=ChannelConfig)
 
@@ -49,10 +53,15 @@ _PIPELINE_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
 _CHANNEL_FIELDS = {f.name: f for f in dataclasses.fields(ChannelConfig)}
 
 
+def parse_weights(raw: str) -> tuple[float, ...]:
+    """Comma-separated interpolation weights, unigram first; ValueError if bad."""
+    return tuple(float(v) for v in raw.split(","))
+
+
 def _convert(base: str, raw: str):
     try:
         if base == "weights":
-            return tuple(float(v) for v in raw.split(","))
+            return parse_weights(raw)
         f = _PIPELINE_FIELDS.get(base) or _CHANNEL_FIELDS[base]
         if f.type is int:
             return int(raw)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .model import NgramModel, Sequence
+from .model import NgramModel, Sequence, check_id
 from .sampler import nucleus_size_from_probs
 
 DEFAULT_VARIABILITY_THRESHOLD = 1450.0
@@ -28,6 +28,7 @@ class Nss:
     sizes: np.ndarray
 
     def __post_init__(self):
+        check_id(self.seq_id, "NSS")
         sizes = np.asarray(self.sizes, dtype=np.int64)
         object.__setattr__(self, "sizes", sizes)
         if sizes.size == 0:

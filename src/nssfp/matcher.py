@@ -15,10 +15,11 @@ from .errors import UsageError
 from .fingerprint import (DEFAULT_SIMILARITY_WINDOW, DEFAULT_VARIABILITY_THRESHOLD,
                           Nss, similar, variability)
 from .model import Sequence
+from .sidechannel import DEFAULT_DROP_FRACTION, Trace, prepare_pool
 # simulate_trace is unused here but stays importable: perfbench/test_smoke.py
 # checks that the tracer rebinds it as a from-imported name
-from .sidechannel import Trace, prepare_pool, simulate_trace  # noqa: F401
-from .stats import ErrorModel, UniquenessModel
+from .sidechannel import simulate_trace  # noqa: F401
+from .stats import ErrorModel, UniquenessModel, error_bound
 
 MATCHED = "matched"
 NO_MATCH = "no_match"
@@ -69,6 +70,18 @@ def measurement_error(truth: Nss, trace: Trace) -> float:
     its own trace: the error that d(N) bounds."""
     return _window_distance(truth.sizes.astype(np.float64),
                             trace.estimated_sizes[:truth.length])
+
+
+def fit_error_bound(series: list[Nss], kept: list[Trace],
+                    uniq: UniquenessModel) -> ErrorModel:
+    """d(N) and tau from the errors of the kept traces, in pool order, against
+    their own NSS cut to N = ``uniq.length``; a trace is skipped if its id has
+    no NSS or if that NSS or the trace itself is shorter than N."""
+    n = uniq.length
+    truth = {x.seq_id: x for x in series}
+    errors = [measurement_error(truth[t.seq_id].truncated(n), t) for t in kept
+              if t.seq_id in truth and truth[t.seq_id].length >= n and t.step_count >= n]
+    return error_bound(np.array(errors), uniq)
 
 
 def _scan(x_nss: Nss, traces: list[Trace], models: tuple[UniquenessModel, ErrorModel],
@@ -123,7 +136,7 @@ def match_all(x_nss: Nss, traces: list[Trace],
 
 def evaluate(corpus_nss: list[Nss], sequences: list[Sequence], traces: list[Trace],
              models: tuple[UniquenessModel, ErrorModel],
-             drop_fraction: float = 0.06,
+             drop_fraction: float = DEFAULT_DROP_FRACTION,
              variability_threshold: float = DEFAULT_VARIABILITY_THRESHOLD,
              similarity_window: int = DEFAULT_SIMILARITY_WINDOW) -> EvaluationReport:
     """End-to-end attack evaluation over a corpus.

@@ -11,12 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError, ValidationError
+from .errors import ConfigurationError, ParseError, UsageError, ValidationError
 
 _TOKEN_RE = re.compile(r"[\w']+|[^\w\s]")
 
 DEFAULT_ORDER = 3
 DEFAULT_WEIGHTS = (0.1, 0.3, 0.6)
+# the interchange formats separate fields with these, so no id may hold one
+ID_DELIMITERS = ("\t", ",", "\n")
 
 
 def tokenize(text: str) -> list[str]:
@@ -53,6 +55,12 @@ class Vocabulary:
             raise ValidationError(f"unknown token {exc.args[0]!r}") from exc
 
 
+def check_id(value: str, what: str):
+    """Reject an id that holds a field delimiter of the interchange formats."""
+    if any(c in value for c in ID_DELIMITERS):
+        raise ValidationError(f"{what} id {value!r} contains a tab, comma or newline")
+
+
 @dataclass(frozen=True)
 class Sequence:
     """A word-id sequence with session boundaries.
@@ -66,6 +74,7 @@ class Sequence:
     boundaries: tuple[int, ...] = (0,)
 
     def __post_init__(self):
+        check_id(self.id, "sequence")
         words = np.asarray(self.words, dtype=np.int64)
         object.__setattr__(self, "words", words)
         if words.size == 0:
@@ -289,26 +298,34 @@ def save_model(path, model: NgramModel):
 def load_model(path) -> NgramModel:
     import json
 
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "ngram v1":
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"not a JSON model file ({exc})", path=str(path),
+                         line=getattr(exc, "lineno", 1)) from None
+    if not isinstance(payload, dict) or payload.get("format") != "ngram v1":
         raise ValidationError(f"{path} is not a model file")
-    tokens = tuple(payload["tokens"])
-    vocab = Vocabulary(tokens=tokens, index={w: i for i, w in enumerate(tokens)})
-    tables = {}
-    for k_str, contexts in payload["tables"].items():
-        frozen = {}
-        for ctx_str, succ in contexts.items():
-            ctx = tuple(int(w) for w in ctx_str.split()) if ctx_str else ()
-            ids = np.array(sorted(int(i) for i in succ), dtype=np.int64)
-            counts = np.array([succ[str(int(i))] for i in ids], dtype=np.float64)
-            frozen[ctx] = (ids, counts)
-        tables[int(k_str)] = frozen
-    return NgramModel(
-        order=payload["order"],
-        weights=tuple(payload["weights"]),
-        vocabulary=vocab,
-        tables=tables,
-        unigram_counts=np.array(payload["unigram_counts"], dtype=np.int64),
-        model_id=payload["model_id"],
-    )
+    try:
+        tokens = tuple(payload["tokens"])
+        vocab = Vocabulary(tokens=tokens, index={w: i for i, w in enumerate(tokens)})
+        tables = {}
+        for k_str, contexts in payload["tables"].items():
+            frozen = {}
+            for ctx_str, succ in contexts.items():
+                ctx = tuple(int(w) for w in ctx_str.split()) if ctx_str else ()
+                ids = np.array(sorted(int(i) for i in succ), dtype=np.int64)
+                counts = np.array([succ[str(int(i))] for i in ids], dtype=np.float64)
+                frozen[ctx] = (ids, counts)
+            tables[int(k_str)] = frozen
+        return NgramModel(
+            order=payload["order"],
+            weights=tuple(payload["weights"]),
+            vocabulary=vocab,
+            tables=tables,
+            unigram_counts=np.array(payload["unigram_counts"], dtype=np.int64),
+            model_id=payload["model_id"],
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"{path}: malformed model file "
+                              f"({type(exc).__name__}: {exc})") from None

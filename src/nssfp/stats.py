@@ -178,34 +178,44 @@ def error_bound(errors, uniqueness: UniquenessModel,
                       tau=tau, matchable=tau > 0)
 
 
-def write_fit_report(path, rows, header_lines=()):
-    """Line-delimited fit records: N, log_mu, log_sigma, U, d, tau."""
+FIT_HEADER = "#fit v2"
+_FIT_COLUMNS = "N,epsilon,log_mu,log_sigma,U,mean,std,d,tau"
+
+
+def write_fit_report(path, uniq: UniquenessModel, err: ErrorModel | None, header_lines=()):
+    """Both models in one CSV record; mean, std, d and tau are nan if ``err`` is None."""
+    e = (err.mean, err.std, err.bound, err.tau) if err else (math.nan,) * 4
+    values = (uniq.epsilon, uniq.log_mu, uniq.log_sigma, uniq.radius) + e
     with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{FIT_HEADER}\n")
         for line in header_lines:
             fh.write(f"# {line}\n")
-        fh.write("N,log_mu,log_sigma,U,d,tau\n")
-        for uniq, err in rows:
-            d = repr(err.bound) if err is not None else "nan"
-            tau = repr(err.tau) if err is not None else "nan"
-            fh.write(f"{uniq.length},{uniq.log_mu!r},{uniq.log_sigma!r},"
-                     f"{uniq.radius!r},{d},{tau}\n")
+        fh.write(f"{_FIT_COLUMNS}\n{uniq.length},{','.join(map(repr, values))}\n")
 
 
-_FIT_COLUMNS = (("N", int), ("log_mu", float), ("log_sigma", float), ("U", float),
-                ("d", float), ("tau", float))
-
-
-def read_fit_report(path) -> list[dict]:
-    rows = []
+def read_fit_report(path) -> tuple[UniquenessModel, ErrorModel | None]:
+    """The models :func:`write_fit_report` stored; None if an error column is nan."""
+    names = _FIT_COLUMNS.split(",")
+    record = None
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        if fh.readline().rstrip("\n") != FIT_HEADER:
+            raise ParseError(f"expected {FIT_HEADER!r} header", path=str(path), line=1)
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
-            if not line or line.startswith("#") or line.startswith("N,"):
+            if not line or line.startswith("#") or line == _FIT_COLUMNS:
                 continue
             fields = line.split(",")
-            if len(fields) != len(_FIT_COLUMNS):
-                raise ParseError(f"expected {len(_FIT_COLUMNS)} comma-separated fields, "
-                                 f"got {len(fields)}", path=str(path), line=lineno)
-            rows.append({name: parse_field(convert, text, name, path, lineno)
-                         for (name, convert), text in zip(_FIT_COLUMNS, fields)})
-    return rows
+            if record is not None or len(fields) != len(names):
+                raise ParseError(f"expected one record of {len(names)} comma-separated "
+                                 "fields", path=str(path), line=lineno)
+            record = [parse_field(int if name == "N" else float, text, name, path, lineno)
+                      for name, text in zip(names, fields)]
+    if record is None:
+        raise ParseError("no fit record", path=str(path), line=1)
+    n, eps, log_mu, log_sigma, radius, mean, std, bound, tau = record
+    uniq = UniquenessModel(length=n, log_mu=log_mu, log_sigma=log_sigma, epsilon=eps,
+                           radius=radius)
+    if any(math.isnan(v) for v in (mean, std, bound, tau)):
+        return uniq, None
+    return uniq, ErrorModel(length=n, mean=mean, std=std, bound=bound, tau=tau,
+                            matchable=tau > 0)

@@ -21,7 +21,7 @@ import pytest
 from nssfp import fingerprint as fp
 from nssfp.cli import main as cli_main
 from nssfp.corpus import aggregate_by_author, synthesize_corpus
-from nssfp.matcher import evaluate, measurement_error
+from nssfp.matcher import evaluate, fit_error_bound
 from nssfp.model import softmax, train_model
 from nssfp.sampler import (MITIGATED, VULNERABLE, bench_filter, nucleus_size_from_probs,
                            summarize_bench, top_p_filter_mitigated,
@@ -29,7 +29,7 @@ from nssfp.sampler import (MITIGATED, VULNERABLE, bench_filter, nucleus_size_fro
 from nssfp.sidechannel import (ChannelConfig, estimate_global_slope, filter_noisy,
                                prepare_pool, rescore_noise, segment_and_reconstruct,
                                simulate_trace)
-from nssfp.stats import PairwiseDistanceSample, error_bound, normal_quantile, uniqueness_radius
+from nssfp.stats import PairwiseDistanceSample, normal_quantile, uniqueness_radius
 
 Q = 0.9
 EPSILON_DESK = 1e-6  # validating the 1e-18 default empirically is impossible
@@ -170,7 +170,6 @@ def test_c06_uniqueness_radius_growth(corpus500):
     traces = [segment_and_reconstruct(simulate_trace(x, v, cfg), cfg, v)
               for x in series]
     kept, _, _ = prepare_pool(traces, 0.06)
-    kept_truth = {x.seq_id: x for x in series}
 
     radii, taus = [], []
     for n in (250, 500, 750, 1000):
@@ -179,9 +178,7 @@ def test_c06_uniqueness_radius_growth(corpus500):
         records, _ = fp.collect_pairwise_distances(cut_series, cut_seqs)
         distances = np.array([d for _, _, d in records])
         uniq = uniqueness_radius(PairwiseDistanceSample(n, distances), eps=EPSILON_DESK)
-        errors = np.array([measurement_error(kept_truth[t.seq_id].truncated(n), t)
-                           for t in kept])
-        err = error_bound(errors, uniq)
+        err = fit_error_bound(series, kept, uniq)
         radii.append(uniq.radius)
         taus.append(err.tau)
     u_increasing = all(a < b for a, b in zip(radii, radii[1:]))
@@ -268,9 +265,7 @@ def test_c09_end_to_end_evaluation():
     traces = [segment_and_reconstruct(simulate_trace(x, v, cfg), cfg, v)
               for x in series]
     kept, _, _ = prepare_pool(traces, 0.06)
-    truth = {x.seq_id: x for x in series}
-    errors = np.array([measurement_error(truth[t.seq_id], t) for t in kept])
-    err = error_bound(errors, uniq)
+    err = fit_error_bound(series, kept, uniq)
 
     report = evaluate(series, seqs, traces, (uniq, err), drop_fraction=0.06)
     elapsed = time.perf_counter() - t0

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from nssfp.cli import main
+from nssfp.cli import build_parser, main
 from nssfp.config import PipelineConfig, env_overrides, read_config_file, resolve_config
 from nssfp.errors import ConfigurationError
 
@@ -136,22 +136,27 @@ def test_evaluate_matches_command_composition(tmp_path, corpus_file, capsys):
 
 
 NSS_ONE = "#nss v1 model=m q=0.9\ns\t0\tn=5\ns\t1\tn=7\n"
-FIT_HEAD = "N,log_mu,log_sigma,U,d,tau\n"
+FIT_HEAD = "#fit v2\n# epsilon=1e-06\nN,epsilon,log_mu,log_sigma,U,mean,std,d,tau\n"
+FIT_ROW = "2,1e-06,1.0,0.5,5.0,0.5,0.05,1.0,4.0\n"
+BENCH_HEAD = "variant,vocab_size,nucleus_size,loop_time_ns\n"
 
 
 @pytest.mark.parametrize("command, files", [
     (["fit", "--distances", "{dist}"], {"dist": "#pairdist v1 length=2\na,b,far\n"}),
     (["fit", "--distances", "{dist}"], {"dist": "#pairdist v1 length=two\na,b,1.5\n"}),
-    (["report", "--fit", "{fit}"], {"fit": FIT_HEAD + "2,1.0,wide,5.0,1.0,4.0\n"}),
-    (["report", "--fit", "{fit}"], {"fit": FIT_HEAD + "2,1.0,0.5,5.0\n"}),
+    (["report", "--fit", "{fit}"],
+     {"fit": FIT_HEAD + "2,1e-06,1.0,wide,5.0,0.5,0.05,1.0,4.0\n"}),
+    (["report", "--fit", "{fit}"], {"fit": FIT_HEAD + "2,1e-06,1.0,0.5,5.0\n"}),
     (["match", "--nss", "{nss}", "--traces", "{trc}", "--fit", "{fit}"],
-     {"nss": NSS_ONE, "fit": FIT_HEAD + "2,1.0,0.5,5.0,1.0,4.0\n",
+     {"nss": NSS_ONE, "fit": FIT_HEAD + FIT_ROW,
       "trc": "#trace v1 seed=one capture=0.011\ns\t0\t1\t0.0\t5.0\n"}),
     (["analyze", "--nss", "{nss}", "--seqs", "{seqs}"],
      {"nss": NSS_ONE, "seqs": "#seq v1 vocab_size=abc\ns\t0\t1,2\n"}),
     (["analyze", "--nss", "{nss}", "--seqs", "{seqs}"],
      {"nss": NSS_ONE.replace("q=0.9", "q=high"),
       "seqs": "#seq v1 vocab_size=9\ns\t0\t1,2\n"}),
+    (["report", "--bench", "{bench}"], {"bench": BENCH_HEAD + "vulnerable,10,abc,5\n"}),
+    (["report", "--bench", "{bench}"], {"bench": BENCH_HEAD + "vulnerable,10\n"}),
 ])
 def test_malformed_numbers_end_in_one_error_line(tmp_path, capsys, command, files):
     paths = {}
@@ -173,7 +178,7 @@ def test_nss_without_records_ends_in_one_error_line(tmp_path, capsys, command):
     paths["nss"].write_text("#nss v1 model=m q=0.9\n")
     paths["seqs"].write_text("#seq v1 vocab_size=9\ns\t0\t1,2\n")
     paths["trc"].write_text("#trace v1 seed=0 capture=0.5\ns\t0\t2\t10.0\t5.0\n")
-    paths["fit"].write_text(FIT_HEAD + "2,1.0,0.5,5.0,1.0,4.0\n")
+    paths["fit"].write_text(FIT_HEAD + FIT_ROW)
     assert main([a.format(**paths) for a in command]) == 1
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and f"{paths['nss']}:1:" in errors[0], errors
@@ -182,12 +187,55 @@ def test_nss_without_records_ends_in_one_error_line(tmp_path, capsys, command):
 def test_match_rejects_fit_without_error_bound(tmp_path, capsys):
     nss, fit, trc = tmp_path / "s.nss", tmp_path / "fit.csv", tmp_path / "pool.trc"
     nss.write_text(NSS_ONE)
-    fit.write_text(FIT_HEAD + "2,1.0,0.5,5.0,nan,nan\n")
+    fit.write_text(FIT_HEAD + "2,1e-06,1.0,0.5,5.0,nan,nan,nan,nan\n")
     trc.write_text("#trace v1 seed=0 capture=0.5\ns\t0\t2\t10.0\t5.0\n"
                    "s\t1\t4\t20.0\t7.0\n")
     assert main(["match", "--nss", str(nss), "--traces", str(trc), "--fit", str(fit)]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "--traces" in err
+    fit.write_text(FIT_HEAD + "3" + FIT_ROW[1:])  # fitted for another N
+    assert main(["match", "--nss", str(nss), "--traces", str(trc), "--fit", str(fit)]) == 2
+    assert capsys.readouterr().err.count("error:") == 1
+
+
+@pytest.mark.parametrize("text, line", [
+    ("N,log_mu,log_sigma,U,d,tau\n2,1.0,0.5,5.0,1.0,4.0\n", 1),  # the layout before v2
+    (FIT_HEAD + FIT_ROW + FIT_ROW, 5),
+])
+def test_fit_report_layout_errors(tmp_path, capsys, text, line):
+    fit = tmp_path / "fit.csv"
+    fit.write_text(text)
+    assert main(["report", "--fit", str(fit)]) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {fit}:{line}:"), errors
+
+
+@pytest.mark.parametrize("text", ["not json\n", '{"format":"ngram v1"}'])
+def test_bad_model_file_ends_in_one_error_line(tmp_path, capsys, text):
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    assert run(["nss", "--model", model, "--seqs", tmp_path / "seqs.txt",
+                "--out", tmp_path / "out.nss"]) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and str(model) in errors[0], errors
+
+
+def test_id_with_delimiter_ends_in_one_error_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("a,b\t1\tone two three\nc\t2\tfour five six\n")
+    assert run(["train", "--corpus", corpus, "--out", tmp_path / "m.json"]) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and "'a,b'" in errors[0], errors
+
+
+def test_bad_weights_flag_exits_two(capsys):
+    assert build_parser().parse_args(
+        ["train", "--corpus", "c", "--out", "m", "--weights", "0.2,0.3,0.5"]
+    ).weights == (0.2, 0.3, 0.5)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--corpus", "c", "--out", "m", "--weights", "a,b"])
+    assert exc.value.code == 2
+    assert "--weights" in capsys.readouterr().err
 
 
 def test_bench_and_report(tmp_path, capsys):

@@ -50,6 +50,18 @@ def test_ingest_error_reporting(tmp_path):
         read_nss(negative)
 
 
+def test_ids_reject_delimiters(tmp_path):
+    path = tmp_path / "comma.nss"
+    path.write_text("#nss v1 model=m q=0.9\na,b\t0\tn=5\n")
+    with pytest.raises(ValidationError, match="'a,b'"):
+        read_nss(path)
+    for bad in ("a\tb", "a\nb"):
+        with pytest.raises(ValidationError):
+            Nss(bad, 0.9, "m", np.array([1]))
+        with pytest.raises(ValidationError):
+            Sequence(id=bad, words=np.array([1]))
+
+
 def test_nss_roundtrip(tmp_path):
     series = [
         Nss("u1", 0.9, "m1", np.array([5, 900, 17])),

@@ -4,11 +4,11 @@ import pytest
 import nssfp.matcher as matcher
 from nssfp.errors import UsageError
 from nssfp.fingerprint import Nss
-from nssfp.matcher import (MATCHED, NO_MATCH, NOT_VARIABLE, evaluate,
+from nssfp.matcher import (MATCHED, NO_MATCH, NOT_VARIABLE, evaluate, fit_error_bound,
                            gen_candidate_subtraces, match, match_all, measurement_error)
 from nssfp.model import Sequence
 from nssfp.sidechannel import ChannelConfig, Trace, segment_and_reconstruct, simulate_trace
-from nssfp.stats import ErrorModel, UniquenessModel
+from nssfp.stats import ErrorModel, UniquenessModel, error_bound
 
 
 def _trace(sizes, seq_id="t"):
@@ -193,6 +193,23 @@ def test_evaluate_reuses_given_traces(rng):
         measurement_error(x, t) for x, t in zip(series, traces)]
     with pytest.raises(UsageError):
         evaluate(series, sequences, traces[::-1], models)
+
+
+def test_fit_error_bound_matches_inline_oracle(rng):
+    _, series = _corpus(rng, n_seqs=40)
+    traces = _simulated(series, ChannelConfig(capture_fraction=0.2, rng_seed=4))
+    uniq = _models(100, radius=5000.0, bound=500.0)[0]
+    truth = {x.seq_id: x for x in series}
+    oracle = error_bound(np.array([measurement_error(truth[t.seq_id].truncated(100), t)
+                                   for t in traces]), uniq)
+    assert fit_error_bound(series, traces, uniq) == oracle
+
+    # a trace with no NSS, one shorter than N and one whose NSS is shorter are skipped
+    short_nss = Nss("u0", 0.9, "m", series[0].sizes[:99])
+    pool = traces + [_trace(np.zeros(120), "stranger"), _trace(np.zeros(99), "u1")]
+    assert fit_error_bound([short_nss] + series[1:], pool, uniq) == error_bound(
+        np.array([measurement_error(truth[t.seq_id].truncated(100), t)
+                  for t in traces[1:]]), uniq)
 
 
 def test_evaluate_requires_two_sequences(rng):

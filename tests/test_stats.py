@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nssfp.errors import InsufficientDataError, UsageError, ValidationError
-from nssfp.stats import (PairwiseDistanceSample, UniquenessModel,
-                         error_bound, fit_lognormal, normal_quantile,
-                         smoothed_histogram, uniqueness_radius)
+from nssfp.stats import (ErrorModel, PairwiseDistanceSample, UniquenessModel,
+                         error_bound, fit_lognormal, normal_quantile, read_fit_report,
+                         smoothed_histogram, uniqueness_radius, write_fit_report)
 
 # Frozen oracle values, computed once at 50-digit precision from the
 # complementary error function: z solves Phi(z) = eps.
@@ -115,6 +117,29 @@ def test_error_bound_flags_non_matchable():
                            epsilon=1e-6, radius=5.0)
     model = error_bound(np.full(50, 7.0), uniq)
     assert model.tau < 0 and not model.matchable
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 10**6), eps=st.floats(1e-300, 0.5), log_mu=_finite,
+       log_sigma=st.floats(0.0, 1e300, exclude_min=True), radius=_finite,
+       errors=st.none() | st.tuples(_finite, _finite, _finite, _finite),
+       header=st.lists(st.text(st.characters(blacklist_categories=("Cs", "Cc"))),
+                       max_size=3))
+def test_fit_report_roundtrip(tmp_path, n, eps, log_mu, log_sigma, radius, errors, header):
+    uniq = UniquenessModel(length=n, log_mu=log_mu, log_sigma=log_sigma, epsilon=eps,
+                           radius=radius)
+    err = None
+    if errors is not None:
+        mean, std, bound, tau = errors
+        err = ErrorModel(length=n, mean=mean, std=std, bound=bound, tau=tau,
+                         matchable=tau > 0)
+    path = tmp_path / "fit.csv"
+    write_fit_report(path, uniq, err, header_lines=header)
+    assert read_fit_report(path) == (uniq, err)
 
 
 def test_uniqueness_stability_on_halves(rng):
