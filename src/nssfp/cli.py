@@ -226,8 +226,7 @@ def cmd_evaluate(args) -> int:
     kept, _, _ = sidechannel.prepare_pool(traces, cfg.drop_fraction)
     err = matcher.fit_error_bound(series, kept, uniq)
 
-    report = matcher.evaluate(series, sequences, traces, (uniq, err),
-                              drop_fraction=cfg.drop_fraction,
+    report = matcher.evaluate(series, sequences, traces, kept, (uniq, err),
                               variability_threshold=cfg.variability_threshold,
                               similarity_window=cfg.similarity_window)
     header = list(cfg.resolved_lines()) + [

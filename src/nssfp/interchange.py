@@ -12,7 +12,7 @@ pairwise distance samples the fitting stage consumes.
 
 import numpy as np
 
-from .errors import ParseError, UsageError, ValidationError, parse_field
+from .errors import ParseError, UsageError, ValidationError, parse_field, utf8_reader
 from .fingerprint import Nss
 from .model import Sequence
 
@@ -51,6 +51,7 @@ def write_nss(path, nss_list: list[Nss], header_lines=()):
                 fh.write(f"{x.seq_id}\t{pos}\tn={int(size)}\n")
 
 
+@utf8_reader
 def read_nss(path) -> tuple[list[Nss], dict]:
     """Assemble full series from an NSS file in one pass.
 
@@ -75,6 +76,9 @@ def read_nss(path) -> tuple[list[Nss], dict]:
             size = parse_field(int, payload[2:], "nucleus size", path, lineno)
             if size < 0:
                 raise ValidationError(f"{path}:{lineno}: negative nucleus size")
+            if size >= 2**63:
+                raise ParseError("nucleus size out of the int64 range", path=str(path),
+                                 line=lineno)
             acc.setdefault(seq_id, {})[position] = size
     if not acc:
         raise ParseError("no nucleus size records", path=str(path), line=1)
@@ -101,6 +105,7 @@ def write_sequences(path, sequences: list[Sequence], vocab_size: int):
             fh.write(f"{seq.id}\t{bounds}\t{words}\n")
 
 
+@utf8_reader
 def read_sequences(path) -> tuple[list[Sequence], int]:
     sequences = []
     vocab_size = 0
@@ -123,7 +128,7 @@ def read_sequences(path) -> tuple[list[Sequence], int]:
             try:
                 bounds = tuple(int(b) for b in parts[1].split(","))
                 words = np.array([int(w) for w in parts[2].split(",")], dtype=np.int64)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ParseError(str(exc), path=str(path), line=lineno) from exc
             sequences.append(Sequence(id=parts[0], words=words, boundaries=bounds))
     return sequences, vocab_size
@@ -141,6 +146,7 @@ def write_distances(path, records, length: int, header_lines=()):
             fh.write(f"{x_id},{y_id},{d!r}\n")
 
 
+@utf8_reader
 def read_distances(path) -> tuple[list[tuple[str, str, float]], int]:
     records = []
     length = 0

@@ -15,7 +15,7 @@ from .errors import UsageError
 from .fingerprint import (DEFAULT_SIMILARITY_WINDOW, DEFAULT_VARIABILITY_THRESHOLD,
                           Nss, similar, variability)
 from .model import Sequence
-from .sidechannel import DEFAULT_DROP_FRACTION, Trace, prepare_pool
+from .sidechannel import Trace
 # simulate_trace is unused here but stays importable: perfbench/test_smoke.py
 # checks that the tracer rebinds it as a from-imported name
 from .sidechannel import simulate_trace  # noqa: F401
@@ -24,6 +24,8 @@ from .stats import ErrorModel, UniquenessModel, error_bound
 MATCHED = "matched"
 NO_MATCH = "no_match"
 NOT_VARIABLE = "not_variable"
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,32 @@ def fit_error_bound(series: list[Nss], kept: list[Trace],
     return error_bound(np.array(errors), uniq)
 
 
+def _near_offsets(sizes: np.ndarray, sizes_sq: float, est: np.ndarray,
+                  tau: float) -> np.ndarray:
+    """Ascending offsets of the windows of ``est`` that can lie within tau of
+    ``sizes``; ``sizes_sq`` is ``sizes @ sizes``.
+
+    Screens every window at once by d^2 = |w|^2 + |x|^2 - 2 x.w, with |w|^2
+    from a prefix sum of est^2 and x.w from one correlation pass, so memory
+    is O(len(est)). With u the unit roundoff and S = sum(est^2) + |x|^2:
+    the screened d^2 is off by at most (2 steps + 2N + 8) u S (prefix-sum
+    cancellation, the dot product, the last two operations); a window whose
+    rounded loop distance is under tau has exact d^2 below
+    tau^2 + 2 (N + 5) u S, since exact d^2 <= 2 S; and rounding tau^2 +
+    margin costs at most 4 u S more where it matters. Underflowing squares
+    and products add at most (steps + 2N + 1) smallest subnormals. The
+    margin 8 (steps + N) (eps S + smallest subnormal), with eps = 2u,
+    exceeds the sum for every steps >= N >= 1, so the screen only drops
+    windows the loop rejects.
+    """
+    n = sizes.size
+    prefix = np.concatenate(([0.0], np.cumsum(est * est)))
+    d2 = (prefix[n:] - prefix[:-n]) + sizes_sq - 2.0 * np.correlate(est, sizes, "valid")
+    margin = 8.0 * (est.size + n) * (_EPS * (prefix[-1] + sizes_sq) + _TINY)
+    # a window whose screen overflowed (inf or nan) is measured exactly
+    return np.flatnonzero((d2 < tau * tau + margin) | ~np.isfinite(d2))
+
+
 def _scan(x_nss: Nss, traces: list[Trace], models: tuple[UniquenessModel, ErrorModel],
           variability_threshold: float):
     """Yield a MATCHED result for every window within tau, in trace then
@@ -91,7 +119,10 @@ def _scan(x_nss: Nss, traces: list[Trace], models: tuple[UniquenessModel, ErrorM
 
     A non-variable candidate yields one NOT_VARIABLE result before any
     distance is computed. A non-positive tau (non-matchable configuration)
-    yields nothing.
+    yields nothing. Each trace is screened in one vectorised pass
+    (:func:`_near_offsets`); only the windows it keeps are measured by
+    :func:`_window_distance`, so results equal a loop over
+    :func:`gen_candidate_subtraces` bit for bit.
     """
     uniq, err = models
     if uniq.length != x_nss.length or err.length != x_nss.length:
@@ -102,12 +133,21 @@ def _scan(x_nss: Nss, traces: list[Trace], models: tuple[UniquenessModel, ErrorM
         yield MatchResult(verdict=NOT_VARIABLE, threshold_used=tau)
         return
     if err.matchable:
+        n = x_nss.length
         sizes = x_nss.sizes.astype(np.float64)
-        for trace_id, offset, window in gen_candidate_subtraces(traces, x_nss.length):
-            d = _window_distance(sizes, window)
-            if d < tau:
-                yield MatchResult(verdict=MATCHED, trace_id=trace_id, offset=offset,
-                                  distance=d, threshold_used=tau)
+        sizes_sq = float(sizes @ sizes)
+        for trace in traces:
+            if trace.step_count < n:
+                continue
+            est = np.asarray(trace.estimated_sizes, dtype=np.float64)
+            # one window costs less to measure than to screen
+            offsets = (range(1) if est.size == n
+                       else _near_offsets(sizes, sizes_sq, est, tau).tolist())
+            for offset in offsets:
+                d = _window_distance(sizes, est[offset:offset + n])
+                if d < tau:
+                    yield MatchResult(verdict=MATCHED, trace_id=trace.seq_id, offset=offset,
+                                      distance=d, threshold_used=tau)
 
 
 def match(x_nss: Nss, traces: list[Trace],
@@ -135,15 +175,15 @@ def match_all(x_nss: Nss, traces: list[Trace],
 
 
 def evaluate(corpus_nss: list[Nss], sequences: list[Sequence], traces: list[Trace],
-             models: tuple[UniquenessModel, ErrorModel],
-             drop_fraction: float = DEFAULT_DROP_FRACTION,
+             kept: list[Trace], models: tuple[UniquenessModel, ErrorModel],
              variability_threshold: float = DEFAULT_VARIABILITY_THRESHOLD,
              similarity_window: int = DEFAULT_SIMILARITY_WINDOW) -> EvaluationReport:
     """End-to-end attack evaluation over a corpus.
 
     ``traces`` holds the reconstructed trace of each sequence in corpus
-    order. The noisiest fraction is dropped; every variable NSS is then
-    matched against the surviving pool. The own trace's offset-0 window is
+    order and ``kept`` the pool that survived ``sidechannel.prepare_pool``,
+    the one d(N) was fitted on; traces not in it count as filtered. Every
+    variable NSS is matched against the pool. The own trace's offset-0 window is
     ground truth; a match into a non-similar sequence's trace is a false
     positive, and matches between similar sequences count as neither.
     Recall is over variable sequences whose own trace survived filtering.
@@ -154,18 +194,18 @@ def evaluate(corpus_nss: list[Nss], sequences: list[Sequence], traces: list[Trac
         raise UsageError("one sequence per NSS required")
     if [t.seq_id for t in traces] != [x.seq_id for x in corpus_nss]:
         raise UsageError("one trace per NSS required, in the same order")
+    kept_ids = {t.seq_id for t in kept}
+    if len(kept_ids) != len(kept) or not kept_ids <= {t.seq_id for t in traces}:
+        raise UsageError("the kept pool must hold distinct traces of the corpus")
     n = models[0].length
     corpus_nss = [x.truncated(n) for x in corpus_nss]
     sequences = [s.truncated(n) for s in sequences]
     if any(x.length != n for x in corpus_nss):
         raise UsageError(f"all NSS must reach length {n} before evaluation")
 
-    kept, dropped, _ = prepare_pool(traces, drop_fraction)
-    kept_ids = {t.seq_id for t in kept}
-
     by_id = {s.id: i for i, s in enumerate(sequences)}
     report = EvaluationReport(total=len(corpus_nss), variable_count=0,
-                              filtered_noisy=len(dropped), true_matches=0,
+                              filtered_noisy=len(traces) - len(kept), true_matches=0,
                               false_positives=0, recall=0.0)
     for idx, x in enumerate(corpus_nss):
         var = variability(x, variability_threshold)

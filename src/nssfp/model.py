@@ -17,8 +17,9 @@ _TOKEN_RE = re.compile(r"[\w']+|[^\w\s]")
 
 DEFAULT_ORDER = 3
 DEFAULT_WEIGHTS = (0.1, 0.3, 0.6)
-# the interchange formats separate fields with these, so no id may hold one
-ID_DELIMITERS = ("\t", ",", "\n")
+# the interchange formats separate fields and lines with these, so no id may
+# hold one; a line that starts with "#" is a header or a comment
+ID_DELIMITERS = ("\t", ",", "\n", "\r")
 
 
 def tokenize(text: str) -> list[str]:
@@ -56,9 +57,11 @@ class Vocabulary:
 
 
 def check_id(value: str, what: str):
-    """Reject an id that holds a field delimiter of the interchange formats."""
-    if any(c in value for c in ID_DELIMITERS):
-        raise ValidationError(f"{what} id {value!r} contains a tab, comma or newline")
+    """Reject an id that holds a field delimiter of the interchange formats
+    or would read back as a comment line."""
+    if any(c in value for c in ID_DELIMITERS) or value.startswith("#"):
+        raise ValidationError(
+            f"{what} id {value!r} contains a tab, comma or line break, or starts with '#'")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, UsageError, ValidationError, parse_field
+from .errors import ParseError, UsageError, ValidationError, parse_field, utf8_reader
 from .model import softmax
 
 VULNERABLE = "vulnerable"
@@ -272,6 +272,7 @@ def write_bench_report(path, samples: list[TimingSample], header_lines=()):
             fh.write(f"{s.variant},{s.vocab_size},{s.nucleus_size},{s.loop_time_ns}\n")
 
 
+@utf8_reader
 def read_bench_report(path) -> list[TimingSample]:
     """The samples :func:`write_bench_report` stored."""
     samples = []

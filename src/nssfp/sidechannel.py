@@ -16,8 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (InsufficientDataError, ParseError, UsageError, ValidationError,
-                     parse_field)
+                     parse_field, utf8_reader)
 from .fingerprint import Nss
+from .model import check_id
 
 DEFAULT_CAPTURE_FRACTION = 0.011
 DEFAULT_DROP_FRACTION = 0.06
@@ -84,10 +85,13 @@ class Trace:
     noise_level: float
 
     def __post_init__(self):
+        check_id(self.seq_id, "trace")
         n = self.estimated_sizes.size
         if self.per_step_hit_counts.size != n or self.per_step_durations.size != n \
                 or self.estimated_iterations.size != n:
             raise ValidationError("per-step arrays must have equal length")
+        if not np.isfinite(self.estimated_sizes).all():
+            raise ValidationError(f"trace {self.seq_id!r} has non-finite estimated sizes")
 
     @property
     def step_count(self) -> int:
@@ -293,11 +297,13 @@ def write_traces(path, traces: list[Trace], cfg: ChannelConfig, header_lines=())
                          f"{float(t.estimated_sizes[step])!r}\n")
 
 
+@utf8_reader
 def read_traces(path) -> tuple[list[Trace], dict]:
     """Parse a trace file; returns traces (noise scored per own slope) and header meta.
 
     Records may arrive in any order; the steps of each trace must form a
-    dense 0..len-1 range with no step repeated.
+    dense 0..len-1 range with no step repeated, and durations and estimated
+    sizes must be finite.
     """
     meta: dict = {}
     # seq_id -> (line of its first record, step -> (count, duration, size))
@@ -312,6 +318,9 @@ def read_traces(path) -> tuple[list[Trace], dict]:
                     k, _, v = part.partition("=")
                     meta[k] = parse_field(float if k == "capture" else int, v, k,
                                           path, lineno)
+                if not 0.0 < meta.get("capture", 1.0) <= 1.0:
+                    raise ParseError(f"capture {meta['capture']!r} is not in (0, 1]",
+                                     path=str(path), line=lineno)
                 continue
             if line.startswith("#"):
                 continue
@@ -324,6 +333,12 @@ def read_traces(path) -> tuple[list[Trace], dict]:
             record = (parse_field(int, parts[2], "hit count", path, lineno),
                       parse_field(float, parts[3], "duration", path, lineno),
                       parse_field(float, parts[4], "estimated size", path, lineno))
+            if not (math.isfinite(record[1]) and math.isfinite(record[2])):
+                raise ParseError("non-finite duration or estimated size",
+                                 path=str(path), line=lineno)
+            if not -2**63 <= record[0] < 2**63:
+                raise ParseError("hit count out of the int64 range", path=str(path),
+                                 line=lineno)
             steps = rows.setdefault(seq_id, (lineno, {}))[1]
             if step in steps:
                 raise ParseError(f"step {step} of {seq_id!r} repeats",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InsufficientDataError, ParseError, UsageError, ValidationError,
-                     parse_field)
+                     parse_field, utf8_reader)
 
 DEFAULT_EPSILON = 1e-18
 ERROR_BOUND_SIGMAS = 10.0
@@ -193,10 +193,11 @@ def write_fit_report(path, uniq: UniquenessModel, err: ErrorModel | None, header
         fh.write(f"{_FIT_COLUMNS}\n{uniq.length},{','.join(map(repr, values))}\n")
 
 
+@utf8_reader
 def read_fit_report(path) -> tuple[UniquenessModel, ErrorModel | None]:
     """The models :func:`write_fit_report` stored; None if an error column is nan."""
     names = _FIT_COLUMNS.split(",")
-    record = None
+    record, record_line = None, 0
     with open(path, encoding="utf-8") as fh:
         if fh.readline().rstrip("\n") != FIT_HEADER:
             raise ParseError(f"expected {FIT_HEADER!r} header", path=str(path), line=1)
@@ -210,11 +211,15 @@ def read_fit_report(path) -> tuple[UniquenessModel, ErrorModel | None]:
                                  "fields", path=str(path), line=lineno)
             record = [parse_field(int if name == "N" else float, text, name, path, lineno)
                       for name, text in zip(names, fields)]
+            record_line = lineno
     if record is None:
         raise ParseError("no fit record", path=str(path), line=1)
     n, eps, log_mu, log_sigma, radius, mean, std, bound, tau = record
-    uniq = UniquenessModel(length=n, log_mu=log_mu, log_sigma=log_sigma, epsilon=eps,
-                           radius=radius)
+    try:
+        uniq = UniquenessModel(length=n, log_mu=log_mu, log_sigma=log_sigma, epsilon=eps,
+                               radius=radius)
+    except ValidationError as exc:
+        raise ParseError(str(exc), path=str(path), line=record_line) from None
     if any(math.isnan(v) for v in (mean, std, bound, tau)):
         return uniq, None
     return uniq, ErrorModel(length=n, mean=mean, std=std, bound=bound, tau=tau,

@@ -267,7 +267,7 @@ def test_c09_end_to_end_evaluation():
     kept, _, _ = prepare_pool(traces, 0.06)
     err = fit_error_bound(series, kept, uniq)
 
-    report = evaluate(series, seqs, traces, (uniq, err), drop_fraction=0.06)
+    report = evaluate(series, seqs, traces, kept, (uniq, err))
     elapsed = time.perf_counter() - t0
     _criterion("C9 end-to-end evaluation",
                report.false_positives == 0 and report.recall >= 0.90 and elapsed < 900,

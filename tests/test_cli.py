@@ -157,6 +157,9 @@ BENCH_HEAD = "variant,vocab_size,nucleus_size,loop_time_ns\n"
       "seqs": "#seq v1 vocab_size=9\ns\t0\t1,2\n"}),
     (["report", "--bench", "{bench}"], {"bench": BENCH_HEAD + "vulnerable,10,abc,5\n"}),
     (["report", "--bench", "{bench}"], {"bench": BENCH_HEAD + "vulnerable,10\n"}),
+    (["match", "--nss", "{nss}", "--traces", "{trc}", "--fit", "{fit}"],
+     {"nss": NSS_ONE, "fit": FIT_HEAD + FIT_ROW,
+      "trc": "#trace v1 seed=0 capture=0.5\ns\t0\t2\t10.0\t5.0\ns\t1\t4\t20.0\tnan\n"}),
 ])
 def test_malformed_numbers_end_in_one_error_line(tmp_path, capsys, command, files):
     paths = {}
@@ -297,3 +300,12 @@ def test_resolved_lines_are_deterministic():
     assert a == b and a == sorted(a)
     assert any(line.startswith("q=") for line in a)
     assert any(line.startswith("channel.capture_fraction=") for line in a)
+
+
+def test_degenerate_fit_report_names_its_line(tmp_path, capsys):
+    fit = tmp_path / "fit.csv"
+    fit.write_text(FIT_HEAD + "2,1e-06,1.0,0.0,5.0,0.5,0.05,1.0,4.0\n")  # log_sigma 0
+    assert main(["report", "--fit", str(fit)]) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {fit}:4:"), errors
+    assert "log_sigma" in errors[0]

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nssfp.errors import ParseError, UsageError, ValidationError
 from nssfp.fingerprint import Nss
 from nssfp.interchange import (read_distances, read_nss, read_sequences, write_distances,
                                write_nss, write_sequences)
-from nssfp.model import Sequence
+from nssfp.model import Sequence, check_id
+from nssfp.sidechannel import ChannelConfig, Trace, read_traces, write_traces
 
 
 def test_ingest_single_distribution_record(tmp_path):
@@ -44,6 +47,12 @@ def test_ingest_error_reporting(tmp_path):
         read_nss(bad_fields)
     assert exc.value.line == 2
 
+    huge = tmp_path / "huge.nss"
+    huge.write_text("#nss v1 model=a q=0.9\ns1\t0\tn=5\ns1\t1\tn=9223372036854775808\n")
+    with pytest.raises(ParseError, match="int64") as exc:
+        read_nss(huge)
+    assert exc.value.line == 3
+
     negative = tmp_path / "neg.nss"
     negative.write_text("#nss v1 model=a q=0.9\ns1\t0\tn=-3\n")
     with pytest.raises(ValidationError):
@@ -55,11 +64,15 @@ def test_ids_reject_delimiters(tmp_path):
     path.write_text("#nss v1 model=m q=0.9\na,b\t0\tn=5\n")
     with pytest.raises(ValidationError, match="'a,b'"):
         read_nss(path)
-    for bad in ("a\tb", "a\nb"):
+    for bad in ("a\tb", "a\nb", "a\rb", "#a"):
         with pytest.raises(ValidationError):
             Nss(bad, 0.9, "m", np.array([1]))
         with pytest.raises(ValidationError):
             Sequence(id=bad, words=np.array([1]))
+        with pytest.raises(ValidationError):
+            Trace(seq_id=bad, estimated_sizes=np.ones(1), per_step_hit_counts=np.ones(1),
+                  per_step_durations=np.ones(1), estimated_iterations=np.ones(1),
+                  noise_level=0.0)
 
 
 def test_nss_roundtrip(tmp_path):
@@ -128,3 +141,97 @@ def test_distances_roundtrip(tmp_path):
     loaded, length = read_distances(path)
     assert length == 100
     assert loaded == records
+
+
+_ids = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+_file_settings = settings(max_examples=150, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _valid_ids(ids):
+    """The ids ``check_id`` accepts, the only ones a record can carry."""
+    out = []
+    for i in ids:
+        try:
+            check_id(i, "test")
+        except ValidationError:
+            continue
+        out.append(i)
+    return out
+
+
+@_file_settings
+@given(ids=st.lists(_ids, min_size=1, max_size=4, unique=True),
+       q=st.floats(0.0, 1.0, exclude_min=True),
+       model_id=st.text("0123456789abcdef", min_size=1, max_size=16),
+       sizes=st.lists(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=6),
+                      min_size=4, max_size=4))
+def test_nss_file_roundtrip(tmp_path, ids, q, model_id, sizes):
+    ids = _valid_ids(ids)
+    if not ids:
+        return
+    series = [Nss(i, q, model_id, np.array(s, dtype=np.int64)) for i, s in zip(ids, sizes)]
+    path = tmp_path / "rt.nss"
+    write_nss(path, series, header_lines=["config seed=0"])
+    loaded, meta = read_nss(path)
+    assert meta["model"] == model_id
+    assert [(x.seq_id, x.q, x.model_id, x.sizes.tolist()) for x in loaded] == [
+        (x.seq_id, q, model_id, x.sizes.tolist()) for x in series]
+
+
+_reals = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@_file_settings
+@given(ids=st.lists(_ids, max_size=4, unique=True),
+       capture=st.floats(1e-6, 1.0), seed=st.integers(0, 2**32 - 1),
+       steps=st.lists(st.lists(st.tuples(st.integers(0, 2**40), _reals, _reals),
+                               min_size=1, max_size=6), min_size=4, max_size=4))
+def test_trace_file_roundtrip_any_values(tmp_path, ids, capture, seed, steps):
+    traces = []
+    for seq_id, rows in zip(_valid_ids(ids), steps):
+        counts = np.array([r[0] for r in rows], dtype=np.int64)
+        traces.append(Trace(seq_id=seq_id, estimated_sizes=np.array([r[2] for r in rows]),
+                            per_step_hit_counts=counts,
+                            per_step_durations=np.array([r[1] for r in rows]),
+                            estimated_iterations=counts / capture, noise_level=0.0))
+    path = tmp_path / "rt.trc"
+    write_traces(path, traces, ChannelConfig(capture_fraction=capture, rng_seed=seed),
+                 header_lines=["config seed=0"])
+    loaded, meta = read_traces(path)
+    assert meta == {"seed": seed, "capture": capture}
+    assert [t.seq_id for t in loaded] == [t.seq_id for t in traces]
+    for a, b in zip(traces, loaded):
+        # bit for bit, signed zeros included
+        assert a.estimated_sizes.tobytes() == b.estimated_sizes.tobytes()
+        assert a.per_step_durations.tobytes() == b.per_step_durations.tobytes()
+        assert a.per_step_hit_counts.tolist() == b.per_step_hit_counts.tolist()
+
+
+_HEADERS = [b"", b"#nss v1 model=m q=0.9\n", b"#trace v1 seed=0 capture=0.5\n"]
+# fragments that reach past the header checks into the record parsers
+_fragments = st.one_of(
+    st.binary(max_size=16),
+    st.text("0123456789.-+eEinfatx#=\t\n\r ", max_size=24).map(str.encode))
+
+
+@pytest.mark.parametrize("reader", [read_nss, read_traces])
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(head=st.sampled_from(_HEADERS), body=st.lists(_fragments, max_size=8))
+def test_arbitrary_bytes_raise_only_input_errors(tmp_path, reader, head, body):
+    path = tmp_path / "fuzz"
+    path.write_bytes(head + b"".join(body))
+    try:
+        reader(path)
+    except (ParseError, ValidationError):
+        pass
+
+
+def test_undecodable_bytes_name_their_line(tmp_path):
+    path = tmp_path / "latin1.nss"
+    path.write_bytes(b"#nss v1 model=m q=0.9\r\ns\t0\tn=5\rs\t1\tn=\xe9\n")
+    for reader in (read_nss, read_traces):
+        with pytest.raises(ParseError, match="not UTF-8") as exc:
+            reader(path)
+        assert exc.value.line == 3

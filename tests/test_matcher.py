@@ -1,13 +1,19 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nssfp.matcher as matcher
 from nssfp.errors import UsageError
 from nssfp.fingerprint import Nss
-from nssfp.matcher import (MATCHED, NO_MATCH, NOT_VARIABLE, evaluate, fit_error_bound,
-                           gen_candidate_subtraces, match, match_all, measurement_error)
+from nssfp.matcher import (MATCHED, NO_MATCH, NOT_VARIABLE, MatchResult, evaluate,
+                           fit_error_bound, gen_candidate_subtraces, match, match_all,
+                           measurement_error)
 from nssfp.model import Sequence
-from nssfp.sidechannel import ChannelConfig, Trace, segment_and_reconstruct, simulate_trace
+from nssfp.sidechannel import (ChannelConfig, Trace, prepare_pool, segment_and_reconstruct,
+                               simulate_trace)
 from nssfp.stats import ErrorModel, UniquenessModel, error_bound
 
 
@@ -135,6 +141,85 @@ def test_match_determinism_and_first_match_order():
     assert [h.trace_id for h in hits] == ["first", "second"]
 
 
+def _loop_results(x, traces, tau):
+    """The window-by-window loop the scan must reproduce (variable candidate)."""
+    sizes = x.sizes.astype(np.float64)
+    hits = []
+    if tau > 0:
+        for trace_id, offset, window in gen_candidate_subtraces(traces, x.length):
+            d = matcher._window_distance(sizes, window)
+            if d < tau:
+                hits.append(MatchResult(MATCHED, trace_id, offset, d, tau))
+    return hits or [MatchResult(NO_MATCH, threshold_used=tau)]
+
+
+def _fields(r):
+    bits = None if r.distance is None else struct.pack("<d", r.distance)
+    return (r.verdict, r.trace_id, r.offset, type(r.offset), bits,
+            struct.pack("<d", r.threshold_used))
+
+
+def _ulps(value, k):
+    for _ in range(abs(k)):
+        value = np.nextafter(value, np.inf if k > 0 else -np.inf)
+    return float(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(["short", "equal", "longer", "long"]),
+                      min_size=1, max_size=4),
+       scale=st.sampled_from([1.0, 1e3, 1e5, 1e-160]), quantized=st.booleans(),
+       noise=st.sampled_from([0.0, 1e-3, 1.0, 30.0]), pick=st.integers(0, 3),
+       ulps=st.integers(-3, 3))
+def test_scan_equals_window_loop(n, seed, kinds, scale, quantized, noise, pick, ulps):
+    """match and match_all equal the gen_candidate_subtraces loop field for
+    field, distance bits included, with tau placed within a few ulps of a
+    window's own distance."""
+    rng = np.random.default_rng(seed)
+    # at the tiny scale the candidate is all zeros and the squares underflow
+    unit = min(scale, 1.0)
+    sizes = rng.integers(0, 100_001, n) if unit == 1.0 else np.zeros(n, dtype=np.int64)
+    x = Nss("x", 0.9, "m", sizes)
+    traces, planted = [], []
+    for i, kind in enumerate(kinds):
+        steps = {"short": int(rng.integers(0, n)), "equal": n,
+                 "longer": n + int(rng.integers(1, 200)),
+                 "long": int(rng.integers(5001, 5400))}[kind]
+        est = rng.uniform(-0.2, 1.0, steps) * scale  # negative estimates included
+        if quantized and unit == 1.0:
+            est = np.round(est)
+        if steps >= n:
+            offset = int(rng.integers(0, steps - n + 1))
+            est[offset:offset + n] = sizes + rng.normal(0.0, noise, n) * unit
+            planted.append(est[offset:offset + n])
+        traces.append(_trace(est, f"t{i}"))
+    if planted:
+        own = matcher._window_distance(sizes.astype(np.float64), planted[pick % len(planted)])
+        tau = _ulps(own, ulps)
+    else:
+        tau = float(rng.uniform(0.0, scale * n))
+    uniq = UniquenessModel(length=n, log_mu=0.0, log_sigma=1.0, epsilon=1e-6,
+                           radius=abs(tau) + 1.0)
+    models = (uniq, ErrorModel(length=n, mean=0.0, std=0.0, bound=uniq.radius - tau,
+                               tau=tau, matchable=tau > 0))
+
+    expected = [_fields(r) for r in _loop_results(x, traces, tau)]
+    assert [_fields(r) for r in match_all(x, traces, models, -1.0)] == expected
+    assert _fields(match(x, traces, models, -1.0)) == expected[0]
+
+
+def test_scan_measures_windows_after_an_overflowed_prefix_sum():
+    # 1e200 squared overflows, so every later prefix sum of the trace is inf
+    x = Nss("x", 0.9, "m", np.array([1, 2]))
+    trace = _trace([1e200, 1.0, 2.0, 1.0, 2.0], "t")
+    models = _models(2, radius=2.0, bound=1.0)  # tau = 1
+    expected = [_fields(r) for r in _loop_results(x, [trace], 1.0)]
+    assert [(r.offset, r.distance) for r in match_all(x, [trace], models, -1.0)] == [
+        (1, 0.0), (3, 0.0)]
+    assert [_fields(r) for r in match_all(x, [trace], models, -1.0)] == expected
+
+
 def _corpus(rng, n_seqs=8, length=120):
     """Distinct variable sequences with spiky author-specific size patterns."""
     sequences, series = [], []
@@ -157,8 +242,8 @@ def test_evaluate_lossless_channel(rng):
     cfg = ChannelConfig(capture_fraction=1.0, hit_jitter_std=0.0,
                         outlier_rate=0.0, rng_seed=4)
     models = _models(120, radius=5000.0, bound=500.0)
-    report = evaluate(series, sequences, _simulated(series, cfg), models,
-                      drop_fraction=0.0, variability_threshold=100)
+    traces = _simulated(series, cfg)
+    report = evaluate(series, sequences, traces, traces, models, variability_threshold=100)
     assert report.recall == 1.0
     assert report.false_positives == 0
     assert report.variable_count == len(series)
@@ -173,8 +258,8 @@ def test_evaluate_excludes_similar_duplicates(rng):
     cfg = ChannelConfig(capture_fraction=1.0, hit_jitter_std=0.0,
                         outlier_rate=0.0, rng_seed=4)
     models = _models(120, radius=5000.0, bound=500.0)
-    report = evaluate(series, sequences, _simulated(series, cfg), models,
-                      drop_fraction=0.0, variability_threshold=100)
+    traces = _simulated(series, cfg)
+    report = evaluate(series, sequences, traces, traces, models, variability_threshold=100)
     # the duplicate matches u0's trace (insertion order) but is similar: no FP
     assert report.false_positives == 0
     dup_row = next(r for r in report.details if r["seq_id"] == "dup")
@@ -188,11 +273,19 @@ def test_evaluate_reuses_given_traces(rng):
     cfg = ChannelConfig(capture_fraction=0.2, rng_seed=4)
     models = _models(120, radius=5000.0, bound=500.0)
     traces = _simulated(series, cfg)
-    report = evaluate(series, sequences, traces, models, variability_threshold=100)
+    kept, dropped, _ = prepare_pool(traces)
+    report = evaluate(series, sequences, traces, kept, models, variability_threshold=100)
     assert [row["measurement_error"] for row in report.details] == [
         measurement_error(x, t) for x, t in zip(series, traces)]
+    assert report.filtered_noisy == len(dropped) == len(traces) - len(kept) > 0
+    dropped_ids = {t.seq_id for t in dropped}
+    assert [row["own_trace_kept"] for row in report.details] == [
+        t.seq_id not in dropped_ids for t in traces]
     with pytest.raises(UsageError):
-        evaluate(series, sequences, traces[::-1], models)
+        evaluate(series, sequences, traces[::-1], kept, models)
+    with pytest.raises(UsageError):  # a pool trace that is not in the corpus
+        evaluate(series, sequences, traces, kept + [_trace(np.zeros(120), "stranger")],
+                 models)
 
 
 def test_fit_error_bound_matches_inline_oracle(rng):
@@ -216,15 +309,16 @@ def test_evaluate_requires_two_sequences(rng):
     sequences, series = _corpus(rng, n_seqs=2)
     traces = _simulated(series, ChannelConfig(rng_seed=1))
     with pytest.raises(UsageError):
-        evaluate(series[:1], sequences[:1], traces[:1], _models(120, 100.0, 10.0))
+        evaluate(series[:1], sequences[:1], traces[:1], traces[:1],
+                 _models(120, 100.0, 10.0))
 
 
 def test_evaluation_report_file(tmp_path, rng):
     sequences, series = _corpus(rng)
     cfg = ChannelConfig(capture_fraction=1.0, hit_jitter_std=0.0,
                         outlier_rate=0.0, rng_seed=4)
-    report = evaluate(series, sequences, _simulated(series, cfg),
-                      _models(120, 5000.0, 500.0), drop_fraction=0.0,
+    traces = _simulated(series, cfg)
+    report = evaluate(series, sequences, traces, traces, _models(120, 5000.0, 500.0),
                       variability_threshold=100)
     path = tmp_path / "eval.csv"
     matcher.write_evaluation_report(path, report, header_lines=["seed=4"])

@@ -212,3 +212,36 @@ def test_read_traces_rejects_repeated_or_missing_steps(tmp_path, rows, line):
     with pytest.raises(ParseError) as exc:
         read_traces(path)
     assert exc.value.line == line and str(exc.value).startswith(f"{path}:{line}:")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("u\t1\t1\tnan\t5.0", "non-finite"),
+    ("u\t1\t1\t0.0\tinf", "non-finite"),
+    ("u\t1\t1\t0.0\t-Infinity", "non-finite"),
+    ("u\t1\t1\t0.0\tNaN", "non-finite"),
+    ("u\t1\t99999999999999999999\t0.0\t5.0", "int64"),
+])
+def test_read_traces_rejects_non_finite_values(tmp_path, row, message):
+    path = tmp_path / "pool.trc"
+    path.write_text(f"#trace v1 seed=0 capture=0.5\n{row}\nu\t0\t1\t0.0\t5.0\n")
+    with pytest.raises(ParseError, match=message) as exc:
+        read_traces(path)
+    assert str(exc.value).startswith(f"{path}:2:")
+
+
+@pytest.mark.parametrize("capture", ["0", "1.5", "nan", "-0.2"])
+def test_read_traces_rejects_capture_outside_unit_interval(tmp_path, capture):
+    path = tmp_path / "pool.trc"
+    path.write_text(f"# comment\n#trace v1 seed=0 capture={capture}\nu\t0\t1\t0.0\t5.0\n")
+    with pytest.raises(ParseError, match="capture") as exc:
+        read_traces(path)
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trace_rejects_non_finite_sizes(bad):
+    sizes = np.array([1.0, bad, 3.0])
+    with pytest.raises(ValidationError, match="non-finite"):
+        Trace(seq_id="u", estimated_sizes=sizes, per_step_hit_counts=np.ones(3, np.int64),
+              per_step_durations=np.ones(3), estimated_iterations=np.ones(3),
+              noise_level=0.0)
