@@ -21,7 +21,7 @@ from .sampler import (FilterOutcome, TimingSample, bench_filter, nucleus_size_fr
                       top_p_filter_mitigated, top_p_filter_vulnerable)
 from .sidechannel import (ChannelConfig, RawTrace, Trace, estimate_global_slope,
                           filter_noisy, noise_level, segment_and_reconstruct,
-                          simulate_trace)
+                          simulate_pool, simulate_trace)
 from .stats import (ErrorModel, PairwiseDistanceSample, UniquenessModel, error_bound,
                     fit_lognormal, normal_quantile, smoothed_histogram,
                     uniqueness_radius)

@@ -165,10 +165,7 @@ def _fit_line(uniq, err) -> str:
 def cmd_simulate(args) -> int:
     cfg = _resolve(args)
     series, _ = interchange.read_nss(args.nss)
-    traces = []
-    for x in series:
-        raw = sidechannel.simulate_trace(x, args.vocab_size, cfg.channel)
-        traces.append(sidechannel.segment_and_reconstruct(raw, cfg.channel, args.vocab_size))
+    traces = sidechannel.simulate_pool(series, args.vocab_size, cfg.channel)
     sidechannel.write_traces(args.out, traces, cfg.channel,
                              header_lines=cfg.resolved_lines())
     print(f"simulated {len(traces)} traces at capture="
@@ -220,9 +217,7 @@ def cmd_evaluate(args) -> int:
         length=n, distances=np.array([d for _, _, d in records]))
     uniq = stats.uniqueness_radius(sample, eps=cfg.epsilon)
 
-    traces = [sidechannel.segment_and_reconstruct(
-        sidechannel.simulate_trace(x, len(vocab), cfg.channel), cfg.channel, len(vocab))
-        for x in series]
+    traces = sidechannel.simulate_pool(series, len(vocab), cfg.channel)
     kept, _, _ = sidechannel.prepare_pool(traces, cfg.drop_fraction)
     err = matcher.fit_error_bound(series, kept, uniq)
 

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass, field
 
 from .corpus import DEFAULT_WORD_CAP
-from .errors import ConfigurationError
+from .errors import ConfigurationError, utf8_reader
 from .fingerprint import DEFAULT_SIMILARITY_WINDOW, DEFAULT_VARIABILITY_THRESHOLD
 from .model import DEFAULT_ORDER, DEFAULT_WEIGHTS
 from .sidechannel import DEFAULT_DROP_FRACTION, ChannelConfig
@@ -72,6 +72,7 @@ def _convert(base: str, raw: str):
         raise ConfigurationError(f"bad value for {base}: {raw!r}") from exc
 
 
+@utf8_reader
 def read_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:

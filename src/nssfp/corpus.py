@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, UsageError, ValidationError
+from .errors import ParseError, UsageError, ValidationError, parse_field, utf8_reader
 from .model import Sequence, Vocabulary, tokenize
 
 TSV_POSTS = "tsv_posts"
@@ -46,39 +46,33 @@ def load_corpus(path, format: str = TSV_POSTS) -> PostCorpus:
 
     Records are kept in file order; chronology is applied at aggregation.
     """
-    posts: list[tuple[str, float, str]] = []
     if format == TSV_POSTS:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t", 2)
-                if len(parts) != 3:
-                    raise ParseError("expected author<TAB>timestamp<TAB>text",
-                                     path=str(path), line=lineno)
-                author, ts, text = parts
-                try:
-                    ts_val = float(ts)
-                except ValueError as exc:
-                    raise ParseError(f"bad timestamp {ts!r}",
-                                     path=str(path), line=lineno) from exc
-                posts.append((author, ts_val, text))
-    elif format == PLAIN_DIR:
-        for name in sorted(os.listdir(path)):
-            if not name.endswith(".txt"):
+        posts = []
+        for lineno, line in enumerate(_read_lines(path), start=1):
+            if not line or line.startswith("#"):
                 continue
-            author = name[:-4]
-            with open(os.path.join(path, name), encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if line:
-                        posts.append((author, float(lineno), line))
+            parts = line.split("\t", 2)
+            if len(parts) != 3:
+                raise ParseError("expected author<TAB>timestamp<TAB>text",
+                                 path=str(path), line=lineno)
+            author, ts, text = parts
+            posts.append((author, parse_field(float, ts, "timestamp", path, lineno), text))
+    elif format == PLAIN_DIR:
+        posts = [(name[:-4], float(lineno), line.strip())
+                 for name in sorted(os.listdir(path)) if name.endswith(".txt")
+                 for lineno, line in enumerate(_read_lines(os.path.join(path, name)), 1)
+                 if line.strip()]
     else:
         raise UsageError(f"unknown corpus format {format!r}")
     if not posts:
         raise ValidationError(f"corpus {path} contains no posts")
     return PostCorpus(posts=posts, source=str(path))
+
+
+@utf8_reader
+def _read_lines(path) -> list[str]:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().split("\n")
 
 
 def save_corpus(path, corpus: PostCorpus):
@@ -156,6 +150,10 @@ def synthesize_corpus(
     if authors < 1:
         raise UsageError("need at least one author")
     rng = np.random.default_rng(seed)
+
+    def pick(arr: np.ndarray) -> int:  # rng.choice(arr)'s stream, without its overhead
+        return int(arr[rng.integers(0, arr.size, dtype=np.int64)])
+
     words = np.array([f"w{i:05d}" for i in range(vocab_size)])
     posts: list[tuple[str, float, str]] = []
     for a in range(authors):
@@ -167,7 +165,7 @@ def synthesize_corpus(
         }
         novelty = rng.uniform(*novelty_range)
         mean_post = rng.uniform(*post_words_range)
-        current = int(rng.choice(lexicon))
+        current = pick(lexicon)
         produced = 0
         ts = 0
         while produced < target_words:
@@ -178,10 +176,10 @@ def synthesize_corpus(
                 if rng.random() < novelty:
                     nxt = int(rng.integers(vocab_size))
                 else:
-                    nxt = int(rng.choice(successors[current])) if current in successors \
-                        else int(rng.choice(lexicon))
+                    nxt = pick(successors[current]) if current in successors \
+                        else pick(lexicon)
                 body.append(words[nxt])
-                current = nxt if nxt in successors else int(rng.choice(lexicon))
+                current = nxt if nxt in successors else pick(lexicon)
             posts.append((author, float(ts), " ".join(body)))
             produced += post_len
             ts += 1

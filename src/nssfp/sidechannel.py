@@ -112,115 +112,110 @@ def simulate_trace(nss: Nss, vocab_size: int, cfg: ChannelConfig,
     iterations. The probe captures a binomial fraction of them at jittered
     timestamps; with probability ``outlier_rate`` the whole step is dilated
     by ``outlier_scale``. Steps are separated by ``segment_gap_cycles``.
+    Only the generator draws run step by step; timestamps take array passes.
     """
     if np.any(nss.sizes > vocab_size):
         raise ValidationError(
             f"NSS {nss.seq_id!r} has sizes above the vocabulary size {vocab_size}")
     if rng is None:
         rng = trace_rng(cfg, nss.seq_id)
-    cpi = cfg.cycles_per_iteration
-    steps, times = [], []
-    cursor = 0.0
-    for t, size in enumerate(nss.sizes):
-        iters = int(vocab_size - size)
-        dilate = cfg.outlier_scale if rng.random() < cfg.outlier_rate else 1.0
-        k = int(rng.binomial(iters, cfg.capture_fraction)) if iters > 0 else 0
+    cpi, capture = cfg.cycles_per_iteration, cfg.capture_fraction
+    iters = vocab_size - nss.sizes
+    dilation = np.empty(iters.size)
+    counts = np.zeros(iters.size, dtype=np.int64)
+    expected = capture * float(iters.sum())
+    draws = np.empty((2, int(expected + 4.0 * math.sqrt(expected)) + 16))
+    end = 0
+    for t, step_iters in enumerate(iters.tolist()):
+        dilation[t] = rng.random()
+        k = int(rng.binomial(step_iters, capture)) if step_iters > 0 else 0
         if k > 0:
-            positions = np.sort(rng.random(k)) * iters
-            ts = cursor + (positions + 1.0) * cpi * dilate
-            ts += rng.normal(0.0, cfg.hit_jitter_std, k) * dilate
-            np.maximum.accumulate(ts, out=ts)
-            steps.append(np.full(k, t, dtype=np.int64))
-            times.append(ts)
-        cursor += iters * cpi * dilate + cfg.segment_gap_cycles
-    if steps:
-        hit_steps = np.concatenate(steps)
-        hit_times = np.concatenate(times)
-        np.maximum.accumulate(hit_times, out=hit_times)
-    else:
-        hit_steps = np.empty(0, dtype=np.int64)
-        hit_times = np.empty(0, dtype=np.float64)
+            if end + k > draws.shape[1]:
+                draws = np.concatenate((draws, np.empty((2, end + k))), axis=1)
+            rng.random(out=draws[0, end:end + k])
+            rng.standard_normal(out=draws[1, end:end + k])
+            counts[t], end = k, end + k
+    dilate = np.where(dilation < cfg.outlier_rate, cfg.outlier_scale, 1.0)
+    step_cycles = iters * cpi * dilate + float(cfg.segment_gap_cycles)
+    # cumsum adds in sequence: each step starts at a step loop's running sum
+    start = np.append(0.0, np.cumsum(step_cycles[:-1]))
+    hit_steps = np.repeat(np.arange(iters.size, dtype=np.int64), counts)
+    hit_dilate = dilate[hit_steps]
+    positions = _sorted_within_steps(draws[0, :end], counts) * iters[hit_steps]
+    hit_times = start[hit_steps] + (positions + 1.0) * cpi * hit_dilate
+    # normal(0.0, std, k) is 0.0 + std * standard_normal(k): same draws, same sums
+    hit_times += draws[1, :end] * cfg.hit_jitter_std * hit_dilate
+    np.maximum.accumulate(hit_times, out=hit_times)
     return RawTrace(seq_id=nss.seq_id, hit_steps=hit_steps, hit_times=hit_times,
                     true_step_count=nss.length)
 
 
-def _segment_hits(times: np.ndarray, cfg: ChannelConfig) -> list[tuple[int, np.ndarray]]:
-    """Split a hit stream at large gaps, one segment per observed step.
-
-    Returns (empty_steps_before, segment_times) pairs. Splitting uses 50x
-    the median inter-hit gap; because a dilated step can stretch its
-    internal gaps past that, split segments separated by less than half
-    the configured step gap are merged back into one step. A separation
-    spanning several step periods yields inferred empty steps so that
-    later steps stay aligned.
-    """
-    if times.size == 0:
-        return []
-    gap = float(cfg.segment_gap_cycles)
-    if times.size == 1:
-        raw_segments = [times]
-    else:
-        diffs = np.diff(times)
-        threshold = min(50.0 * max(float(np.median(diffs)), 1e-9), gap / 2.0)
-        raw_segments = np.split(times, np.flatnonzero(diffs > threshold) + 1)
-    segments = []
-    leading = int(math.floor(times[0] / gap + 0.25))
-    current = raw_segments[0]
-    for seg in raw_segments[1:]:
-        separation = float(seg[0] - current[-1])
-        if separation < gap / 2.0:
-            current = np.concatenate([current, seg])
-            continue
-        segments.append((leading, current))
-        leading = max(0, int(round(separation / gap)) - 1)
-        current = seg
-    segments.append((leading, current))
-    return segments
+def _sorted_within_steps(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sort each step's run of ``counts[t]`` values: one row per step of a
+    matrix padded with inf, sorted along its rows in blocks of up to 2**20
+    cells so that one step with far more hits than the rest stays cheap."""
+    out = np.empty_like(values)
+    width = max(int(counts.max()), 1)
+    rows, first = max(1, (1 << 20) // width), 0
+    for lo in range(0, counts.size, rows):
+        block = counts[lo:lo + rows]
+        cell = np.repeat(np.arange(block.size) * width - (np.cumsum(block) - block), block)
+        cell += np.arange(cell.size)
+        matrix = np.full(block.size * width, np.inf)
+        matrix[cell] = values[first:first + cell.size]
+        matrix.reshape(block.size, width).sort(axis=1)
+        out[first:first + cell.size] = matrix[cell]
+        first += cell.size
+    return out
 
 
 def segment_and_reconstruct(raw: RawTrace, cfg: ChannelConfig, vocab_size: int) -> Trace:
     """Rebuild per-step iteration estimates from the raw hit stream.
 
-    Hit counts are rescaled by 1/capture_fraction; the step count is
-    reconciled with the known trace length (trailing unseen steps pad as
-    zero-hit estimates). The provisional noise level uses the trace's own
-    fitted slope; pipelines re-score against the global slope.
+    The stream splits at gaps over 50x the median inter-hit gap, one segment
+    per observed step, except where the gap is under half the step gap (a
+    dilated step). A gap of several step periods infers empty steps, so later
+    steps stay aligned; unseen trailing steps pad as zero hits. Hit counts
+    are rescaled by 1/capture_fraction. The provisional noise level uses the
+    trace's own fitted slope; pipelines re-score against the global slope.
     """
     n = raw.true_step_count
     if n < 1:
         raise UsageError("raw trace has no steps")
-    counts = []
-    durations = []
-    for empty_before, seg in _segment_hits(raw.hit_times, cfg):
-        for _ in range(empty_before):
-            if len(counts) < n:
-                counts.append(0)
-                durations.append(0.0)
-        if len(counts) >= n:
-            break
-        counts.append(int(seg.size))
-        durations.append(float(seg[-1] - seg[0]) if seg.size > 1 else 0.0)
-    while len(counts) < n:
-        counts.append(0)
-        durations.append(0.0)
-    counts = np.array(counts[:n], dtype=np.int64)
-    durations = np.array(durations[:n], dtype=np.float64)
+    times, gap = raw.hit_times, float(cfg.segment_gap_cycles)
+    counts, durations = np.zeros(n, dtype=np.int64), np.zeros(n)
+    if times.size:
+        diffs = np.diff(times)
+        threshold = min(50.0 * max(float(np.median(diffs)), 1e-9), gap / 2.0) \
+            if diffs.size else 0.0
+        bounds = np.flatnonzero((diffs > threshold) & ~(diffs < gap / 2.0))
+        starts, ends = np.append(0, bounds + 1), np.append(bounds + 1, times.size)
+        # unseen steps before each segment, in [0, n]: none before a first
+        # hit that jitter pushed below time 0
+        empty = np.clip(np.append(np.floor(times[0] / gap + 0.25),
+                                  np.rint(diffs[bounds] / gap) - 1.0), 0, n)
+        step = np.cumsum(empty.astype(np.int64)) + np.arange(starts.size)
+        seen = step < n
+        counts[step[seen]] = (ends - starts)[seen]
+        durations[step[seen]] = times[ends[seen] - 1] - times[starts[seen]]
     est_iters = counts / cfg.capture_fraction
-    est_sizes = vocab_size - est_iters
-    trace = Trace(seq_id=raw.seq_id, estimated_sizes=est_sizes,
-                  per_step_hit_counts=counts, per_step_durations=durations,
-                  estimated_iterations=est_iters, noise_level=0.0)
-    slope = _fit_slope(trace)
-    if slope is not None:
-        trace = replace(trace, noise_level=noise_level(trace, slope))
-    return trace
+    return _self_scored(Trace(seq_id=raw.seq_id, estimated_sizes=vocab_size - est_iters,
+                              per_step_hit_counts=counts, per_step_durations=durations,
+                              estimated_iterations=est_iters, noise_level=0.0))
+
+
+def simulate_pool(series: list[Nss], vocab_size: int, cfg: ChannelConfig) -> list[Trace]:
+    """Simulate and reconstruct one trace per series, each on its own stream."""
+    return [segment_and_reconstruct(simulate_trace(x, vocab_size, cfg), cfg, vocab_size)
+            for x in series]
 
 
 def _fit_slope(trace: Trace) -> float | None:
     """Least-squares through-origin slope of duration vs estimated iterations.
 
     None when the trace cannot support a fit (fewer than 2 steps, no
-    observed iterations, or durations that never advance).
+    observed iterations, durations that never advance, or a slope whose
+    square underflows or overflows).
     """
     x = trace.estimated_iterations
     y = trace.per_step_durations
@@ -230,7 +225,18 @@ def _fit_slope(trace: Trace) -> float | None:
     if sxx == 0.0:
         return None
     slope = float(np.sum(x * y) / sxx)
-    return slope if slope > 0.0 else None
+    return slope if _usable_slope(slope) else None
+
+
+def _self_scored(trace: Trace) -> Trace:
+    """``trace`` with the noise level against its own slope, if it has one."""
+    slope = _fit_slope(trace)
+    return trace if slope is None else replace(trace, noise_level=noise_level(trace, slope))
+
+
+def _usable_slope(slope: float) -> bool:
+    # noise_level divides by the square, which must not underflow or overflow
+    return slope > 0.0 and 0.0 < float(slope) * float(slope) < math.inf
 
 
 def noise_level(trace: Trace, global_slope: float) -> float:
@@ -238,8 +244,9 @@ def noise_level(trace: Trace, global_slope: float) -> float:
     expected line, normalized by the slope so the unit is iterations^2."""
     if trace.step_count < 2:
         raise UsageError("noise level needs at least 2 steps")
-    if global_slope <= 0:
-        raise UsageError(f"slope must be positive, got {global_slope}")
+    if not _usable_slope(global_slope):
+        raise UsageError(f"slope must be positive with a non-zero, finite square, "
+                         f"got {global_slope!r}")
     resid = trace.per_step_durations - global_slope * trace.estimated_iterations
     return float(np.mean(resid * resid) / (global_slope * global_slope))
 
@@ -357,11 +364,8 @@ def read_traces(path) -> tuple[list[Trace], dict]:
         counts = np.array([r[0] for r in recs], dtype=np.int64)
         durations = np.array([r[1] for r in recs])
         sizes = np.array([r[2] for r in recs])
-        trace = Trace(seq_id=seq_id, estimated_sizes=sizes, per_step_hit_counts=counts,
-                      per_step_durations=durations,
-                      estimated_iterations=counts / capture, noise_level=0.0)
-        slope = _fit_slope(trace)
-        if slope is not None:
-            trace = replace(trace, noise_level=noise_level(trace, slope))
-        traces.append(trace)
+        traces.append(_self_scored(Trace(
+            seq_id=seq_id, estimated_sizes=sizes, per_step_hit_counts=counts,
+            per_step_durations=durations, estimated_iterations=counts / capture,
+            noise_level=0.0)))
     return traces, meta

@@ -28,7 +28,7 @@ from nssfp.sampler import (MITIGATED, VULNERABLE, bench_filter, nucleus_size_fro
                            top_p_filter_vulnerable)
 from nssfp.sidechannel import (ChannelConfig, estimate_global_slope, filter_noisy,
                                prepare_pool, rescore_noise, segment_and_reconstruct,
-                               simulate_trace)
+                               simulate_pool, simulate_trace)
 from nssfp.stats import PairwiseDistanceSample, normal_quantile, uniqueness_radius
 
 Q = 0.9
@@ -167,8 +167,7 @@ def test_c06_uniqueness_radius_growth(corpus500):
     vocab, seqs, series = corpus500["vocab"], corpus500["seqs"], corpus500["series"]
     v = len(vocab)
     cfg = ChannelConfig(rng_seed=31)
-    traces = [segment_and_reconstruct(simulate_trace(x, v, cfg), cfg, v)
-              for x in series]
+    traces = simulate_pool(series, v, cfg)
     kept, _, _ = prepare_pool(traces, 0.06)
 
     radii, taus = [], []
@@ -262,8 +261,7 @@ def test_c09_end_to_end_evaluation():
     uniq = uniqueness_radius(PairwiseDistanceSample(n, distances), eps=EPSILON_DESK)
 
     cfg = ChannelConfig(rng_seed=47)
-    traces = [segment_and_reconstruct(simulate_trace(x, v, cfg), cfg, v)
-              for x in series]
+    traces = simulate_pool(series, v, cfg)
     kept, _, _ = prepare_pool(traces, 0.06)
     err = fit_error_bound(series, kept, uniq)
 

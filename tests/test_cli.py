@@ -309,3 +309,21 @@ def test_degenerate_fit_report_names_its_line(tmp_path, capsys):
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith(f"error: {fit}:4:"), errors
     assert "log_sigma" in errors[0]
+
+
+@pytest.mark.parametrize("files, args, where", [
+    ({"corpus.tsv": b"a\t1\tone two\nb\t2\tcaf\xe9 au lait\n"},
+     ["--corpus", "@corpus.tsv"], "corpus.tsv:2:"),
+    ({"corpus.tsv": b"a\t1\tone two\n", "run.cfg": b"seed=3\n# caf\xe9\n"},
+     ["--corpus", "@corpus.tsv", "--config", "@run.cfg"], "run.cfg:2:"),
+    ({"posts/alice.txt": b"one two\n", "posts/bob.txt": b"three\n\ncaf\xe9\n"},
+     ["--corpus", "@posts", "--format", "plain_dir"], "posts/bob.txt:3:"),
+])
+def test_non_utf8_input_ends_in_one_error_line(tmp_path, capsys, files, args, where):
+    (tmp_path / "posts").mkdir()
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [a.replace("@", f"{tmp_path}/") for a in args]
+    assert main(["train", *argv, "--out", str(tmp_path / "m.json")]) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and errors[0] == f"error: {tmp_path}/{where} not UTF-8 text", errors

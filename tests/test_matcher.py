@@ -12,8 +12,7 @@ from nssfp.matcher import (MATCHED, NO_MATCH, NOT_VARIABLE, MatchResult, evaluat
                            fit_error_bound, gen_candidate_subtraces, match, match_all,
                            measurement_error)
 from nssfp.model import Sequence
-from nssfp.sidechannel import (ChannelConfig, Trace, prepare_pool, segment_and_reconstruct,
-                               simulate_trace)
+from nssfp.sidechannel import ChannelConfig, Trace, prepare_pool, simulate_pool
 from nssfp.stats import ErrorModel, UniquenessModel, error_bound
 
 
@@ -232,17 +231,12 @@ def _corpus(rng, n_seqs=8, length=120):
     return sequences, series
 
 
-def _simulated(series, cfg, vocab_size=4096):
-    return [segment_and_reconstruct(simulate_trace(x, vocab_size, cfg), cfg, vocab_size)
-            for x in series]
-
-
 def test_evaluate_lossless_channel(rng):
     sequences, series = _corpus(rng)
     cfg = ChannelConfig(capture_fraction=1.0, hit_jitter_std=0.0,
                         outlier_rate=0.0, rng_seed=4)
     models = _models(120, radius=5000.0, bound=500.0)
-    traces = _simulated(series, cfg)
+    traces = simulate_pool(series, 4096, cfg)
     report = evaluate(series, sequences, traces, traces, models, variability_threshold=100)
     assert report.recall == 1.0
     assert report.false_positives == 0
@@ -258,7 +252,7 @@ def test_evaluate_excludes_similar_duplicates(rng):
     cfg = ChannelConfig(capture_fraction=1.0, hit_jitter_std=0.0,
                         outlier_rate=0.0, rng_seed=4)
     models = _models(120, radius=5000.0, bound=500.0)
-    traces = _simulated(series, cfg)
+    traces = simulate_pool(series, 4096, cfg)
     report = evaluate(series, sequences, traces, traces, models, variability_threshold=100)
     # the duplicate matches u0's trace (insertion order) but is similar: no FP
     assert report.false_positives == 0
@@ -272,7 +266,7 @@ def test_evaluate_reuses_given_traces(rng):
     sequences, series = _corpus(rng)
     cfg = ChannelConfig(capture_fraction=0.2, rng_seed=4)
     models = _models(120, radius=5000.0, bound=500.0)
-    traces = _simulated(series, cfg)
+    traces = simulate_pool(series, 4096, cfg)
     kept, dropped, _ = prepare_pool(traces)
     report = evaluate(series, sequences, traces, kept, models, variability_threshold=100)
     assert [row["measurement_error"] for row in report.details] == [
@@ -290,7 +284,7 @@ def test_evaluate_reuses_given_traces(rng):
 
 def test_fit_error_bound_matches_inline_oracle(rng):
     _, series = _corpus(rng, n_seqs=40)
-    traces = _simulated(series, ChannelConfig(capture_fraction=0.2, rng_seed=4))
+    traces = simulate_pool(series, 4096, ChannelConfig(capture_fraction=0.2, rng_seed=4))
     uniq = _models(100, radius=5000.0, bound=500.0)[0]
     truth = {x.seq_id: x for x in series}
     oracle = error_bound(np.array([measurement_error(truth[t.seq_id].truncated(100), t)
@@ -307,7 +301,7 @@ def test_fit_error_bound_matches_inline_oracle(rng):
 
 def test_evaluate_requires_two_sequences(rng):
     sequences, series = _corpus(rng, n_seqs=2)
-    traces = _simulated(series, ChannelConfig(rng_seed=1))
+    traces = simulate_pool(series, 4096, ChannelConfig(rng_seed=1))
     with pytest.raises(UsageError):
         evaluate(series[:1], sequences[:1], traces[:1], traces[:1],
                  _models(120, 100.0, 10.0))
@@ -317,7 +311,7 @@ def test_evaluation_report_file(tmp_path, rng):
     sequences, series = _corpus(rng)
     cfg = ChannelConfig(capture_fraction=1.0, hit_jitter_std=0.0,
                         outlier_rate=0.0, rng_seed=4)
-    traces = _simulated(series, cfg)
+    traces = simulate_pool(series, 4096, cfg)
     report = evaluate(series, sequences, traces, traces, _models(120, 5000.0, 500.0),
                       variability_threshold=100)
     path = tmp_path / "eval.csv"

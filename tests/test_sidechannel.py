@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nssfp.errors import InsufficientDataError, ParseError, UsageError, ValidationError
 from nssfp.fingerprint import Nss
-from nssfp.sidechannel import (ChannelConfig, Trace, estimate_global_slope,
-                               filter_noisy, noise_level, read_traces, rescore_noise,
-                               segment_and_reconstruct, simulate_trace, write_traces)
+from nssfp.sidechannel import (ChannelConfig, RawTrace, Trace, _sorted_within_steps,
+                               estimate_global_slope, filter_noisy, noise_level,
+                               read_traces, rescore_noise, segment_and_reconstruct,
+                               simulate_pool, simulate_trace, trace_rng, write_traces)
 
 
 def lossless(seed=0):
@@ -245,3 +250,191 @@ def test_trace_rejects_non_finite_sizes(bad):
         Trace(seq_id="u", estimated_sizes=sizes, per_step_hit_counts=np.ones(3, np.int64),
               per_step_durations=np.ones(3), estimated_iterations=np.ones(3),
               noise_level=0.0)
+
+
+# --- step-loop oracles: the simulator and reconstruction as loops, kept to
+# check the array code bit for bit ---------------------------------------
+
+def _loop_simulate_trace(nss, vocab_size, cfg, rng=None):
+    rng = trace_rng(cfg, nss.seq_id) if rng is None else rng
+    cpi = cfg.cycles_per_iteration
+    steps, times = [], []
+    cursor = 0.0
+    for t, size in enumerate(nss.sizes):
+        iters = int(vocab_size - size)
+        dilate = cfg.outlier_scale if rng.random() < cfg.outlier_rate else 1.0
+        k = int(rng.binomial(iters, cfg.capture_fraction)) if iters > 0 else 0
+        if k > 0:
+            positions = np.sort(rng.random(k)) * iters
+            ts = cursor + (positions + 1.0) * cpi * dilate
+            ts += rng.normal(0.0, cfg.hit_jitter_std, k) * dilate
+            np.maximum.accumulate(ts, out=ts)
+            steps.append(np.full(k, t, dtype=np.int64))
+            times.append(ts)
+        cursor += iters * cpi * dilate + cfg.segment_gap_cycles
+    if not steps:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    hit_times = np.concatenate(times)
+    np.maximum.accumulate(hit_times, out=hit_times)
+    return np.concatenate(steps), hit_times
+
+
+def _segment_hits(times, cfg):
+    """(empty_steps_before, segment_times) per observed step."""
+    if times.size == 0:
+        return []
+    gap = float(cfg.segment_gap_cycles)
+    if times.size == 1:
+        raw_segments = [times]
+    else:
+        diffs = np.diff(times)
+        threshold = min(50.0 * max(float(np.median(diffs)), 1e-9), gap / 2.0)
+        raw_segments = np.split(times, np.flatnonzero(diffs > threshold) + 1)
+    segments = []
+    leading = int(math.floor(times[0] / gap + 0.25))
+    current = raw_segments[0]
+    for seg in raw_segments[1:]:
+        separation = float(seg[0] - current[-1])
+        if separation < gap / 2.0:
+            current = np.concatenate([current, seg])
+            continue
+        segments.append((leading, current))
+        leading = max(0, int(round(separation / gap)) - 1)
+        current = seg
+    segments.append((leading, current))
+    return segments
+
+
+def _loop_counts_and_durations(times, n, cfg):
+    counts, durations = [], []
+    for empty_before, seg in _segment_hits(times, cfg):
+        for _ in range(empty_before):
+            if len(counts) < n:
+                counts.append(0)
+                durations.append(0.0)
+        if len(counts) >= n:
+            break
+        counts.append(int(seg.size))
+        durations.append(float(seg[-1] - seg[0]) if seg.size > 1 else 0.0)
+    while len(counts) < n:
+        counts.append(0)
+        durations.append(0.0)
+    return (np.array(counts[:n], dtype=np.int64),
+            np.array(durations[:n], dtype=np.float64))
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), vocab=st.integers(1, 300),
+       capture=st.sampled_from([1.0, 0.3, 0.01, 0.001]),
+       jitter=st.sampled_from([0.0, 40.0, 3e4, 1e8]),
+       outlier=st.sampled_from([0.0, 0.2, 1.0]),
+       gap=st.sampled_from([20_000_000, 5_000]), seed=st.integers(0, 2**32 - 1))
+def test_simulator_equals_step_loop(data, vocab, capture, jitter, outlier, gap, seed):
+    # low capture leaves zero-hit steps; jitter far above cycles_per_iteration
+    # gives negative first times and hits that cross into the next step
+    sizes = data.draw(st.lists(st.integers(0, vocab), min_size=1, max_size=30))
+    cfg = ChannelConfig(capture_fraction=capture, hit_jitter_std=jitter,
+                        outlier_rate=outlier, segment_gap_cycles=gap, rng_seed=seed)
+    nss = _nss(sizes, seq_id=f"s{seed}")
+    raw = simulate_trace(nss, vocab, cfg)
+    steps, times = _loop_simulate_trace(nss, vocab, cfg)
+    assert _same(raw.hit_steps, steps) and _same(raw.hit_times, times)
+    trace = segment_and_reconstruct(raw, cfg, vocab)
+    counts, durations = _loop_counts_and_durations(times, len(sizes), cfg)
+    assert _same(trace.per_step_hit_counts, counts)
+    assert _same(trace.per_step_durations, durations)
+
+
+class _EveryIterationHit:
+    """A generator whose hit counts ignore the capture fraction: every
+    iteration is a hit, far more than the simulator's buffer expects."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def binomial(self, n, p):
+        return self._rng.binomial(n, 1.0)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_simulator_grows_its_hit_buffer():
+    cfg = ChannelConfig(capture_fraction=0.001, rng_seed=6)
+    nss = _nss([0, 900, 10, 1000, 500] * 4)
+    raw = simulate_trace(nss, 1000, cfg, rng=_EveryIterationHit(trace_rng(cfg, "x")))
+    steps, times = _loop_simulate_trace(nss, 1000, cfg,
+                                        rng=_EveryIterationHit(trace_rng(cfg, "x")))
+    assert raw.hit_times.size == int(np.sum(1000 - nss.sizes))
+    assert _same(raw.hit_steps, steps) and _same(raw.hit_times, times)
+
+
+@st.composite
+def _hit_streams(draw):
+    """(step gap, trace length, sorted hit times): runs of hits separated by
+    fractions and multiples of the step gap, sometimes more runs than steps."""
+    gap = draw(st.sampled_from([1_000, 20_000_000]))
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        times = sorted(draw(st.lists(st.floats(-2.0 * gap, 8.0 * gap), max_size=40)))
+        return gap, n, np.array(times, dtype=np.float64)
+    t = draw(st.floats(-1.3, 3.0)) * gap  # jitter can push the first hit below 0
+    times: list[float] = []
+    for _ in range(draw(st.integers(0, 20))):
+        if times:
+            t = times[-1] + gap * draw(st.sampled_from([0.1, 0.5, 1.0, 1.5, 2.5, 4.0])
+                                       | st.floats(0.0, 6.0))
+        spread = gap * draw(st.sampled_from([0.0, 1e-4, 0.01, 0.3]))
+        within = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+        times.extend(t + spread * np.sort(within))
+    return gap, n, np.array(times, dtype=np.float64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hit_streams())
+def test_reconstruction_equals_segment_loop(stream):
+    gap, n, times = stream
+    cfg = ChannelConfig(capture_fraction=0.25, segment_gap_cycles=gap)
+    raw = RawTrace("x", np.zeros(times.size, dtype=np.int64), times, n)
+    trace = segment_and_reconstruct(raw, cfg, 50)
+    counts, durations = _loop_counts_and_durations(times, n, cfg)
+    assert _same(trace.per_step_hit_counts, counts)
+    assert _same(trace.per_step_durations, durations)
+
+
+def test_sort_within_steps_in_several_blocks():
+    # one step wide enough that a block holds only a few rows
+    counts = np.array([3, 2**20 // 3 + 1, 0, 5, 1, 2], dtype=np.int64)
+    values = np.random.default_rng(2).random(int(counts.sum()))
+    edges = np.cumsum(counts)[:-1]
+    expected = np.concatenate([np.sort(v) for v in np.split(values, edges)])
+    assert _same(_sorted_within_steps(values, counts), expected)
+
+
+def test_simulate_pool_is_one_trace_per_series():
+    cfg = ChannelConfig(rng_seed=8)
+    series = [_nss([100, 400, 250], seq_id=f"p{i}") for i in range(3)]
+    pool = simulate_pool(series, 500, cfg)
+    assert [t.seq_id for t in pool] == ["p0", "p1", "p2"]
+    for x, t in zip(series, pool):
+        alone = segment_and_reconstruct(simulate_trace(x, 500, cfg), cfg, 500)
+        assert _same(t.per_step_durations, alone.per_step_durations)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_slope_whose_square_underflows_is_unusable(tmp_path):
+    # through-origin slope 7e-201: its square underflows to 0
+    path = tmp_path / "tiny.trc"
+    path.write_text("#trace v1 seed=0 capture=0.5\n"
+                    "u\t0\t1\t1e-200\t5.0\nu\t1\t2\t3e-200\t4.0\n")
+    (trace,), _ = read_traces(path)
+    assert trace.noise_level == 0.0
+    with pytest.raises(InsufficientDataError):
+        estimate_global_slope([trace])
+    for slope in (7e-201, 1e200, math.nan, math.inf):
+        with pytest.raises(UsageError):
+            noise_level(trace, slope)
