@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass, field
 
 from .corpus import DEFAULT_WORD_CAP
-from .errors import ConfigurationError, utf8_reader
+from .errors import ConfigurationError, read_records
 from .fingerprint import DEFAULT_SIMILARITY_WINDOW, DEFAULT_VARIABILITY_THRESHOLD
 from .model import DEFAULT_ORDER, DEFAULT_WEIGHTS
 from .sidechannel import DEFAULT_DROP_FRACTION, ChannelConfig
@@ -72,19 +72,10 @@ def _convert(base: str, raw: str):
         raise ConfigurationError(f"bad value for {base}: {raw!r}") from exc
 
 
-@utf8_reader
 def read_config_file(path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            values[key.strip()] = value.strip()
-    return values
+    records = read_records(path, ("key", "value"), "=")
+    next(records)
+    return {key.strip(): value.strip() for _, (key, value) in records}
 
 
 def env_overrides(environ=None) -> dict[str, str]:

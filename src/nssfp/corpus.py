@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, UsageError, ValidationError, parse_field, utf8_reader
+from .errors import UsageError, ValidationError, not_utf8, parse_field, read_records
 from .model import Sequence, Vocabulary, tokenize
 
 TSV_POSTS = "tsv_posts"
@@ -47,16 +47,10 @@ def load_corpus(path, format: str = TSV_POSTS) -> PostCorpus:
     Records are kept in file order; chronology is applied at aggregation.
     """
     if format == TSV_POSTS:
-        posts = []
-        for lineno, line in enumerate(_read_lines(path), start=1):
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t", 2)
-            if len(parts) != 3:
-                raise ParseError("expected author<TAB>timestamp<TAB>text",
-                                 path=str(path), line=lineno)
-            author, ts, text = parts
-            posts.append((author, parse_field(float, ts, "timestamp", path, lineno), text))
+        records = read_records(path, ("author", "timestamp", "text"), "\t")
+        next(records)
+        posts = [(author, parse_field(float, ts, "timestamp", path, lineno), text)
+                 for lineno, (author, ts, text) in records]
     elif format == PLAIN_DIR:
         posts = [(name[:-4], float(lineno), line.strip())
                  for name in sorted(os.listdir(path)) if name.endswith(".txt")
@@ -69,10 +63,13 @@ def load_corpus(path, format: str = TSV_POSTS) -> PostCorpus:
     return PostCorpus(posts=posts, source=str(path))
 
 
-@utf8_reader
 def _read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read().split("\n")
+    # every line is a post here, '#' lines too, so read_records does not fit
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
 
 
 def save_corpus(path, corpus: PostCorpus):

@@ -1,8 +1,6 @@
 """Exception types shared across the pipeline, and the helpers that raise
 them for malformed input files."""
 
-import functools
-
 
 class NssfpError(Exception):
     """Base class for all errors raised by this package."""
@@ -42,29 +40,70 @@ def parse_field(convert, text: str, what: str, path, line: int):
         raise ParseError(f"bad {what} {text!r}", path=str(path), line=line) from None
 
 
-def utf8_reader(read):
-    """Wrap ``read(path, ...)``, a reader of a UTF-8 text file, so that bytes
-    that are not UTF-8 raise a :class:`ParseError` at the line that holds
-    them instead of a ``UnicodeDecodeError``."""
-    @functools.wraps(read)
-    def wrapper(path, *args, **kwargs):
-        try:
-            return read(path, *args, **kwargs)
-        except UnicodeDecodeError:
-            raise ParseError("not UTF-8 text", path=str(path),
-                             line=_undecodable_line(path)) from None
-    return wrapper
+def read_records(path, fields, sep: str, header: str = "", types=None):
+    """Stream the records of a line-record file: the header's ``key=value``
+    fields as a dict first (empty if ``header`` is ""), then ``(lineno,
+    parts)`` per record.
+
+    The file is UTF-8 with universal newlines; empty and ``#`` lines are
+    skipped. Exactly one ``header`` line, if given, must precede the first
+    record and carry exactly the keys of ``types``, converted by
+    :func:`parse_field`. A record splits at its first ``len(fields) - 1``
+    separators, so the last field keeps any later ones. Short records, bad
+    headers and undecodable bytes raise a :class:`ParseError` at their line.
+    """
+    shape = "expected " + ("<TAB>" if sep == "\t" else sep).join(fields)
+    width = len(fields)
+    meta = None if header else {}
+    if not header:
+        yield meta
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if line.startswith("#"):
+                    if header and line.startswith(header):
+                        if meta is not None:
+                            raise ParseError(f"repeated {header!r} header",
+                                             path=str(path), line=lineno)
+                        meta = _header(line[len(header):], types or {}, path, lineno)
+                        yield meta
+                elif line:
+                    if meta is None:
+                        break
+                    parts = line.split(sep, width - 1)
+                    if len(parts) != width:
+                        raise ParseError(shape, path=str(path), line=lineno)
+                    yield lineno, parts
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+    if meta is None:
+        raise ParseError(f"expected {header!r} header", path=str(path), line=1)
 
 
-def _undecodable_line(path) -> int:
+def _header(text: str, types: dict, path, lineno: int) -> dict:
+    meta = {}
+    for part in text.split():
+        key, eq, value = part.partition("=")
+        if not eq or key not in types:
+            raise ParseError(f"bad header {part!r}", path=str(path), line=lineno)
+        meta[key] = parse_field(types[key], value, key, path, lineno)
+    for key in types:
+        if key not in meta:
+            raise ParseError(f"header lacks {key}=", path=str(path), line=lineno)
+    return meta
+
+
+def not_utf8(path) -> ParseError:
+    """The error for a file that is not UTF-8, at its first undecodable line."""
     # same line breaks as the text reader; each undecodable byte becomes a surrogate
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 line.encode("utf-8")
             except UnicodeEncodeError:
-                return lineno
-    return 0
+                break
+    return ParseError("not UTF-8 text", path=str(path), line=lineno)
 
 
 class InsufficientDataError(NssfpError):

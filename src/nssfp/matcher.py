@@ -62,6 +62,8 @@ def gen_candidate_subtraces(traces: list[Trace], length: int):
             yield trace.seq_id, offset, trace.estimated_sizes[offset:offset + length]
 
 
+# a distance whose squares overflow is inf, which no threshold accepts
+@np.errstate(over="ignore", invalid="ignore")
 def _window_distance(sizes: np.ndarray, window: np.ndarray) -> float:
     d = sizes - window
     return float(np.sqrt(np.sum(d * d)))
@@ -86,6 +88,8 @@ def fit_error_bound(series: list[Nss], kept: list[Trace],
     return error_bound(np.array(errors), uniq)
 
 
+# a screen that overflows to inf or nan keeps its window for exact measurement
+@np.errstate(over="ignore", invalid="ignore")
 def _near_offsets(sizes: np.ndarray, sizes_sq: float, est: np.ndarray,
                   tau: float) -> np.ndarray:
     """Ascending offsets of the windows of ``est`` that can lie within tau of

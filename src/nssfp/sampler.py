@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, UsageError, ValidationError, parse_field, utf8_reader
+from .errors import UsageError, ValidationError, parse_field, read_records
 from .model import softmax
 
 VULNERABLE = "vulnerable"
@@ -272,20 +272,16 @@ def write_bench_report(path, samples: list[TimingSample], header_lines=()):
             fh.write(f"{s.variant},{s.vocab_size},{s.nucleus_size},{s.loop_time_ns}\n")
 
 
-@utf8_reader
 def read_bench_report(path) -> list[TimingSample]:
     """The samples :func:`write_bench_report` stored."""
+    names = ["variant", "vocab_size", "nucleus_size", "loop_time_ns"]
+    records = read_records(path, names, ",")
+    next(records)
     samples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip()
-            if not line or line.startswith("#") or line.startswith("variant,"):
-                continue
-            fields = line.split(",")
-            if len(fields) != 4:
-                raise ParseError("expected variant,vocab_size,nucleus_size,loop_time_ns",
-                                 path=str(path), line=lineno)
-            vocab, size, ns = (parse_field(int, text, name, path, lineno) for name, text in
-                               zip(("vocab_size", "nucleus_size", "loop_time_ns"), fields[1:]))
-            samples.append(TimingSample(fields[0], size, ns, vocab))
+    for lineno, fields in records:
+        if fields == names:
+            continue
+        vocab, size, ns = (parse_field(int, text, name, path, lineno) for name, text in
+                           zip(names[1:], fields[1:]))
+        samples.append(TimingSample(fields[0], size, ns, vocab))
     return samples

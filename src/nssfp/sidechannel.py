@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (InsufficientDataError, ParseError, UsageError, ValidationError,
-                     parse_field, utf8_reader)
+                     parse_field, read_records)
 from .fingerprint import Nss
 from .model import check_id
 
@@ -210,6 +210,8 @@ def simulate_pool(series: list[Nss], vocab_size: int, cfg: ChannelConfig) -> lis
             for x in series]
 
 
+# huge values overflow to inf or nan here; _usable_slope then rejects the slope
+@np.errstate(over="ignore", invalid="ignore")
 def _fit_slope(trace: Trace) -> float | None:
     """Least-squares through-origin slope of duration vs estimated iterations.
 
@@ -239,6 +241,8 @@ def _usable_slope(slope: float) -> bool:
     return slope > 0.0 and 0.0 < float(slope) * float(slope) < math.inf
 
 
+# a residual whose square overflows scores inf, the noisiest a trace can be
+@np.errstate(over="ignore", invalid="ignore")
 def noise_level(trace: Trace, global_slope: float) -> float:
     """Mean squared residual of the (iterations, duration) series against the
     expected line, normalized by the slope so the unit is iterations^2."""
@@ -304,56 +308,41 @@ def write_traces(path, traces: list[Trace], cfg: ChannelConfig, header_lines=())
                          f"{float(t.estimated_sizes[step])!r}\n")
 
 
-@utf8_reader
+def _capture_fraction(text: str) -> float:
+    capture = float(text)
+    if not 0.0 < capture <= 1.0:
+        raise ValueError(text)
+    return capture
+
+
 def read_traces(path) -> tuple[list[Trace], dict]:
     """Parse a trace file; returns traces (noise scored per own slope) and header meta.
 
     Records may arrive in any order; the steps of each trace must form a
-    dense 0..len-1 range with no step repeated, and durations and estimated
-    sizes must be finite.
+    dense 0..len-1 range with no step repeated, hit counts must be
+    non-negative and durations and estimated sizes finite.
     """
-    meta: dict = {}
+    records = read_records(path, ("seq_id", "step", "hit_count", "duration", "estimated_size"),
+                           "\t", "#trace v1", {"seed": int, "capture": _capture_fraction})
+    meta = next(records)
     # seq_id -> (line of its first record, step -> (count, duration, size))
     rows: dict[str, tuple[int, dict[int, tuple[int, float, float]]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#trace"):
-                for part in line.split()[2:]:
-                    k, _, v = part.partition("=")
-                    meta[k] = parse_field(float if k == "capture" else int, v, k,
-                                          path, lineno)
-                if not 0.0 < meta.get("capture", 1.0) <= 1.0:
-                    raise ParseError(f"capture {meta['capture']!r} is not in (0, 1]",
-                                     path=str(path), line=lineno)
-                continue
-            if line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ParseError(f"expected 5 tab-separated fields, got {len(parts)}",
-                                 path=str(path), line=lineno)
-            seq_id = parts[0]
-            step = parse_field(int, parts[1], "step", path, lineno)
-            record = (parse_field(int, parts[2], "hit count", path, lineno),
-                      parse_field(float, parts[3], "duration", path, lineno),
-                      parse_field(float, parts[4], "estimated size", path, lineno))
-            if not (math.isfinite(record[1]) and math.isfinite(record[2])):
-                raise ParseError("non-finite duration or estimated size",
-                                 path=str(path), line=lineno)
-            if not -2**63 <= record[0] < 2**63:
-                raise ParseError("hit count out of the int64 range", path=str(path),
-                                 line=lineno)
-            steps = rows.setdefault(seq_id, (lineno, {}))[1]
-            if step in steps:
-                raise ParseError(f"step {step} of {seq_id!r} repeats",
-                                 path=str(path), line=lineno)
-            steps[step] = record
-    if "capture" not in meta:
-        raise ParseError("missing '#trace v1' header", path=str(path), line=1)
-    capture = meta["capture"]
+    for lineno, (seq_id, step_text, count, duration, size) in records:
+        step = parse_field(int, step_text, "step", path, lineno)
+        record = (parse_field(int, count, "hit count", path, lineno),
+                  parse_field(float, duration, "duration", path, lineno),
+                  parse_field(float, size, "estimated size", path, lineno))
+        if not (math.isfinite(record[1]) and math.isfinite(record[2])):
+            raise ParseError("non-finite duration or estimated size",
+                             path=str(path), line=lineno)
+        if not 0 <= record[0] < 2**63:
+            raise ParseError("hit count is negative or out of the int64 range",
+                             path=str(path), line=lineno)
+        steps = rows.setdefault(seq_id, (lineno, {}))[1]
+        if step in steps:
+            raise ParseError(f"step {step} of {seq_id!r} repeats",
+                             path=str(path), line=lineno)
+        steps[step] = record
     traces = []
     for seq_id, (first_line, steps) in rows.items():
         n = len(steps)
@@ -366,6 +355,6 @@ def read_traces(path) -> tuple[list[Trace], dict]:
         sizes = np.array([r[2] for r in recs])
         traces.append(_self_scored(Trace(
             seq_id=seq_id, estimated_sizes=sizes, per_step_hit_counts=counts,
-            per_step_durations=durations, estimated_iterations=counts / capture,
+            per_step_durations=durations, estimated_iterations=counts / meta["capture"],
             noise_level=0.0)))
     return traces, meta

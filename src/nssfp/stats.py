@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InsufficientDataError, ParseError, UsageError, ValidationError,
-                     parse_field, utf8_reader)
+                     parse_field, read_records)
 
 DEFAULT_EPSILON = 1e-18
 ERROR_BOUND_SIGMAS = 10.0
@@ -193,25 +193,20 @@ def write_fit_report(path, uniq: UniquenessModel, err: ErrorModel | None, header
         fh.write(f"{_FIT_COLUMNS}\n{uniq.length},{','.join(map(repr, values))}\n")
 
 
-@utf8_reader
 def read_fit_report(path) -> tuple[UniquenessModel, ErrorModel | None]:
     """The models :func:`write_fit_report` stored; None if an error column is nan."""
     names = _FIT_COLUMNS.split(",")
+    records = read_records(path, names, ",", FIT_HEADER)
+    next(records)
     record, record_line = None, 0
-    with open(path, encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != FIT_HEADER:
-            raise ParseError(f"expected {FIT_HEADER!r} header", path=str(path), line=1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#") or line == _FIT_COLUMNS:
-                continue
-            fields = line.split(",")
-            if record is not None or len(fields) != len(names):
-                raise ParseError(f"expected one record of {len(names)} comma-separated "
-                                 "fields", path=str(path), line=lineno)
-            record = [parse_field(int if name == "N" else float, text, name, path, lineno)
-                      for name, text in zip(names, fields)]
-            record_line = lineno
+    for lineno, fields in records:
+        if fields == names:
+            continue
+        if record is not None:
+            raise ParseError("expected one fit record", path=str(path), line=lineno)
+        record = [parse_field(int if name == "N" else float, text, name, path, lineno)
+                  for name, text in zip(names, fields)]
+        record_line = lineno
     if record is None:
         raise ParseError("no fit record", path=str(path), line=1)
     n, eps, log_mu, log_sigma, radius, mean, std, bound, tau = record

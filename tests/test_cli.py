@@ -56,7 +56,7 @@ def test_full_command_chain(tmp_path, corpus_file, capsys):
     assert run(["analyze", "--nss", nss, "--seqs", seqs, "--threshold", "400",
                 "--out", dists]) == 0
     import json
-    vocab_size = len(json.load(open(model))["tokens"])
+    vocab_size = len(json.loads(model.read_text())["tokens"])
     assert run(["simulate", "--nss", nss, "--vocab-size", vocab_size, "--seed", "5",
                 "--capture-fraction", "0.05", "--out", traces]) == 0
     assert run(["fit", "--distances", dists, "--nss", nss, "--traces", traces,
@@ -99,7 +99,7 @@ def test_evaluate_matches_command_composition(tmp_path, corpus_file, capsys):
     assert run(["train", "--corpus", corpus_file, "--out", model,
                 "--save-seqs", seqs, "--seed", "5"]) == 0
     import json
-    vocab_size = len(json.load(open(model))["tokens"])
+    vocab_size = len(json.loads(model.read_text())["tokens"])
     for args in (
         ["nss", "--corpus", corpus_file, "--model", model, "--truncate",
          "--length", n, "--out", nss, "--seed", "5"],
@@ -327,3 +327,79 @@ def test_non_utf8_input_ends_in_one_error_line(tmp_path, capsys, files, args, wh
     assert main(["train", *argv, "--out", str(tmp_path / "m.json")]) == 1
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and errors[0] == f"error: {tmp_path}/{where} not UTF-8 text", errors
+
+
+# one valid file per input format, and malformed variants with the line of their error
+GOOD_INPUTS = {
+    "corpus": "a\t1\tone two three\nb\t2\tfour five six\n",
+    "config": "seed=3\n",
+    "seqs": "#seq v1 vocab_size=9\ns\t0\t1,2\n",
+    "nss": NSS_ONE,
+    "dist": "#pairdist v1 length=2\n" + "".join(f"a{i},b{i},{1.0 + i / 8}\n"
+                                               for i in range(40)),
+    "trc": "#trace v1 seed=0 capture=0.5\ns\t0\t2\t10.0\t5.0\ns\t1\t4\t20.0\t7.0\n",
+    "fit": FIT_HEAD + FIT_ROW,
+    "bench": BENCH_HEAD + "vulnerable,10,5,7\n",
+}
+BAD_INPUTS = {
+    "corpus": [("a\t1\tok\nb\t2\n", 2), ("a\tnoon\tok\n", 1), ("a\t1\tcaf\udce9\n", 1)],
+    "config": [("seed=3\nseed 4\n", 2), ("# caf\udce9\n", 1)],
+    "model": [("not json\n", 1)],
+    "seqs": [("s\t0\t1,2\n", 1), ("#seq v1 vocab_size=9\ns\t0\n", 2),
+             ("#seq v1 vocab_size=9\ns\t0\t1,x\n", 2),
+             ("#seq v1 vocab_size=9\n#seq v1 vocab_size=8\n", 2)],
+    "nss": [("s\t0\tn=5\n", 1), ("#nss v1 model=m q=0.9\ns\t0\n", 2),
+            ("#nss v1 model=m q=0.9\ns\t0\tn=x\n", 2),
+            ("#nss v1 model=m q=0.9\n# \udce9\ns\t0\tn=5\n", 2)],
+    "dist": [("a,b,1.5\n", 1), ("#pairdist v1 length=2\na,b\n", 2),
+             ("#pairdist v1 length=2\n\na,b,nan\n", 3),
+             ("#pairdist v1 length=2\na,b,-1.5\n", 2)],
+    "trc": [("s\t0\t2\t10.0\t5.0\n", 1), ("#trace v1 seed=0 capture=0.5\ns\t0\t2\n", 2),
+            ("#trace v1 seed=0 capture=0.5\ns\t0\t-4\t10.0\t5.0\n", 2),
+            ("#trace v1 seed=0 capture=0.5\ns\t0\t2\t10.0\t5.0\n"
+             "#trace v1 seed=0 capture=0.01\ns\t1\t4\t20.0\t7.0\n", 3)],
+    "fit": [(FIT_ROW, 1), (FIT_HEAD + "2,1e-06\n", 4), (FIT_HEAD + FIT_ROW + FIT_ROW, 5),
+            ("#fit v2\n\udce9\n", 2)],
+    "bench": [(BENCH_HEAD + "vulnerable,10\n", 2), (BENCH_HEAD + "mitigated,1,2,x\n", 2),
+              ("# caf\udce9\n", 1)],
+}
+# every subcommand that reads a file, with the format of each input it reads
+READING_COMMANDS = [
+    (["train", "--corpus", "{corpus}"], ["corpus"]),
+    (["train", "--corpus", "{corpus}", "--config", "{config}"], ["config"]),
+    (["evaluate", "--corpus", "{corpus}"], ["corpus"]),
+    (["bench", "--config", "{config}"], ["config"]),
+    (["nss", "--model", "{model}", "--seqs", "{seqs}"], ["model", "seqs"]),
+    (["analyze", "--nss", "{nss}", "--seqs", "{seqs}"], ["nss", "seqs"]),
+    (["fit", "--distances", "{dist}", "--nss", "{nss}", "--traces", "{trc}"],
+     ["dist", "nss", "trc"]),
+    (["simulate", "--nss", "{nss}", "--vocab-size", "9"], ["nss"]),
+    (["match", "--nss", "{nss}", "--traces", "{trc}", "--fit", "{fit}"], ["nss", "fit", "trc"]),
+    (["report", "--fit", "{fit}"], ["fit"]),
+    (["report", "--distances", "{dist}"], ["dist"]),
+    (["report", "--bench", "{bench}"], ["bench"]),
+]
+
+
+@pytest.fixture(scope="module")
+def good_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("good")
+    paths = {name: root / name for name in (*GOOD_INPUTS, "model")}
+    for name, text in GOOD_INPUTS.items():
+        paths[name].write_text(text)
+    assert main(["train", "--corpus", str(paths["corpus"]), "--out", str(paths["model"])]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("command, slot, text, line", [
+    (command, slot, text, line) for command, slots in READING_COMMANDS for slot in slots
+    for text, line in BAD_INPUTS[slot]])
+def test_every_malformed_input_ends_in_one_error_line(tmp_path, capsys, good_inputs,
+                                                      command, slot, text, line):
+    bad = tmp_path / slot
+    bad.write_bytes(text.encode("utf-8", "surrogateescape"))
+    paths = {**good_inputs, slot: bad}
+    argv = [a.format(**paths) for a in command] + ["--out", str(tmp_path / "out")]
+    assert main(argv) in (1, 2)
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and f"{bad}:{line}: " in errors[0], errors

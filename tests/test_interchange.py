@@ -3,12 +3,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from nssfp.config import read_config_file
+from nssfp.corpus import load_corpus
 from nssfp.errors import ParseError, UsageError, ValidationError
 from nssfp.fingerprint import Nss
 from nssfp.interchange import (read_distances, read_nss, read_sequences, write_distances,
                                write_nss, write_sequences)
 from nssfp.model import Sequence, check_id
+from nssfp.sampler import (MITIGATED, VULNERABLE, TimingSample, read_bench_report,
+                           write_bench_report)
 from nssfp.sidechannel import ChannelConfig, Trace, read_traces, write_traces
+from nssfp.stats import read_fit_report
 
 
 def test_ingest_single_distribution_record(tmp_path):
@@ -208,14 +213,63 @@ def test_trace_file_roundtrip_any_values(tmp_path, ids, capture, seed, steps):
         assert a.per_step_hit_counts.tolist() == b.per_step_hit_counts.tolist()
 
 
-_HEADERS = [b"", b"#nss v1 model=m q=0.9\n", b"#trace v1 seed=0 capture=0.5\n"]
+@_file_settings
+@given(ids=st.lists(_ids, min_size=1, max_size=4, unique=True),
+       vocab_size=st.integers(0, 2**63 - 1),
+       rows=st.lists(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=6),
+                     min_size=4, max_size=4),
+       cuts=st.lists(st.sets(st.integers(1, 5)), min_size=4, max_size=4))
+def test_sequence_file_roundtrip(tmp_path, ids, vocab_size, rows, cuts):
+    seqs = [Sequence(id=i, words=np.array(w, dtype=np.int64),
+                     boundaries=(0, *sorted(c for c in cut if c < len(w))))
+            for i, w, cut in zip(_valid_ids(ids), rows, cuts)]
+    path = tmp_path / "rt.seq"
+    write_sequences(path, seqs, vocab_size=vocab_size)
+    loaded, got_vocab = read_sequences(path)
+    assert got_vocab == vocab_size
+    assert [(s.id, s.words.tolist(), s.boundaries) for s in loaded] == [
+        (s.id, s.words.tolist(), s.boundaries) for s in seqs]
+
+
+_distances = st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
+@_file_settings
+@given(ids=st.lists(st.tuples(_ids, _ids), max_size=6), length=st.integers(0, 2**63 - 1),
+       distances=st.lists(_distances, min_size=6, max_size=6),
+       header=st.lists(st.text(st.characters(blacklist_categories=("Cs", "Cc"))),
+                       max_size=2))
+def test_distance_file_roundtrip(tmp_path, ids, length, distances, header):
+    records = [(x, y, d) for (x, y), d in zip(ids, distances)
+               if _valid_ids([x, y]) == [x, y]]
+    path = tmp_path / "rt.dist"
+    write_distances(path, records, length=length, header_lines=header)
+    assert read_distances(path) == (records, length)
+
+
+@_file_settings
+@given(samples=st.lists(st.builds(TimingSample, st.sampled_from([VULNERABLE, MITIGATED]),
+                                  st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1),
+                                  st.integers(1, 2**63 - 1)), max_size=6),
+       header=st.lists(st.text(st.characters(blacklist_categories=("Cs", "Cc"))),
+                       max_size=2))
+def test_bench_file_roundtrip(tmp_path, samples, header):
+    path = tmp_path / "rt.csv"
+    write_bench_report(path, samples, header_lines=header)
+    assert read_bench_report(path) == samples
+
+
+_HEADERS = [b"", b"#nss v1 model=m q=0.9\n", b"#trace v1 seed=0 capture=0.5\n",
+            b"#seq v1 vocab_size=9\n", b"#pairdist v1 length=3\n", b"#fit v2\n"]
 # fragments that reach past the header checks into the record parsers
 _fragments = st.one_of(
     st.binary(max_size=16),
-    st.text("0123456789.-+eEinfatx#=\t\n\r ", max_size=24).map(str.encode))
+    st.text("0123456789.-+eEinfatx#=,\t\n\r ", max_size=24).map(str.encode))
 
 
-@pytest.mark.parametrize("reader", [read_nss, read_traces])
+@pytest.mark.parametrize("reader", [read_nss, read_traces, read_sequences, read_distances,
+                                    read_fit_report, read_bench_report, load_corpus,
+                                    read_config_file])
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(head=st.sampled_from(_HEADERS), body=st.lists(_fragments, max_size=8))
@@ -235,3 +289,83 @@ def test_undecodable_bytes_name_their_line(tmp_path):
         with pytest.raises(ParseError, match="not UTF-8") as exc:
             reader(path)
         assert exc.value.line == 3
+
+
+# every reader of a format with a typed header: (header line, one valid record)
+_FRAMED = {
+    read_nss: ("#nss v1 model=m q=0.5\n", "s\t0\tn=5\n"),
+    read_sequences: ("#seq v1 vocab_size=9\n", "s\t0\t1,2\n"),
+    read_distances: ("#pairdist v1 length=3\n", "a,b,1.5\n"),
+    read_traces: ("#trace v1 seed=0 capture=0.5\n", "s\t0\t2\t10.0\t5.0\n"),
+    read_fit_report: ("#fit v2\n", "2,1e-06,1.0,0.5,5.0,0.5,0.05,1.0,4.0\n"),
+}
+
+
+@pytest.mark.parametrize("reader", list(_FRAMED))
+@pytest.mark.parametrize("before", ["\n", "# comment\n", "\n# config seed=0\n\n"])
+def test_header_may_follow_blank_and_comment_lines(tmp_path, reader, before):
+    header, record = _FRAMED[reader]
+    plain, framed = tmp_path / "plain", tmp_path / "framed"
+    plain.write_text(header + record)
+    framed.write_text(before + header + record)
+    assert repr(reader(framed)) == repr(reader(plain))
+
+
+@pytest.mark.parametrize("reader", list(_FRAMED))
+@pytest.mark.parametrize("case, text, line", [
+    ("missing header", "{r}", 1),
+    ("missing header after a comment", "# note\n{r}", 1),
+    ("late header", "{r}{h}", 1),
+    ("late header after a comment", "# note\n\n{r}{h}", 1),
+    ("empty file", "", 1),
+    ("repeated header", "{h}{h}{r}", 2),
+    ("concatenated files", "{h}{r}{h}{r}", 3),
+    ("unknown header field", "{H} extra=1\n{r}", 1),
+    ("malformed header field", "{H} extra\n{r}", 1),
+    ("short record", "{h}{r}s\n", 3),
+    ("one field", "\n{h}# note\ns\n", 4),
+    ("undecodable byte in a record", "{h}{r}s\t\udce9\n", 3),
+    ("undecodable byte in a comment", "{h}# caf\udce9\n{r}", 2),
+    ("undecodable byte before the header", "# caf\udce9\n{h}{r}", 1),
+])
+def test_framing_errors_name_their_line(tmp_path, reader, case, text, line):
+    header, record = _FRAMED[reader]
+    path = tmp_path / "framed"
+    text = text.format(h=header, H=header.rstrip("\n"), r=record)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(ParseError) as exc:
+        reader(path)
+    assert exc.value.line == line and str(exc.value).startswith(f"{path}:{line}: "), case
+
+
+@pytest.mark.parametrize("text", ["#nss v1 q=0.5\ns\t0\tn=5\n",
+                                  "#trace v1 seed=0\ns\t0\t2\t10.0\t5.0\n"])
+def test_header_without_a_typed_field_is_malformed(tmp_path, text):
+    path = tmp_path / "f"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="header lacks") as exc:
+        (read_nss if text.startswith("#nss") else read_traces)(path)
+    assert exc.value.line == 1
+
+
+def test_last_field_keeps_later_separators(tmp_path):
+    corpus = tmp_path / "posts.tsv"
+    corpus.write_text("a\t1\tone\ttwo\n")
+    assert load_corpus(corpus).posts == [("a", 1.0, "one\ttwo")]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(" seed = 3\nchannel.rng_seed=a=b\n")
+    assert read_config_file(cfg) == {"seed": "3", "channel.rng_seed": "a=b"}
+    nss = tmp_path / "tab.nss"
+    nss.write_text("#nss v1 model=m q=0.9\ns\t0\tn=5\tx\n")
+    with pytest.raises(ParseError, match="nucleus size") as exc:
+        read_nss(nss)
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("distance", ["nan", "inf", "-inf", "-1.5", "0.0", "-0.0"])
+def test_read_distances_rejects_non_positive_or_non_finite(tmp_path, distance):
+    path = tmp_path / "d.dist"
+    path.write_text(f"#pairdist v1 length=3\n# config\na,b,1.5\na,c,{distance}\n")
+    with pytest.raises(ParseError, match="not finite and positive") as exc:
+        read_distances(path)
+    assert exc.value.line == 4

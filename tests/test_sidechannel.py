@@ -234,6 +234,15 @@ def test_read_traces_rejects_non_finite_values(tmp_path, row, message):
     assert str(exc.value).startswith(f"{path}:2:")
 
 
+def test_read_traces_rejects_negative_hit_counts(tmp_path):
+    # at capture 0.5, -4 hits would read back as -8 iterations
+    path = tmp_path / "pool.trc"
+    path.write_text("#trace v1 seed=0 capture=0.5\nu\t0\t1\t0.0\t5.0\nu\t1\t-4\t0.0\t5.0\n")
+    with pytest.raises(ParseError, match="negative") as exc:
+        read_traces(path)
+    assert str(exc.value).startswith(f"{path}:3:")
+
+
 @pytest.mark.parametrize("capture", ["0", "1.5", "nan", "-0.2"])
 def test_read_traces_rejects_capture_outside_unit_interval(tmp_path, capture):
     path = tmp_path / "pool.trc"
