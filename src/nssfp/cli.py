@@ -18,7 +18,7 @@ from . import fingerprint as fp
 from . import interchange, matcher, sampler, sidechannel, stats
 from .config import (PipelineConfig, env_overrides, parse_weights, read_config_file,
                      resolve_config)
-from .errors import NssfpError, UsageError
+from .errors import NssfpError, UsageError, not_utf8
 from .model import load_model, save_model, train_model
 
 
@@ -254,12 +254,16 @@ def cmd_bench(args) -> int:
 
 def cmd_report(args) -> int:
     if args.evaluation:
-        with open(args.evaluation, encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("# total="):
-                    print(line[2:].rstrip())
-                elif not line.startswith("#"):
-                    print(line.rstrip())
+        try:
+            with open(args.evaluation, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise not_utf8(args.evaluation) from None
+        for line in lines:
+            if line.startswith("# total="):
+                print(line[2:].rstrip())
+            elif not line.startswith("#"):
+                print(line.rstrip())
         return 0
     if args.fit:
         print(_fit_line(*stats.read_fit_report(args.fit)))

@@ -60,21 +60,23 @@ def generate_nss(model: NgramModel, sequence: Sequence, q: float,
 
     The conditioning context resets at each session boundary, which is what
     produces the characteristic size spikes at post starts. ``size_cache``
-    (context tuple + q -> size) can be shared across calls to amortize
-    repeated contexts over a whole corpus. The contexts the cache does not
-    hold are sized together by :func:`_nucleus_sizes`.
+    ((q, context code) -> size) can be shared across calls to amortize
+    repeated contexts over a whole corpus. The sequence's contexts are
+    encoded once; those the cache does not hold are sized together by
+    :func:`_nucleus_sizes`.
     """
     if sequence.words.max() >= model.vocab_size or sequence.words.min() < 0:
         raise ValidationError(
             f"sequence {sequence.id!r} has token ids outside the model vocabulary")
     if size_cache is None:
         size_cache = {}
-    keys = [(q, ctx) for ctx in model.contexts(sequence)]
-    missing = list(dict.fromkeys(k for k in keys if k not in size_cache))
+    codes, where = np.unique(model.context_codes(sequence), return_inverse=True)
+    keys = [(q, code) for code in codes.tolist()]
+    missing = [i for i, key in enumerate(keys) if key not in size_cache]
     if missing:
-        sizes = _nucleus_sizes(model, [ctx for _, ctx in missing], q)
-        size_cache.update(zip(missing, sizes))
-    sizes = np.array([size_cache[k] for k in keys], dtype=np.int64)
+        sizes = _nucleus_sizes(model, codes[missing], q)
+        size_cache.update(zip([keys[i] for i in missing], sizes))
+    sizes = np.array([size_cache[key] for key in keys], dtype=np.int64)[where]
     return Nss(seq_id=sequence.id, q=q, model_id=model.model_id, sizes=sizes)
 
 
@@ -82,19 +84,20 @@ def generate_nss(model: NgramModel, sequence: Sequence, q: float,
 _MARGIN_HEADROOM = 64.0
 
 
-def _nucleus_sizes(model: NgramModel, contexts: list, p: float) -> list[int]:
-    """``nucleus_size_from_probs(model.context_probs(ctx), p)`` for many contexts.
+def _nucleus_sizes(model: NgramModel, codes: np.ndarray, p: float) -> list[int]:
+    """``nucleus_size_from_probs(model.context_probs(ctx), p)`` for many context codes.
 
     :func:`_sparse_nucleus_sizes` sizes every context it can prove; the
     rest go through the dense oracle.
     """
-    sizes, sure = _sparse_nucleus_sizes(model, contexts, p)
+    sizes, sure = _sparse_nucleus_sizes(model, codes, p)
     for b in np.flatnonzero(~sure):
-        sizes[b] = nucleus_size_from_probs(model.context_probs(contexts[b]), p)
+        ctx = model.context_words(codes[b])
+        sizes[b] = nucleus_size_from_probs(model.context_probs(ctx), p)
     return sizes.tolist()
 
 
-def _sparse_nucleus_sizes(model: NgramModel, contexts: list, p: float
+def _sparse_nucleus_sizes(model: NgramModel, codes: np.ndarray, p: float
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Nucleus sizes from the model's sparse structure, and where they are sure.
 
@@ -111,53 +114,57 @@ def _sparse_nucleus_sizes(model: NgramModel, contexts: list, p: float
     farther from ``p`` than a margin that covers both errors. A context
     whose sums never pass ``p`` (no order carries weight) is never sure.
     """
-    n_ctx = len(contexts)
+    n_ctx = codes.size
     sizes = np.zeros(n_ctx, dtype=np.int64)
     sure = np.zeros(n_ctx, dtype=bool)
     levels = model.unigram_levels
     n_lev = levels.size
-    c1 = np.zeros(n_ctx)  # stays 0 where the unigram table carries no weight
-    seg_ctx, seg_rank, seg_coef, seg_ids, seg_counts = [], [], [], [], []
-    for b, ctx in enumerate(contexts):
-        for rank, (c, entry) in enumerate(model.mixture(ctx) or ()):
-            if entry is None:
-                c1[b] = c
-                continue
-            seg_ctx.append(b)
-            seg_rank.append(rank)
-            seg_coef.append(c)
-            seg_ids.append(entry[0])
-            seg_counts.append(entry[1])
+    coefs, rows = model.mixture(codes)
+    c1 = coefs[:, 0]  # 0 where the unigram table carries no weight
+
+    # each context's successor rows, gathered order by order from the tables;
+    # the empty first part keeps the dtypes when no table carries weight
+    empty = np.empty(0, dtype=np.int64)
+    parts = [(empty, np.empty(0), empty, empty, np.empty(0))]
+    for k in range(2, model.order + 1):
+        ctx = np.flatnonzero(coefs[:, k - 1] > 0.0)
+        table = model.tables[k]
+        start = table.offsets[rows[ctx, k - 1]]
+        n = table.offsets[rows[ctx, k - 1] + 1] - start
+        take = np.repeat(start - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        parts.append((ctx, coefs[ctx, k - 1], n, table.ids[take], table.counts[take]))
+    seg_ctx, seg_coef, lens, ids, counts = map(np.concatenate, zip(*parts))
 
     # successor terms c * (counts / counts.sum()), as context_probs forms them
-    lens = np.array([ids.size for ids in seg_ids], dtype=np.int64)
-    ids = np.concatenate(seg_ids) if seg_ids else np.empty(0, dtype=np.int64)
-    counts = np.concatenate(seg_counts) if seg_counts else np.empty(0)
     totals = np.add.reduceat(counts, np.cumsum(lens) - lens) if counts.size else counts
     terms = np.repeat(seg_coef, lens) * (counts / np.repeat(totals, lens))
-    term_ctx = np.repeat(np.array(seg_ctx, dtype=np.int64), lens)
-    term_rank = np.repeat(np.array(seg_rank, dtype=np.int64), lens)
+    term_ctx = np.repeat(seg_ctx, lens)
 
-    # one value per (context, support id): c1 * u, then the terms in order
+    # one value per (context, support id): c1 * u, then the terms, which
+    # np.add.at adds one at a time in their lowest-order-first order
     pairs, pair_of_term = np.unique(term_ctx * model.vocab_size + ids, return_inverse=True)
     pair_ctx, pair_id = np.divmod(pairs, model.vocab_size)
     values = c1[pair_ctx] * model.unigram_probs[pair_id]
-    for rank in np.unique(term_rank):
-        sel = term_rank == rank
-        values[pair_of_term[sel]] += terms[sel]
+    np.add.at(values, pair_of_term, terms)
 
     # the level blocks, less the ids that carry successor mass, merged with
-    # the support values in descending order per context
+    # the support values in descending order per context: each support value
+    # goes after the blocks at or above it, the blocks fill the other places
+    level_val = np.outer(c1, levels)
     taken = np.bincount(pair_ctx * n_lev + model.unigram_level_of[pair_id],
-                        minlength=n_ctx * n_lev)
-    item_ctx = np.concatenate([np.repeat(np.arange(n_ctx), n_lev), pair_ctx])
-    item_val = np.concatenate([np.outer(c1, levels).ravel(), values])
-    item_mult = np.concatenate([np.tile(model.unigram_level_sizes, n_ctx) - taken,
-                                np.ones(pairs.size, dtype=np.int64)])
-    order = np.lexsort((-item_val, item_ctx))
-    item_val, item_mult = item_val[order], item_mult[order]
-    mass = item_mult * item_val
+                        minlength=n_ctx * n_lev).reshape(n_ctx, n_lev)
     first = np.arange(n_ctx) * n_lev + np.searchsorted(pair_ctx, np.arange(n_ctx))
+    values = values[np.lexsort((-values, pair_ctx))]  # pair_ctx ascends already
+    rank = np.arange(pairs.size) - np.searchsorted(pair_ctx, pair_ctx)
+    at = first[pair_ctx] + rank + np.sum(level_val[pair_ctx] >= values[:, None], axis=1)
+    is_block = np.ones(n_ctx * n_lev + pairs.size, dtype=bool)
+    is_block[at] = False
+    item_val = np.empty(is_block.size)
+    item_mult = np.ones(is_block.size, dtype=np.int64)
+    item_val[at] = values
+    item_val[is_block] = level_val[:, ::-1].ravel()
+    item_mult[is_block] = (model.unigram_level_sizes - taken)[:, ::-1].ravel()
+    mass = item_mult * item_val
 
     margin = _MARGIN_HEADROOM * (model.vocab_size + mass.size) * np.finfo(float).eps
     if not margin < p < 1.0 - margin:

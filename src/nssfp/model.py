@@ -8,10 +8,13 @@ the nucleus sizes it yields (see :mod:`nssfp.interchange`).
 import hashlib
 import re
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import methodcaller
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, UsageError, ValidationError
+from .errors import (ConfigurationError, NssfpError, ParseError, UsageError,
+                     ValidationError)
 
 _TOKEN_RE = re.compile(r"[\w']+|[^\w\s]")
 
@@ -107,6 +110,64 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def _context_codes(words: np.ndarray, starts, length: int, base: int) -> np.ndarray:
+    """Code of the up to ``length`` words before each position since its
+    session start; ``starts`` ascend from 0.
+
+    A context's code holds its words + 1 as digits in ``base``, the latest
+    word lowest, so the last j words of a context are its code modulo
+    ``base ** j``, and a code of j words is at least ``base ** (j - 1)``.
+    """
+    mark = np.zeros(words.size, dtype=np.int64)
+    mark[np.asarray(starts, dtype=np.int64)] = starts
+    since = np.arange(words.size) - np.maximum.accumulate(mark)
+    code = np.zeros(words.size, dtype=np.int64)
+    for j in range(1, length + 1):
+        code += np.where(since >= j, (np.roll(words, j) + 1) * base ** (j - 1), 0)
+    return code
+
+
+def _place_values(length: int, base: int) -> np.ndarray:
+    """What each word of a ``length``-word context counts in its code, oldest first."""
+    return base ** np.arange(length - 1, -1, -1, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class NgramTable:
+    """The n-gram counts of one order as sorted arrays.
+
+    Row r is the context with code ``keys[r]`` (keys ascend); its successor
+    ids, ascending, are ``ids[offsets[r]:offsets[r + 1]]`` and their counts
+    sit at the same positions. ``len()`` is the number of contexts.
+    """
+
+    keys: np.ndarray
+    offsets: np.ndarray
+    ids: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def build(cls, keys: np.ndarray, ids: np.ndarray, counts: np.ndarray) -> "NgramTable":
+        """Table of (context code, successor id, count) entries; the counts of
+        a repeated pair add up."""
+        order = np.lexsort((ids, keys))
+        keys, ids, counts = keys[order], ids[order], counts[order]
+        first = np.flatnonzero((np.diff(keys, prepend=-1) != 0) | (np.diff(ids, prepend=-1) != 0))
+        if first.size:
+            counts = np.add.reduceat(counts, first)
+        keys, ids = keys[first], ids[first]
+        rows = np.flatnonzero(np.diff(keys, prepend=-1))
+        return cls(keys[rows], np.append(rows, ids.size), ids, counts)
+
+    def __len__(self) -> int:
+        return int(self.keys.size)
+
+    def find(self, codes: np.ndarray) -> np.ndarray:
+        """Row of each context code, -1 where the table lacks it."""
+        at = np.searchsorted(self.keys, codes)
+        return np.where(np.append(self.keys, -1)[at] == codes, at, -1)
+
+
 class NgramModel:
     """Interpolated n-gram model with an add-one floor at the unigram level.
 
@@ -116,6 +177,7 @@ class NgramModel:
     available ones. The unigram table is add-one smoothed, so every
     context yields a fully supported, normalized distribution.
 
+    Contexts are looked up by integer code (see :meth:`context_code`).
     Immutable after construction; safe to share across threads.
     """
 
@@ -123,11 +185,12 @@ class NgramModel:
         self.order = order
         self.weights = tuple(float(w) for w in weights)
         self.vocabulary = vocabulary
-        # tables[k] maps a (k-1)-word context tuple -> (successor ids, counts)
+        # tables[k] is the NgramTable of the (k-1)-word contexts, k = 2..order
         self.tables = tables
         self.unigram_counts = unigram_counts
         self.model_id = model_id
         v = len(vocabulary)
+        self.base = v + 1
         self.unigram_probs = (unigram_counts + 1.0) / (unigram_counts.sum() + v)
         # add-one smoothing leaves few distinct unigram probabilities: keep
         # them ascending, with each id's level and each level's size, so that
@@ -143,7 +206,7 @@ class NgramModel:
         """Conditioning context: prefix words since the last session boundary.
 
         At a boundary the context is empty, so the model is re-initialized.
-        The per-position reference for :meth:`contexts`.
+        The per-position reference for :meth:`context_codes`.
         """
         if position < 0 or position > len(sequence):
             raise UsageError(f"position {position} out of range [0, {len(sequence)}]")
@@ -156,55 +219,77 @@ class NgramModel:
         span = min(self.order - 1, position - last)
         return tuple(int(w) for w in sequence.words[position - span:position])
 
-    def contexts(self, sequence: Sequence) -> list[tuple[int, ...]]:
-        """``context_at`` for every position of the sequence, in one pass."""
-        words = sequence.words.tolist()
-        stops = list(sequence.boundaries[1:]) + [len(words)]
-        out = []
-        for start, stop in zip(sequence.boundaries, stops):
-            for t in range(start, stop):
-                out.append(tuple(words[max(start, t - self.order + 1):t]))
-        return out
+    def context_code(self, ctx: tuple[int, ...]) -> int:
+        """Integer code of a context's last ``order - 1`` words."""
+        ctx = ctx[max(0, len(ctx) - self.order + 1):]
+        return int((np.array(ctx, dtype=np.int64) + 1) @ _place_values(len(ctx), self.base))
 
-    def mixture(self, ctx: tuple[int, ...]) -> list[tuple[float, tuple | None]] | None:
-        """Normalized components of a context's distribution, lowest order first.
+    def context_words(self, code: int) -> tuple[int, ...]:
+        """The context a code stands for; inverse of :meth:`context_code`."""
+        words = []
+        while code:
+            code, digit = divmod(int(code), self.base)
+            words.append(digit - 1)
+        return tuple(reversed(words))
 
-        Each component is (coefficient, entry): entry None stands for the
-        unigram table, otherwise it is the (successor ids, counts) table
-        entry. Returns None when no available order carries weight.
+    def context_codes(self, sequence: Sequence) -> np.ndarray:
+        """``context_code(context_at(sequence, t))`` for every position, in one pass."""
+        return _context_codes(sequence.words, sequence.boundaries, self.order - 1, self.base)
+
+    def mixture(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Normalized interpolation coefficients of many contexts, and their rows.
+
+        ``coefs[b, k - 1]`` weights order k for context ``codes[b]``: order 1
+        is the unigram table, order k > 1 row ``rows[b, k - 1]`` of
+        ``tables[k]``. The coefficient is 0 where the order carries no
+        weight or its table lacks the context (row -1); all of a context's
+        coefficients are 0 when no available order carries weight.
         """
-        parts = []  # (weight, entry)
-        for k in range(1, self.order + 1):
-            w = self.weights[k - 1]
+        weight = np.zeros((codes.size, self.order))
+        rows = np.full((codes.size, self.order), -1, dtype=np.int64)
+        for k, w in enumerate(self.weights, start=1):
             if w == 0.0:
                 continue
             if k == 1:
-                parts.append((w, None))
+                weight[:, 0] = w
                 continue
-            if len(ctx) < k - 1:
-                continue
-            entry = self.tables[k].get(ctx[len(ctx) - (k - 1):])
-            if entry is not None:
-                parts.append((w, entry))
-        wsum = sum(w for w, _ in parts)
-        if wsum == 0.0:
-            return None
-        return [(w / wsum, entry) for w, entry in parts]
+            rows[:, k - 1] = self.tables[k].find(codes % self.base ** (k - 1))
+            weight[:, k - 1] = np.where(rows[:, k - 1] >= 0, w, 0.0)
+        wsum = sum(weight.T)  # lowest order first, one addition at a time
+        coefs = np.divide(weight, wsum[:, None], out=np.zeros_like(weight),
+                          where=wsum[:, None] > 0.0)
+        return coefs, rows
 
     def context_probs(self, ctx: tuple[int, ...]) -> np.ndarray:
-        """Interpolated probability vector for a context tuple."""
-        parts = self.mixture(ctx)
-        if parts is None:
+        """Interpolated probability vector for a context tuple (the dense oracle)."""
+        coefs, rows = self.mixture(np.array([self.context_code(ctx)], dtype=np.int64))
+        if not coefs.any():
             # nothing available carries weight; fall back to the unigram floor
             return self.unigram_probs.copy()
         probs = np.zeros(self.vocab_size)
-        for c, entry in parts:
-            if entry is None:
-                probs += c * self.unigram_probs
-            else:
-                ids, counts = entry
-                probs[ids] += c * (counts / counts.sum())
+        probs += coefs[0, 0] * self.unigram_probs
+        for k in range(2, self.order + 1):
+            if coefs[0, k - 1] > 0.0:
+                t, r = self.tables[k], rows[0, k - 1]
+                ids, counts = (a[t.offsets[r]:t.offsets[r + 1]] for a in (t.ids, t.counts))
+                probs[ids] += coefs[0, k - 1] * (counts / counts.sum())
         return probs
+
+
+def _check_config(order, weights: tuple[float, ...], vocab_size: int):
+    """The order, weights and vocabulary size a model can be built with."""
+    if not 1 <= order <= 5:
+        raise ConfigurationError(f"order must be in [1, 5], got {order}")
+    if len(weights) != order:
+        raise ConfigurationError(f"need {order} interpolation weights, got {len(weights)}")
+    if not all(w >= 0 for w in weights):
+        raise ConfigurationError("interpolation weights must be non-negative")
+    if not abs(sum(weights) - 1.0) <= 1e-9:
+        raise ConfigurationError(f"interpolation weights sum to {sum(weights)}, not 1")
+    if (vocab_size + 1) ** (order - 1) > np.iinfo(np.int64).max:
+        raise ConfigurationError(
+            f"order {order} over a vocabulary of {vocab_size} needs {vocab_size + 1}^"
+            f"{order - 1} context codes, beyond the int64 bound 2^63-1")
 
 
 def train_model(corpus: list[Sequence], order: int = DEFAULT_ORDER,
@@ -217,60 +302,37 @@ def train_model(corpus: list[Sequence], order: int = DEFAULT_ORDER,
     """
     if not corpus:
         raise ConfigurationError("training corpus is empty")
-    if not 1 <= order <= 5:
-        raise ConfigurationError(f"order must be in [1, 5], got {order}")
     weights = tuple(float(w) for w in weights)
-    if len(weights) != order:
-        raise ConfigurationError(f"need {order} interpolation weights, got {len(weights)}")
-    if any(w < 0 for w in weights):
-        raise ConfigurationError("interpolation weights must be non-negative")
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise ConfigurationError(f"interpolation weights sum to {sum(weights)}, not 1")
-
     if vocabulary is None:
         vocab_size = int(max(int(seq.words.max()) for seq in corpus)) + 1
     else:
         vocab_size = len(vocabulary)
+    _check_config(order, weights, vocab_size)
 
-    unigram = np.zeros(vocab_size, dtype=np.int64)
-    raw: dict[int, dict[tuple[int, ...], dict[int, int]]] = {
-        k: {} for k in range(2, order + 1)
-    }
     hasher = hashlib.sha256()
     hasher.update(f"order={order} weights={weights!r} vocab={vocab_size}".encode())
+    starts, offset = [], 0
     for seq in corpus:
         if int(seq.words.max()) >= vocab_size or int(seq.words.min()) < 0:
             raise ValidationError(f"sequence {seq.id!r} has token ids outside the vocabulary")
         hasher.update(seq.id.encode())
         hasher.update(np.ascontiguousarray(seq.words).tobytes())
         hasher.update(repr(seq.boundaries).encode())
-        words = seq.words
-        segments = list(seq.boundaries) + [len(seq)]
-        for s_idx in range(len(seq.boundaries)):
-            start, stop = segments[s_idx], segments[s_idx + 1]
-            seg = words[start:stop]
-            unigram += np.bincount(seg, minlength=vocab_size)
-            for k in range(2, order + 1):
-                table = raw[k]
-                for t in range(k - 1, len(seg)):
-                    ctx = tuple(int(w) for w in seg[t - k + 1:t])
-                    nxt = int(seg[t])
-                    succ = table.setdefault(ctx, {})
-                    succ[nxt] = succ.get(nxt, 0) + 1
-
-    tables: dict[int, dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]] = {}
+        starts.extend(offset + b for b in seq.boundaries)
+        offset += len(seq)
+    words = np.concatenate([seq.words for seq in corpus])
+    base = vocab_size + 1
+    tables = {}
     for k in range(2, order + 1):
-        frozen = {}
-        for ctx, succ in raw[k].items():
-            ids = np.fromiter(sorted(succ), dtype=np.int64, count=len(succ))
-            counts = np.array([succ[int(i)] for i in ids], dtype=np.float64)
-            frozen[ctx] = (ids, counts)
-        tables[k] = frozen
+        codes = _context_codes(words, starts, k - 1, base)
+        at = np.flatnonzero(codes >= base ** (k - 2))  # a full k-1 words since the start
+        tables[k] = NgramTable.build(codes[at], words[at], np.ones(at.size))
 
     if vocabulary is None:
         fake = tuple(f"<{i}>" for i in range(vocab_size))
         vocabulary = Vocabulary(tokens=fake, index={w: i for i, w in enumerate(fake)})
     model_id = hasher.hexdigest()[:16]
+    unigram = np.bincount(words, minlength=vocab_size)
     return NgramModel(order, weights, vocabulary, tables, unigram, model_id)
 
 
@@ -278,6 +340,15 @@ def save_model(path, model: NgramModel):
     """Serialize to sorted-key JSON so identical models give identical bytes."""
     import json
 
+    tables = {}
+    for k, table in model.tables.items():
+        words = table.keys[:, None] // _place_values(k - 1, model.base) % model.base - 1
+        contexts = [" ".join(map(str, row)) for row in words.tolist()]
+        ids = list(map(str, table.ids.tolist()))
+        counts = table.counts.astype(np.int64).tolist()
+        bounds = table.offsets.tolist()
+        tables[str(k)] = {ctx: dict(zip(ids[a:b], counts[a:b]))
+                          for ctx, a, b in zip(contexts, bounds, bounds[1:])}
     payload = {
         "format": "ngram v1",
         "order": model.order,
@@ -285,20 +356,15 @@ def save_model(path, model: NgramModel):
         "model_id": model.model_id,
         "tokens": list(model.vocabulary.tokens),
         "unigram_counts": model.unigram_counts.tolist(),
-        "tables": {
-            str(k): {
-                " ".join(map(str, ctx)): {str(int(i)): int(c)
-                                          for i, c in zip(ids, counts)}
-                for ctx, (ids, counts) in model.tables[k].items()
-            }
-            for k in model.tables
-        },
+        "tables": tables,
     }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(text)
 
 
 def load_model(path) -> NgramModel:
+    """Read a model that :func:`save_model` wrote, checking every value."""
     import json
 
     try:
@@ -312,23 +378,52 @@ def load_model(path) -> NgramModel:
     try:
         tokens = tuple(payload["tokens"])
         vocab = Vocabulary(tokens=tokens, index={w: i for i, w in enumerate(tokens)})
-        tables = {}
-        for k_str, contexts in payload["tables"].items():
-            frozen = {}
-            for ctx_str, succ in contexts.items():
-                ctx = tuple(int(w) for w in ctx_str.split()) if ctx_str else ()
-                ids = np.array(sorted(int(i) for i in succ), dtype=np.int64)
-                counts = np.array([succ[str(int(i))] for i in ids], dtype=np.float64)
-                frozen[ctx] = (ids, counts)
-            tables[int(k_str)] = frozen
-        return NgramModel(
-            order=payload["order"],
-            weights=tuple(payload["weights"]),
-            vocabulary=vocab,
-            tables=tables,
-            unigram_counts=np.array(payload["unigram_counts"], dtype=np.int64),
-            model_id=payload["model_id"],
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        v = len(vocab)
+        order = payload["order"]
+        if type(order) is not int:
+            raise ValueError(f"order {order!r} is not an integer")
+        weights = tuple(float(w) for w in payload["weights"])
+        _check_config(order, weights, v)
+        unigram = payload["unigram_counts"]
+        if (type(unigram) is not list or len(unigram) != v
+                or not set(map(type, unigram)) <= {int} or min(unigram) < 0):
+            raise ValueError(f"unigram_counts is not {v} non-negative integers")
+        if not set(payload["tables"]) <= {str(k) for k in range(2, order + 1)}:
+            raise ValueError(f"table orders {sorted(payload['tables'])} outside 2..{order}")
+        tables = {k: _read_table(payload["tables"].get(str(k), {}), k, v)
+                  for k in range(2, order + 1)}
+        return NgramModel(order=order, weights=weights, vocabulary=vocab, tables=tables,
+                          unigram_counts=np.array(unigram, dtype=np.int64),
+                          model_id=payload["model_id"])
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
+            NssfpError) as exc:
         raise ValidationError(f"{path}: malformed model file "
                               f"({type(exc).__name__}: {exc})") from None
+
+
+def _read_table(contexts: dict, k: int, v: int) -> NgramTable:
+    """The ``NgramTable`` of one order's JSON object; ValueError if a value is
+    out of range."""
+    if not set(map(methodcaller("count", " "), contexts)) <= {k - 2}:
+        raise ValueError(f"a context of table {k} is not {k - 1} words long")
+    words = np.fromiter(map(int, " ".join(contexts).split(" ")) if contexts else (),
+                        dtype=np.int64).reshape(-1, k - 1)
+    succ = list(contexts.values())
+    lens = np.fromiter(map(len, succ), dtype=np.int64, count=len(succ))
+    ids = np.fromiter(map(int, chain.from_iterable(succ)), dtype=np.int64,
+                      count=int(lens.sum()))
+    counts = list(chain.from_iterable(map(dict.values, succ)))
+    if not set(map(type, counts)) <= {int}:
+        raise ValueError(f"a count of table {k} is not an integer")
+    counts = np.array(counts, dtype=np.int64)
+    if words.size and not (words.min() >= 0 and words.max() < v):
+        raise ValueError(f"a context word of table {k} is outside [0, {v})")
+    if ids.size and not (ids.min() >= 0 and ids.max() < v):
+        raise ValueError(f"a successor id of table {k} is outside [0, {v})")
+    if counts.size and counts.min() <= 0 or np.any(lens == 0):
+        raise ValueError(f"a context of table {k} has a count below 1 or no successor")
+    keys = (words + 1) @ _place_values(k - 1, v + 1)
+    table = NgramTable.build(np.repeat(keys, lens), ids, counts.astype(np.float64))
+    if len(table) != len(contexts) or table.ids.size != ids.size:
+        raise ValueError(f"table {k} repeats a context or a successor")
+    return table

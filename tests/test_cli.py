@@ -329,7 +329,28 @@ def test_non_utf8_input_ends_in_one_error_line(tmp_path, capsys, files, args, wh
     assert len(errors) == 1 and errors[0] == f"error: {tmp_path}/{where} not UTF-8 text", errors
 
 
+def test_report_evaluation_prints_summary_and_rows(tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    report.write_bytes(b"#evaluation v1\n# seed=4\n# total=2 recall=1.0\n"
+                       b"seq_id,verdict\na,b  \n")
+    assert main(["report", "--evaluation", str(report)]) == 0
+    assert capsys.readouterr().out == "total=2 recall=1.0\nseq_id,verdict\na,b\n"
+    report.write_bytes(b"#evaluation v1\n# total=1\ncaf\xe9,x\n")
+    assert main(["report", "--evaluation", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {report}:3: not UTF-8 text"]
+
+
+def _model_json(tables='{"2":{"0":{"1":2}}}', unigram="[2,1,0]", weights="[0.4,0.6]"):
+    """A model file of 3 tokens and order 2, with the given values in place."""
+    return ('{"format":"ngram v1","model_id":"m","order":2,"tables":%s,'
+            '"tokens":["a","b","c"],"unigram_counts":%s,"weights":%s}'
+            % (tables, unigram, weights))
+
+
 # one valid file per input format, and malformed variants with the line of their error
+# (None for a model file, whose errors name the path alone)
 GOOD_INPUTS = {
     "corpus": "a\t1\tone two three\nb\t2\tfour five six\n",
     "config": "seed=3\n",
@@ -344,7 +365,19 @@ GOOD_INPUTS = {
 BAD_INPUTS = {
     "corpus": [("a\t1\tok\nb\t2\n", 2), ("a\tnoon\tok\n", 1), ("a\t1\tcaf\udce9\n", 1)],
     "config": [("seed=3\nseed 4\n", 2), ("# caf\udce9\n", 1)],
-    "model": [("not json\n", 1)],
+    "model": [("not json\n", 1), (_model_json(tables='{"3":{"0 1":{"1":1}}}'), None),
+              (_model_json(tables='{"1":{"":{"1":1}}}'), None),
+              (_model_json(tables='{"2":{"0 1":{"1":1}}}'), None),
+              (_model_json(tables='{"2":{"3":{"1":1}}}'), None),
+              (_model_json(tables='{"2":{"0":{"999999":1}}}'), None),
+              (_model_json(tables='{"2":{"0":{"1":-2}}}'), None),
+              (_model_json(tables='{"2":{"0":{"1":1.5}}}'), None),
+              (_model_json(tables='{"2":{"0":{}}}'), None),
+              (_model_json(tables='{"2":{"0":{"1":1},"00":{"2":1}}}'), None),
+              (_model_json(tables='{"2":{"0":{"1":1,"01":2}}}'), None),
+              (_model_json(unigram="[2,-1,0]"), None), (_model_json(unigram="[2,1]"), None),
+              (_model_json(weights="[0.9,0.2]"), None), (_model_json(weights="[1.0]"), None),
+              (_model_json(weights="[NaN,1.0]"), None)],
     "seqs": [("s\t0\t1,2\n", 1), ("#seq v1 vocab_size=9\ns\t0\n", 2),
              ("#seq v1 vocab_size=9\ns\t0\t1,x\n", 2),
              ("#seq v1 vocab_size=9\n#seq v1 vocab_size=8\n", 2)],
@@ -402,4 +435,4 @@ def test_every_malformed_input_ends_in_one_error_line(tmp_path, capsys, good_inp
     argv = [a.format(**paths) for a in command] + ["--out", str(tmp_path / "out")]
     assert main(argv) in (1, 2)
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
-    assert len(errors) == 1 and f"{bad}:{line}: " in errors[0], errors
+    assert len(errors) == 1 and (f"{bad}:{line}: " if line else f"{bad}: ") in errors[0], errors

@@ -79,20 +79,45 @@ def test_sparse_nucleus_sizes_equal_dense_oracle(monkeypatch):
     def check(built, data):
         model, seqs = built
         contexts = list(dict.fromkeys(
-            [()] + [c for s in seqs for c in model.contexts(s)]
-            + [tuple(data.draw(st.lists(st.integers(0, model.vocab_size - 1),
-                                        max_size=model.order - 1)))]))
+            [model.context_code(())] + [c for s in seqs for c in model.context_codes(s).tolist()]
+            + [model.context_code(tuple(data.draw(st.lists(
+                st.integers(0, model.vocab_size - 1), max_size=model.order - 1))))]))
         # p at an exact prefix sum of the oracle puts a block boundary on p
         ctx = data.draw(st.sampled_from(contexts))
-        cum = np.cumsum(np.sort(model.context_probs(ctx))[::-1])
+        cum = np.cumsum(np.sort(model.context_probs(model.context_words(ctx)))[::-1])
         at_sum = float(min(cum[data.draw(st.integers(0, cum.size - 1))], 1.0))
         p = data.draw(st.one_of(st.just(at_sum), st.just(1.0),
                                 st.floats(0.01, 1.0, exclude_min=True)))
-        expected = [nucleus_size_from_probs(model.context_probs(c), p) for c in contexts]
-        assert fp._nucleus_sizes(model, contexts, p) == expected
+        expected = [nucleus_size_from_probs(model.context_probs(model.context_words(c)), p)
+                    for c in contexts]
+        assert fp._nucleus_sizes(model, np.array(contexts), p) == expected
 
     check()
     assert fallbacks, "no context took the dense fallback"
+
+
+@st.composite
+def _spread_models(draw):
+    """Small models over the whole vocabulary with a heavy unigram weight,
+    so that frequent words' blocks outrank many contexts' successors."""
+    v = draw(st.integers(3, 40))
+    order = draw(st.integers(2, 3))
+    w1 = draw(st.sampled_from([0.5, 0.8, 0.9]))
+    weights = (w1,) + ((1.0 - w1) / (order - 1),) * (order - 1)
+    seqs = [Sequence(id=f"s{i}", words=np.array(draw(st.lists(
+        st.integers(0, v - 1), min_size=2, max_size=40)))) for i in range(draw(st.integers(1, 3)))]
+    vocab = Vocabulary.from_tokens([f"w{i:02d}" for i in range(v)])
+    return train_model(seqs, order=order, weights=weights, vocabulary=vocab), seqs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spread_models(), st.floats(0.05, 0.95))
+def test_sparse_sizes_merge_blocks_above_successors(built, p):
+    model, seqs = built
+    codes = np.unique(np.concatenate([model.context_codes(s) for s in seqs]))
+    expected = [nucleus_size_from_probs(model.context_probs(model.context_words(c)), p)
+                for c in codes]
+    assert fp._nucleus_sizes(model, codes, p) == expected
 
 
 def test_nss_file_equals_dense_path_on_c9_corpus(tmp_path, monkeypatch):
@@ -105,7 +130,7 @@ def test_nss_file_equals_dense_path_on_c9_corpus(tmp_path, monkeypatch):
     nss = ["nss", *shape, "--model", str(model), "--truncate", "--length", "1000"]
     assert cli_main([*nss, "--out", str(tmp_path / "sparse.nss")]) == 0
     monkeypatch.setattr(fp, "_nucleus_sizes", lambda m, contexts, p: [
-        nucleus_size_from_probs(m.context_probs(c), p) for c in contexts])
+        nucleus_size_from_probs(m.context_probs(m.context_words(c)), p) for c in contexts])
     assert cli_main([*nss, "--out", str(tmp_path / "dense.nss")]) == 0
     assert (tmp_path / "sparse.nss").read_bytes() == (tmp_path / "dense.nss").read_bytes()
 

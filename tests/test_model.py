@@ -1,5 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nssfp.errors import ConfigurationError, UsageError, ValidationError
 from nssfp.model import (Sequence, Vocabulary, load_model, save_model, tokenize,
@@ -71,6 +76,8 @@ def test_train_validation_errors():
         train_model([seq], order=2, weights=(0.9, 0.2))
     with pytest.raises(ConfigurationError):
         train_model([seq], order=2, weights=(-0.5, 1.5))
+    with pytest.raises(ConfigurationError):
+        train_model([seq], order=2, weights=(float("nan"), 1.0))
 
 
 def test_every_context_yields_normalized_distribution(rng):
@@ -143,3 +150,104 @@ def test_model_save_load_roundtrip(tmp_path, tiny_model, tiny_corpus):
     assert loaded.vocabulary.tokens == tiny_model.vocabulary.tokens
     for t in range(len(seqs[0]) + 1):
         assert np.array_equal(_probs(tiny_model, seqs[0], t), _probs(loaded, seqs[0], t))
+
+
+def _dict_trainer(corpus, order, weights, vocab_size):
+    """Reference counting: one dict of successor counts per context, n-gram by
+    n-gram. Returns the tables, the unigram counts and the model id."""
+    unigram = np.zeros(vocab_size, dtype=np.int64)
+    tables = {k: {} for k in range(2, order + 1)}
+    hasher = hashlib.sha256()
+    hasher.update(f"order={order} weights={weights!r} vocab={vocab_size}".encode())
+    for seq in corpus:
+        hasher.update(seq.id.encode())
+        hasher.update(np.ascontiguousarray(seq.words).tobytes())
+        hasher.update(repr(seq.boundaries).encode())
+        segments = list(seq.boundaries) + [len(seq)]
+        for start, stop in zip(segments, segments[1:]):
+            seg = [int(w) for w in seq.words[start:stop]]
+            unigram += np.bincount(seg, minlength=vocab_size)
+            for k in range(2, order + 1):
+                for t in range(k - 1, len(seg)):
+                    succ = tables[k].setdefault(tuple(seg[t - k + 1:t]), {})
+                    succ[seg[t]] = succ.get(seg[t], 0) + 1
+    return tables, unigram, hasher.hexdigest()[:16]
+
+
+def _oracle_json(model, tables, unigram, model_id) -> bytes:
+    payload = {
+        "format": "ngram v1", "order": model.order, "weights": list(model.weights),
+        "model_id": model_id, "tokens": list(model.vocabulary.tokens),
+        "unigram_counts": unigram.tolist(),
+        "tables": {str(k): {" ".join(map(str, ctx)): {str(i): c for i, c in succ.items()}
+                            for ctx, succ in tables[k].items()} for k in tables},
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+
+@st.composite
+def _corpora(draw):
+    """Small corpora with session boundaries, many repeated n-grams and
+    interpolation weights that may be 0."""
+    v = draw(st.integers(2, 40))
+    order = draw(st.integers(1, 5))
+    raw = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+                        min_size=order, max_size=order).filter(any))
+    alphabet = draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=5))
+    seqs = []
+    for i in range(draw(st.integers(1, 4))):
+        words = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=40))
+        cuts = draw(st.sets(st.integers(1, max(1, len(words) - 1)), max_size=5))
+        cuts = sorted(c for c in cuts if c < len(words))
+        seqs.append(Sequence(id=f"s{i}", words=np.array(words), boundaries=(0, *cuts)))
+    vocab = Vocabulary.from_tokens([f"w{i:02d}" for i in range(v)])
+    return seqs, order, tuple(w / sum(raw) for w in raw), vocab
+
+
+def test_array_tables_equal_dict_oracle(tmp_path):
+    @settings(max_examples=200, deadline=None)
+    @given(_corpora())
+    def check(drawn):
+        seqs, order, weights, vocab = drawn
+        model = train_model(seqs, order=order, weights=weights, vocabulary=vocab)
+        tables, unigram, model_id = _dict_trainer(seqs, order, weights, len(vocab))
+        assert np.array_equal(model.unigram_counts, unigram) and model.model_id == model_id
+        assert sorted(model.tables) == sorted(tables)
+        for k, table in model.tables.items():
+            assert len(table) == len(tables[k])
+            for ctx, succ in tables[k].items():
+                row = table.find(np.array([model.context_code(ctx)]))[0]
+                a, b = table.offsets[row], table.offsets[row + 1]
+                ids, counts = table.ids[a:b], table.counts[a:b]
+                assert row >= 0 and ids.tolist() == sorted(succ)
+                assert counts.tolist() == [float(succ[i]) for i in sorted(succ)]
+        assert (sum(len(t) for t in model.tables.values())
+                == sum(len(t) for t in tables.values()))
+        for seq in seqs:
+            assert model.context_codes(seq).tolist() == [
+                model.context_code(model.context_at(seq, t)) for t in range(len(seq))]
+
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        assert path.read_bytes() == _oracle_json(model, tables, unigram, model_id)
+        loaded = load_model(path)
+        assert (loaded.order, loaded.weights, loaded.model_id, loaded.vocabulary.tokens) == (
+            model.order, model.weights, model.model_id, model.vocabulary.tokens)
+        assert np.array_equal(loaded.unigram_counts, model.unigram_counts)
+        for k, table in model.tables.items():
+            for name in ("keys", "offsets", "ids", "counts"):
+                assert np.array_equal(getattr(loaded.tables[k], name), getattr(table, name))
+
+    check()
+
+
+def test_context_codes_must_fit_int64():
+    # (V + 1)^(order - 1) is the largest context code plus one
+    seq = Sequence(id="s", words=np.array([0, 3, 1, 2, 3, 1]))
+    big = Sequence(id="b", words=np.array([0, 60000, 1, 2, 3]))
+    with pytest.raises(ConfigurationError, match="int64"):
+        train_model([seq, big], order=5, weights=(0.2,) * 5)
+    train_model([seq, big], order=4, weights=(0.25,) * 4)
+    gpt2 = Sequence(id="g", words=np.array([0, 50256, 1, 2, 50256, 0]))
+    model = train_model([gpt2], order=5, weights=(0.2,) * 5)
+    assert len(model.tables[5]) == 2
