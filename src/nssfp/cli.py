@@ -11,8 +11,6 @@ import dataclasses
 import math
 import sys
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from . import fingerprint as fp
 from . import interchange, matcher, sampler, sidechannel, stats
@@ -141,9 +139,8 @@ def cmd_analyze(args) -> int:
 def cmd_fit(args) -> int:
     cfg = _resolve(args)
     records, n = interchange.read_distances(args.distances)
-    sample = stats.PairwiseDistanceSample(
-        length=n, distances=np.array([d for _, _, d in records]))
-    uniq = stats.uniqueness_radius(sample, eps=cfg.epsilon)
+    uniq = stats.uniqueness_radius(stats.PairwiseDistanceSample.from_records(n, records),
+                                   eps=cfg.epsilon)
     err = None
     if args.traces:
         if not args.nss:
@@ -213,9 +210,8 @@ def cmd_evaluate(args) -> int:
     records, _ = fp.collect_pairwise_distances(
         series, sequences, threshold=cfg.variability_threshold,
         window=cfg.similarity_window)
-    sample = stats.PairwiseDistanceSample(
-        length=n, distances=np.array([d for _, _, d in records]))
-    uniq = stats.uniqueness_radius(sample, eps=cfg.epsilon)
+    uniq = stats.uniqueness_radius(stats.PairwiseDistanceSample.from_records(n, records),
+                                   eps=cfg.epsilon)
 
     traces = sidechannel.simulate_pool(series, len(vocab), cfg.channel)
     kept, _, _ = sidechannel.prepare_pool(traces, cfg.drop_fraction)

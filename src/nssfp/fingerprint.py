@@ -218,21 +218,17 @@ def similar(x: Sequence, y: Sequence, window: int = DEFAULT_SIMILARITY_WINDOW) -
         raise UsageError(f"length mismatch: {len(x)} vs {len(y)}")
     if window < 1:
         raise UsageError("window must be >= 1")
-    if window > len(x):
-        return False
-    return _longest_true_run(x.words == y.words) >= window
+    return bool(_similar_rows(x.words, y.words[None, :], window)[0])
 
 
-def _longest_true_run(mask: np.ndarray) -> int:
-    padded = np.empty(mask.size + 2, dtype=np.int8)
-    padded[0] = padded[-1] = 0
-    padded[1:-1] = mask
-    edges = np.diff(padded)
-    starts = np.flatnonzero(edges == 1)
-    if starts.size == 0:
-        return 0
-    ends = np.flatnonzero(edges == -1)
-    return int((ends - starts).max())
+def _similar_rows(x: np.ndarray, ys: np.ndarray, window: int) -> np.ndarray:
+    """``similar`` of the words x against each row of ys, one bool per row."""
+    eq = ys == x
+    out = eq.sum(axis=1, dtype=np.int32) >= window
+    if out.any():
+        runs = np.cumsum(np.pad(eq[out], ((0, 0), (1, 0))), axis=1)  # equal ids before c
+        out[out] = np.any(runs[:, window:] - runs[:, :-window] == window, axis=1)
+    return out
 
 
 def nss_distance(a: Nss, b: Nss) -> float:
@@ -252,24 +248,47 @@ def collect_pairwise_distances(
 ) -> tuple[list[tuple[str, str, float]], list[str]]:
     """Distances between each variable NSS and every other non-similar NSS.
 
-    Returns (records, variable_ids); each unordered pair with at least one
-    variable member appears once. Pairs of similar sequences are excluded,
-    which also drops identical texts.
+    Returns (records, variable_ids); each pair i < j with at least one
+    variable member appears once, in (i, j) order, unless its sequences are
+    :func:`similar`, which also drops identical texts. Distances equal
+    :func:`nss_distance` bit for bit.
     """
     if len(nss_list) != len(sequences):
         raise UsageError("one sequence per NSS required")
     lengths = {n.length for n in nss_list}
     if len(lengths) > 1:
         raise UsageError(f"mixed NSS lengths: {sorted(lengths)}")
-    is_var = [variability(n, threshold).is_variable for n in nss_list]
-    variable_ids = [n.seq_id for n, v in zip(nss_list, is_var) if v]
-    records = []
-    for i in range(len(nss_list)):
-        for j in range(i + 1, len(nss_list)):
-            if not (is_var[i] or is_var[j]):
-                continue
-            if similar(sequences[i], sequences[j], window):
-                continue
-            d = nss_distance(nss_list[i], nss_list[j])
-            records.append((nss_list[i].seq_id, nss_list[j].seq_id, d))
-    return records, variable_ids
+    if len({len(s) for s in sequences}) > 1:
+        raise UsageError(f"length mismatch: {sorted({len(s) for s in sequences})}")
+    if window < 1:
+        raise UsageError("window must be >= 1")
+    ids = np.array([n.seq_id for n in nss_list], dtype=object)
+    is_var = np.array([variability(n, threshold).is_variable for n in nss_list], dtype=bool)
+    keep = np.triu(is_var[:, None] | is_var[None, :], k=1)
+    if not keep.any():
+        return [], ids[is_var].tolist()
+    # narrowed for a faster compare: ids that span less than 2**k stay distinct mod 2**k
+    words = np.stack([s.words for s in sequences])
+    words = words.astype(np.min_scalar_type(int(words.max()) - int(words.min())))
+    for i in np.flatnonzero(keep.any(axis=1)):
+        j = np.flatnonzero(keep[i])
+        ys = words[i + 1:] if is_var[i] else words[j]  # a view where every j is kept
+        keep[i, j[_similar_rows(words[i], ys, window)]] = False
+    rows, cols = np.nonzero(keep)
+    d = np.sqrt(_squared_distances(np.stack([n.sizes for n in nss_list]))[rows, cols])
+    return list(zip(ids[rows].tolist(), ids[cols].tolist(), d.tolist())), ids[is_var].tolist()
+
+
+def _squared_distances(sizes: np.ndarray) -> np.ndarray:
+    """``np.sum(d * d)`` of :func:`nss_distance` between all rows, bit for bit.
+
+    Sizes are integers, so while 2 * N * max(size)**2 < 2**53 every product
+    and partial sum of ||a||^2 + ||b||^2 - 2 a.b is an exact integer in
+    float64, whatever order the GEMM sums in. Above that bound each row is
+    summed as nss_distance sums it, over the same differences negated.
+    """
+    s = sizes.astype(np.float64)
+    if 2 * s.shape[1] * int(sizes.max()) ** 2 < 2**53:
+        sq = np.einsum("ij,ij->i", s, s)
+        return sq[:, None] + sq[None, :] - 2.0 * (s @ s.T)
+    return np.array([np.sum((s - row) ** 2, axis=1) for row in s])

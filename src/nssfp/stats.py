@@ -34,6 +34,11 @@ class PairwiseDistanceSample:
         if np.any(d <= 0):
             raise ValidationError("distances must be positive; exclude similar pairs upstream")
 
+    @classmethod
+    def from_records(cls, length: int, records) -> "PairwiseDistanceSample":
+        """The sample of the distances d in ``(id_i, id_j, d)`` records."""
+        return cls(length, np.array([d for _, _, d in records]))
+
 
 @dataclass(frozen=True)
 class UniquenessModel:

@@ -141,8 +141,9 @@ def test_c05_fingerprint_separation(corpus500):
     t0 = time.perf_counter()
     seqs, series = corpus500["seqs"], corpus500["series"]
     records, variable_ids = fp.collect_pairwise_distances(series, seqs)
-    distances = np.array([d for _, _, d in records])
-    uniq = uniqueness_radius(PairwiseDistanceSample(1000, distances), eps=EPSILON_DESK)
+    sample = PairwiseDistanceSample.from_records(1000, records)
+    distances = sample.distances
+    uniq = uniqueness_radius(sample, eps=EPSILON_DESK)
     below = int((distances < uniq.radius).sum())
 
     rng = np.random.default_rng(5)
@@ -175,8 +176,8 @@ def test_c06_uniqueness_radius_growth(corpus500):
         cut_series = [x.truncated(n) for x in series]
         cut_seqs = [s.truncated(n) for s in seqs]
         records, _ = fp.collect_pairwise_distances(cut_series, cut_seqs)
-        distances = np.array([d for _, _, d in records])
-        uniq = uniqueness_radius(PairwiseDistanceSample(n, distances), eps=EPSILON_DESK)
+        uniq = uniqueness_radius(PairwiseDistanceSample.from_records(n, records),
+                                 eps=EPSILON_DESK)
         err = fit_error_bound(series, kept, uniq)
         radii.append(uniq.radius)
         taus.append(err.tau)
@@ -257,8 +258,8 @@ def test_c09_end_to_end_evaluation():
     series = [fp.generate_nss(model, s, Q, size_cache=cache) for s in seqs]
 
     records, _ = fp.collect_pairwise_distances(series, seqs)
-    distances = np.array([d for _, _, d in records])
-    uniq = uniqueness_radius(PairwiseDistanceSample(n, distances), eps=EPSILON_DESK)
+    uniq = uniqueness_radius(PairwiseDistanceSample.from_records(n, records),
+                             eps=EPSILON_DESK)
 
     cfg = ChannelConfig(rng_seed=47)
     traces = simulate_pool(series, v, cfg)

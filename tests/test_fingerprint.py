@@ -241,3 +241,124 @@ def test_collect_pairwise_distances_excludes_similar(rng):
     pairs = {(a, b) for a, b, _ in records}
     assert ("s0", "s3") not in pairs and ("s3", "s0") not in pairs
     assert len(records) == 5  # 6 unordered pairs minus the similar one
+
+
+def _longest_true_run(mask):
+    padded = np.concatenate(([0], mask.astype(np.int8), [0]))
+    edges = np.diff(padded)
+    return int((np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)).max(initial=0))
+
+
+def _similar_oracle(x, y, window):
+    """The longest-run form of ``similar``, independent of its row-vectorised code."""
+    return window <= len(x) and _longest_true_run(x.words == y.words) >= window
+
+
+def _pairwise_oracle(nss_list, sequences, threshold, window):
+    """The per-pair loop: one similarity test and one nss_distance per pair."""
+    is_var = [fp.variability(n, threshold).is_variable for n in nss_list]
+    records = []
+    for i in range(len(nss_list)):
+        for j in range(i + 1, len(nss_list)):
+            if not (is_var[i] or is_var[j]):
+                continue
+            if _similar_oracle(sequences[i], sequences[j], window):
+                continue
+            records.append((nss_list[i].seq_id, nss_list[j].seq_id,
+                            fp.nss_distance(nss_list[i], nss_list[j])))
+    return records, [n.seq_id for n, v in zip(nss_list, is_var) if v]
+
+
+def _assert_same_records(got, want):
+    assert got == want
+    assert [repr(d) for *_, d in got[0]] == [repr(d) for *_, d in want[0]]
+
+
+@st.composite
+def _pairwise_inputs(draw):
+    """Series with tied sizes, flat series and sizes on both sides of the
+    exact bound; texts over a few (possibly extreme) word ids, duplicate
+    texts, and texts that share a planted run of window - 1, window or
+    window + 1 positions with the first text."""
+    n = draw(st.integers(0, 6))
+    n_len = draw(st.integers(1, 30))
+    s_len = draw(st.one_of(st.just(n_len), st.integers(1, 30)))
+    window = draw(st.one_of(st.integers(1, 4), st.integers(s_len - 1, s_len + 2)
+                            .filter(lambda w: w >= 1)))
+    levels = draw(st.lists(st.integers(0, 2**27), min_size=1, max_size=3))
+    # ids equal modulo 2**8, 2**16 or 2**32, and the int64 extremes
+    word_id = st.one_of(st.sampled_from([0, 1, 256, 2**16, 2**32, -2**63, 2**63 - 1]),
+                        st.integers(-2**63, 2**63 - 1))
+    alphabet = np.array(draw(st.lists(word_id, min_size=2, max_size=4, unique=True)),
+                        dtype=np.int64)
+    series, seqs = [], []
+    for k in range(n):
+        sizes = draw(st.lists(st.sampled_from(levels), min_size=n_len, max_size=n_len))
+        if draw(st.booleans()):  # flat: not variable at a threshold >= 0
+            sizes = sizes[:1] * n_len
+        series.append(fp.Nss(f"s{k}", 0.9, "m", np.array(sizes, dtype=np.int64)))
+        how = draw(st.sampled_from(["random", "copy", "planted"])) if k else "random"
+        if how == "copy":
+            words = seqs[0].words.copy()
+        elif how == "random":
+            words = alphabet[draw(st.lists(st.integers(0, alphabet.size - 1),
+                                           min_size=s_len, max_size=s_len))]
+        else:  # differs from the first text everywhere but in one run
+            first = seqs[0].words
+            words = np.where(first == alphabet[0], alphabet[1], alphabet[0])
+            run = min(s_len, max(0, window + draw(st.integers(-1, 1))))
+            at = draw(st.integers(0, s_len - run))
+            words[at:at + run] = first[at:at + run]
+        seqs.append(Sequence(id=f"s{k}", words=words))
+    threshold = draw(st.sampled_from([-1.0, 0.0, 2.0**18, 2.0**21]))
+    return series, seqs, threshold, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairwise_inputs())
+def test_pairwise_distances_equal_the_pair_loop(inputs):
+    series, seqs, threshold, window = inputs
+    got = fp.collect_pairwise_distances(series, seqs, threshold=threshold, window=window)
+    _assert_same_records(got, _pairwise_oracle(series, seqs, threshold, window))
+    for i in range(len(seqs)):
+        for j in range(i + 1, len(seqs)):
+            assert fp.similar(seqs[i], seqs[j], window) == _similar_oracle(seqs[i], seqs[j],
+                                                                           window)
+
+
+def _einsum_calls(monkeypatch):
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or einsum(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("top, gemm", [
+    (2**26, False),      # 2 * N * max**2 = 2**63: far above 2**53, per-row sums
+    (2**21, False),      # 2 * N * max**2 = 2**53: the first value off the GEMM path
+    (2**21 - 1, True),   # just under the bound: the exact GEMM path
+])
+def test_pairwise_distances_above_the_exact_bound(monkeypatch, rng, top, gemm):
+    n_len = 1024
+    assert (2 * n_len * top**2 < 2**53) == gemm
+    sizes = rng.integers(0, top + 1, size=(12, n_len))
+    sizes[0, 0] = top
+    series = [fp.Nss(f"s{k}", 0.9, "m", s) for k, s in enumerate(sizes)]
+    seqs = [_seq(np.arange(n_len) + 10_000 * k, f"s{k}") for k in range(12)]
+    calls = _einsum_calls(monkeypatch)
+    got = fp.collect_pairwise_distances(series, seqs, threshold=0.0)
+    _assert_same_records(got, _pairwise_oracle(series, seqs, 0.0, 50))
+    assert len(got[0]) == 66
+    assert bool(calls) == gemm
+
+
+def test_pairwise_input_contract(rng):
+    series = [fp.Nss(f"s{k}", 0.9, "m", rng.integers(0, 10, 8)) for k in range(3)]
+    seqs = [_seq(rng.integers(0, 9, 8), f"s{k}") for k in range(3)]
+    short = seqs[:2] + [_seq([1, 2, 3], "s2")]
+    # no series is variable: the length mismatch still fails, before any pair is formed
+    with pytest.raises(UsageError, match="length mismatch"):
+        fp.collect_pairwise_distances(series, short, threshold=1e9)
+    with pytest.raises(UsageError, match="window must be >= 1"):
+        fp.collect_pairwise_distances(series, seqs, window=0)
+    assert fp.collect_pairwise_distances(series, seqs, threshold=1e9) == ([], [])
