@@ -125,6 +125,10 @@ def cmd_analyze(args) -> int:
     if missing:
         raise UsageError(f"sequences missing for {missing[:3]}...")
     n = series[0].length
+    short = next((by_id[x.seq_id] for x in series if len(by_id[x.seq_id]) < n), None)
+    if short is not None:
+        raise UsageError(f"{args.seqs}: sequence {short.id!r} has {len(short)} words, "
+                         f"fewer than the NSS length {n}")
     seqs = [by_id[x.seq_id].truncated(n) for x in series]
     records, variable_ids = fp.collect_pairwise_distances(
         series, seqs, threshold=cfg.variability_threshold,

@@ -107,7 +107,8 @@ class Sequence:
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max()
     e = np.exp(z)
-    return e / e.sum()
+    e /= e.sum()
+    return e
 
 
 def _context_codes(words: np.ndarray, starts, length: int, base: int) -> np.ndarray:

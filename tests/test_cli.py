@@ -188,15 +188,19 @@ def test_nss_without_records_ends_in_one_error_line(tmp_path, capsys, command):
 
 
 def test_sequence_shorter_than_its_nss_ends_in_one_error_line(tmp_path, capsys):
-    nss, seqs = tmp_path / "series.nss", tmp_path / "seqs.txt"
+    nss, seqs, out = tmp_path / "series.nss", tmp_path / "seqs.txt", tmp_path / "out"
     nss.write_text("#nss v1 model=m q=0.9\n" + "".join(
         f"{seq_id}\t{t}\tn={n}\n" for seq_id, sizes in (("s", (5, 7, 1)), ("u", (2, 9, 4)))
         for t, n in enumerate(sizes)))
-    seqs.write_text("#seq v1 vocab_size=9\ns\t0\t1,2,3\nu\t0\t1,2\n")
-    assert main(["analyze", "--nss", str(nss), "--seqs", str(seqs), "--threshold", "0",
-                 "--out", str(tmp_path / "out")]) == 2
-    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
-    assert len(errors) == 1 and "length mismatch" in errors[0], errors
+    # one record short, then every record equally short: nothing may be written
+    for records, short in (("s\t0\t1,2,3\nu\t0\t1,2\n", "u"), ("s\t0\t1,2\nu\t0\t1,2\n", "s")):
+        seqs.write_text("#seq v1 vocab_size=9\n" + records)
+        assert main(["analyze", "--nss", str(nss), "--seqs", str(seqs), "--threshold", "0",
+                     "--out", str(out)]) == 2
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert errors == [f"error: usage: {seqs}: sequence {short!r} has 2 words, "
+                          "fewer than the NSS length 3"]
+        assert not out.exists()
 
 
 def test_match_rejects_fit_without_error_bound(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nssfp.sampler as sampler
 from nssfp.errors import UsageError, ValidationError
@@ -84,6 +86,44 @@ def test_filter_oracle_and_cross_variant_equivalence(rng):
         assert om.removal_loop_iterations == vocab
         assert np.array_equal(ov.kept_ids, om.kept_ids)
         assert np.array_equal(np.isneginf(fv), np.isneginf(fm))
+
+
+def _rank_oracle(logits):
+    """The ranking by a stable argsort of the whole vocabulary."""
+    probs = softmax(np.asarray(logits, dtype=np.float64))
+    order = np.argsort(-probs, kind="stable")
+    return order, np.minimum(np.cumsum(probs[order]), 1.0)
+
+
+@st.composite
+def _tied_logits(draw):
+    """Logit vectors heavy in ties: a few integer levels, one repeated
+    value, or entries 800 below the rest, whose probabilities underflow to 0."""
+    vocab = draw(st.one_of(st.integers(1, 2), st.integers(3, 300)))
+    kind = draw(st.sampled_from(["integer", "constant", "underflow"]))
+    if kind == "constant":
+        return np.full(vocab, draw(st.floats(-1e6, 1e6)))
+    if kind == "integer":
+        levels = draw(st.integers(0, 6))
+        return np.array(draw(st.lists(st.integers(-levels, levels), min_size=vocab,
+                                      max_size=vocab)), dtype=np.float64)
+    logits = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=vocab, max_size=vocab)))
+    sunk = draw(st.lists(st.booleans(), min_size=vocab, max_size=vocab))
+    logits[np.array(sunk)] -= 800.0
+    return logits
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_logits())
+@example(np.zeros(1)).via("V = 1")
+@example(np.array([2.0, 2.0])).via("V = 2, tied")
+@example(np.array([0.0, -800.0, -800.0])).via("an underflowed tail")
+def test_rank_equals_the_stable_argsort(logits):
+    _, order, cum = sampler._rank(logits, 0.9)
+    expected_order, expected_cum = _rank_oracle(logits)
+    assert order.dtype == np.intp and order.flags.c_contiguous
+    assert np.array_equal(order, expected_order)
+    assert cum.tobytes() == expected_cum.tobytes()
 
 
 def test_nucleus_size_monotone_in_p(rng):
