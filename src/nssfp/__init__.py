@@ -11,10 +11,9 @@ from .corpus import (AuthorSequence, PostCorpus, aggregate_by_author, load_corpu
                      save_corpus, synthesize_corpus)
 from .errors import (ConfigurationError, InsufficientDataError, NssfpError, ParseError,
                      UsageError, ValidationError)
-from .fingerprint import (Nss, VariabilityReport, generate_nss, nss_distance,
-                          similar, variability)
-from .matcher import (EvaluationReport, MatchResult, evaluate, gen_candidate_subtraces,
-                      fit_error_bound, match, match_all, measurement_error)
+from .fingerprint import Nss, VariabilityReport, generate_nss, similar, variability
+from .matcher import (EvaluationReport, MatchResult, evaluate, fit_error_bound, match,
+                      match_all, measurement_error)
 from .model import (NgramModel, Sequence, Vocabulary, load_model, save_model, tokenize,
                     train_model)
 from .sampler import (FilterOutcome, TimingSample, bench_filter, nucleus_size_from_probs,

@@ -16,7 +16,7 @@ from . import fingerprint as fp
 from . import interchange, matcher, sampler, sidechannel, stats
 from .config import (PipelineConfig, env_overrides, parse_weights, read_config_file,
                      resolve_config)
-from .errors import NssfpError, UsageError, not_utf8
+from .errors import NssfpError, UsageError, read_lines, write_records
 from .model import load_model, save_model, train_model
 
 
@@ -192,11 +192,9 @@ def cmd_match(args) -> int:
         r = matcher.match(x, kept, (uniq, err), cfg.variability_threshold)
         lines.append(f"{x.seq_id}\t{r.verdict}\t{r.trace_id or '-'}\t"
                      f"{r.distance!r}\t{r.threshold_used!r}")
-    out = "\n".join(lines)
-    print(out)
+    print("\n".join(lines))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
+        write_records(args.out, lines)
     return 0
 
 
@@ -254,15 +252,10 @@ def cmd_bench(args) -> int:
 
 def cmd_report(args) -> int:
     if args.evaluation:
-        try:
-            with open(args.evaluation, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except UnicodeDecodeError:
-            raise not_utf8(args.evaluation) from None
-        for line in lines:
+        for line in read_lines(args.evaluation):
             if line.startswith("# total="):
                 print(line[2:].rstrip())
-            elif not line.startswith("#"):
+            elif line and not line.startswith("#"):
                 print(line.rstrip())
         return 0
     if args.fit:
@@ -274,11 +267,9 @@ def cmd_report(args) -> int:
         records, n = interchange.read_distances(args.distances)
         hist = stats.smoothed_histogram([d for _, _, d in records],
                                         buckets=args.buckets, window=args.hist_window)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(f"# smoothed histogram of {len(records)} distances, N={n}\n")
-            fh.write("bucket_center,smoothed_density\n")
-            for center, density in hist:
-                fh.write(f"{center!r},{density!r}\n")
+        write_records(args.out, ["bucket_center,smoothed_density"] + [
+            f"{c!r},{d!r}" for c, d in hist],
+            header_lines=[f"smoothed histogram of {len(records)} distances, N={n}"])
         print(f"wrote {args.buckets}-bucket histogram to {args.out}")
         return 0
     if args.bench:

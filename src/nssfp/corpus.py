@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, ValidationError, not_utf8, parse_field, read_records
+from .errors import (UsageError, ValidationError, parse_field, read_lines, read_records,
+                     write_records)
 from .model import Sequence, Vocabulary, tokenize
 
 TSV_POSTS = "tsv_posts"
@@ -54,7 +55,7 @@ def load_corpus(path, format: str = TSV_POSTS) -> PostCorpus:
     elif format == PLAIN_DIR:
         posts = [(name[:-4], float(lineno), line.strip())
                  for name in sorted(os.listdir(path)) if name.endswith(".txt")
-                 for lineno, line in enumerate(_read_lines(os.path.join(path, name)), 1)
+                 for lineno, line in enumerate(read_lines(os.path.join(path, name)), 1)
                  if line.strip()]
     else:
         raise UsageError(f"unknown corpus format {format!r}")
@@ -63,22 +64,11 @@ def load_corpus(path, format: str = TSV_POSTS) -> PostCorpus:
     return PostCorpus(posts=posts, source=str(path))
 
 
-def _read_lines(path) -> list[str]:
-    # every line is a post here, '#' lines too, so read_records does not fit
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read().split("\n")
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
-
-
 def save_corpus(path, corpus: PostCorpus):
-    with open(path, "w", encoding="utf-8") as fh:
-        for author, ts, text in corpus.posts:
-            if "\t" in text or "\n" in text:
-                raise ValidationError("post text must not contain tabs or newlines")
-            ts_repr = repr(ts) if not float(ts).is_integer() else str(int(ts))
-            fh.write(f"{author}\t{ts_repr}\t{text}\n")
+    if any("\t" in text or "\n" in text for _, _, text in corpus.posts):
+        raise ValidationError("post text must not contain tabs or newlines")
+    write_records(path, (f"{author}\t{int(ts) if float(ts).is_integer() else repr(ts)}\t{text}"
+                         for author, ts, text in corpus.posts))
 
 
 def aggregate_by_author(corpus: PostCorpus, word_cap: int = DEFAULT_WORD_CAP,

@@ -1,5 +1,6 @@
-"""Exception types shared across the pipeline, and the helpers that raise
-them for malformed input files."""
+"""Exception types shared across the pipeline, and the one framing of every
+line-record file: :func:`write_records` writes it, :func:`read_records` reads
+it and raises a :class:`ParseError` at ``path:line`` where it is malformed."""
 
 
 class NssfpError(Exception):
@@ -76,9 +77,49 @@ def read_records(path, fields, sep: str, header: str = "", types=None):
                         raise ParseError(shape, path=str(path), line=lineno)
                     yield lineno, parts
     except UnicodeDecodeError:
-        raise not_utf8(path) from None
+        raise _not_utf8(path) from None
     if meta is None:
         raise ParseError(f"expected {header!r} header", path=str(path), line=1)
+
+
+def write_records(path, lines, header: str = "", header_lines=()):
+    """Write what :func:`read_records` reads, as UTF-8: the typed ``header``
+    if given, each of ``header_lines`` as ``# {line}``, then the record
+    ``lines`` (without newlines), streamed one at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header:
+            fh.write(f"{header}\n")
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        for line in lines:
+            fh.write(f"{line}\n")
+
+
+def dense_series(path, rows: dict, what: str) -> list:
+    """``(id, values in index order)`` per id of ``rows``, which maps each id,
+    in order of first appearance, to its ``(index, line, value)`` records in
+    file order. Each id's indexes must cover 0..n-1 exactly once: the first
+    repeated index in the file is a :class:`ParseError` at its line; failing
+    that, the first id with a gap is one at the id's first line."""
+    series, faults = [], []
+    for key, records in rows.items():
+        index, lines, values = zip(*records)
+        n = len(index)
+        if index != tuple(range(n)):  # out of order, repeated or with a gap
+            # by index, then line: each repeat comes right after the record it repeats
+            index, lines, values = zip(*sorted(records))
+            repeats = [(line, i) for i, j, line in zip(index, index[1:], lines[1:]) if i == j]
+            if repeats:
+                line, i = min(repeats)
+                faults.append(((0, line), f"{what} {i} of {key!r} repeats"))
+            elif index != tuple(range(n)):
+                gap = f"{what}s of {key!r} are not dense 0..{n - 1}"
+                faults.append(((1, records[0][1]), gap))
+        series.append((key, values))
+    if faults:
+        (_, line), message = min(faults)
+        raise ParseError(message, path=str(path), line=line)
+    return series
 
 
 def _header(text: str, types: dict, path, lineno: int) -> dict:
@@ -94,7 +135,18 @@ def _header(text: str, types: dict, path, lineno: int) -> dict:
     return meta
 
 
-def not_utf8(path) -> ParseError:
+def read_lines(path) -> list[str]:
+    """Every line of a UTF-8 text file, ``#`` and empty ones too, with the
+    line breaks :func:`read_records` uses, for files whose lines are not
+    records; an undecodable byte is a :class:`ParseError` at its line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path) -> ParseError:
     """The error for a file that is not UTF-8, at its first undecodable line."""
     # same line breaks as the text reader; each undecodable byte becomes a surrogate
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:

@@ -231,15 +231,6 @@ def _similar_rows(x: np.ndarray, ys: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def nss_distance(a: Nss, b: Nss) -> float:
-    """Euclidean distance between two equal-length series."""
-    if a.length != b.length:
-        raise UsageError(f"length mismatch: {a.length} vs {b.length}")
-    d = a.sizes.astype(np.float64) - b.sizes.astype(np.float64)
-    # np.sum uses pairwise summation, which keeps drift down for long series
-    return float(np.sqrt(np.sum(d * d)))
-
-
 def collect_pairwise_distances(
     nss_list: list[Nss],
     sequences: list[Sequence],
@@ -250,8 +241,8 @@ def collect_pairwise_distances(
 
     Returns (records, variable_ids); each pair i < j with at least one
     variable member appears once, in (i, j) order, unless its sequences are
-    :func:`similar`, which also drops identical texts. Distances equal
-    :func:`nss_distance` bit for bit.
+    :func:`similar`, which also drops identical texts. Distances equal the
+    per-pair loop oracle's in ``tests/test_fingerprint.py`` bit for bit.
     """
     if len(nss_list) != len(sequences):
         raise UsageError("one sequence per NSS required")
@@ -280,12 +271,13 @@ def collect_pairwise_distances(
 
 
 def _squared_distances(sizes: np.ndarray) -> np.ndarray:
-    """``np.sum(d * d)`` of :func:`nss_distance` between all rows, bit for bit.
+    """``np.sum(d * d)`` between all rows, bit for bit as the test oracle
+    ``nss_distance`` sums each pair.
 
     Sizes are integers, so while 2 * N * max(size)**2 < 2**53 every product
     and partial sum of ||a||^2 + ||b||^2 - 2 a.b is an exact integer in
     float64, whatever order the GEMM sums in. Above that bound each row is
-    summed as nss_distance sums it, over the same differences negated.
+    summed as the oracle sums it, over the same differences negated.
     """
     s = sizes.astype(np.float64)
     if 2 * s.shape[1] * int(sizes.max()) ** 2 < 2**53:

@@ -12,7 +12,8 @@ pairwise distance samples the fitting stage consumes.
 
 import numpy as np
 
-from .errors import ParseError, UsageError, ValidationError, parse_field, read_records
+from .errors import (ParseError, UsageError, ValidationError, dense_series, parse_field,
+                     read_records, write_records)
 from .fingerprint import Nss
 from .model import Sequence
 
@@ -26,29 +27,25 @@ DIST_HEADER = "#pairdist v1"
 def write_nss(path, nss_list: list[Nss], header_lines=()):
     if not nss_list:
         raise UsageError("nothing to write")
-    q = nss_list[0].q
-    model_id = nss_list[0].model_id
+    q, model_id = nss_list[0].q, nss_list[0].model_id
     if any(x.q != q or x.model_id != model_id for x in nss_list):
         raise UsageError("all NSS in one file must share q and model id")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{NSS_HEADER} model={model_id} q={q!r}\n")
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        for x in nss_list:
-            for pos, size in enumerate(x.sizes):
-                fh.write(f"{x.seq_id}\t{pos}\tn={int(size)}\n")
+    write_records(path, (f"{x.seq_id}\t{pos}\tn={size}" for x in nss_list
+                         for pos, size in enumerate(x.sizes.tolist())),
+                  f"{NSS_HEADER} model={model_id} q={q!r}", header_lines)
 
 
 def read_nss(path) -> tuple[list[Nss], dict]:
     """Assemble full series from an NSS file in one pass.
 
-    Records may arrive in any order; positions of each sequence must form
-    a dense 0..len-1 range. A file without records is malformed.
+    Records may arrive in any order; the positions of each sequence must
+    cover 0..len-1 exactly once (:func:`~nssfp.errors.dense_series`). A file
+    without records is malformed.
     """
     records = read_records(path, ("seq_id", "position", "payload"), "\t", NSS_HEADER,
                            {"model": str, "q": float})
     meta = next(records)
-    acc: dict[str, dict[int, int]] = {}  # in order of first appearance
+    rows: dict[str, list] = {}
     for lineno, (seq_id, pos_str, payload) in records:
         position = parse_field(int, pos_str, "position", path, lineno)
         if not payload.startswith("n="):
@@ -59,55 +56,44 @@ def read_nss(path) -> tuple[list[Nss], dict]:
         if size >= 2**63:
             raise ParseError("nucleus size out of the int64 range", path=str(path),
                              line=lineno)
-        acc.setdefault(seq_id, {})[position] = size
-    if not acc:
+        rows.setdefault(seq_id, []).append((position, lineno, size))
+    if not rows:
         raise ParseError("no nucleus size records", path=str(path), line=1)
-    out = []
-    for seq_id, positions in acc.items():
-        n = len(positions)
-        if sorted(positions) != list(range(n)):
-            raise ValidationError(f"{path}: positions of {seq_id!r} are not dense 0..{n - 1}")
-        sizes = np.array([positions[i] for i in range(n)], dtype=np.int64)
-        out.append(Nss(seq_id=seq_id, q=meta["q"], model_id=meta["model"], sizes=sizes))
-    return out, meta
+    return [Nss(seq_id, meta["q"], meta["model"], np.array(sizes, dtype=np.int64))
+            for seq_id, sizes in dense_series(path, rows, "position")], meta
 
 
 # --- sequences --------------------------------------------------------------
 
 def write_sequences(path, sequences: list[Sequence], vocab_size: int):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{SEQ_HEADER} vocab_size={vocab_size}\n")
-        for seq in sequences:
-            bounds = ",".join(str(b) for b in seq.boundaries)
-            words = ",".join(str(int(w)) for w in seq.words)
-            fh.write(f"{seq.id}\t{bounds}\t{words}\n")
+    write_records(path, (f"{s.id}\t{','.join(map(str, s.boundaries))}\t"
+                         f"{','.join(map(str, s.words.tolist()))}" for s in sequences),
+                  f"{SEQ_HEADER} vocab_size={vocab_size}")
 
 
 def read_sequences(path) -> tuple[list[Sequence], int]:
     records = read_records(path, ("seq_id", "boundaries", "words"), "\t", SEQ_HEADER,
                            {"vocab_size": int})
     vocab_size = next(records)["vocab_size"]
-    sequences = []
+    sequences: dict[str, Sequence] = {}
     for lineno, (seq_id, bounds_text, words_text) in records:
+        if seq_id in sequences:
+            raise ParseError(f"sequence {seq_id!r} repeats", path=str(path), line=lineno)
         try:
             bounds = tuple(int(b) for b in bounds_text.split(","))
             words = np.array([int(w) for w in words_text.split(",")], dtype=np.int64)
         except (ValueError, OverflowError) as exc:
             raise ParseError(str(exc), path=str(path), line=lineno) from exc
-        sequences.append(Sequence(id=seq_id, words=words, boundaries=bounds))
-    return sequences, vocab_size
+        sequences[seq_id] = Sequence(id=seq_id, words=words, boundaries=bounds)
+    return list(sequences.values()), vocab_size
 
 
 # --- pairwise distances -----------------------------------------------------
 
 def write_distances(path, records, length: int, header_lines=()):
     """records: iterable of (x_id, y_id, distance)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{DIST_HEADER} length={length}\n")
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        for x_id, y_id, d in records:
-            fh.write(f"{x_id},{y_id},{d!r}\n")
+    write_records(path, (f"{x_id},{y_id},{d!r}" for x_id, y_id, d in records),
+                  f"{DIST_HEADER} length={length}", header_lines)
 
 
 def read_distances(path) -> tuple[list[tuple[str, str, float]], int]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, write_records
 from .fingerprint import (DEFAULT_SIMILARITY_WINDOW, DEFAULT_VARIABILITY_THRESHOLD,
                           Nss, similar, variability)
 from .model import Sequence
@@ -46,20 +46,6 @@ class EvaluationReport:
     false_positives: int
     recall: float
     details: list[dict] = field(default_factory=list)
-
-
-def gen_candidate_subtraces(traces: list[Trace], length: int):
-    """All contiguous length-N windows, in trace order then offset order.
-
-    Traces shorter than the requested length are dropped entirely.
-    """
-    if length < 1:
-        raise UsageError("window length must be >= 1")
-    for trace in traces:
-        if trace.step_count < length:
-            continue
-        for offset in range(trace.step_count - length + 1):
-            yield trace.seq_id, offset, trace.estimated_sizes[offset:offset + length]
 
 
 # a distance whose squares overflow is inf, which no threshold accepts
@@ -125,8 +111,8 @@ def _scan(x_nss: Nss, traces: list[Trace], models: tuple[UniquenessModel, ErrorM
     distance is computed. A non-positive tau (non-matchable configuration)
     yields nothing. Each trace is screened in one vectorised pass
     (:func:`_near_offsets`); only the windows it keeps are measured by
-    :func:`_window_distance`, so results equal a loop over
-    :func:`gen_candidate_subtraces` bit for bit.
+    :func:`_window_distance`, so results equal a loop over every window
+    bit for bit (the window-loop oracle in ``tests/test_matcher.py``).
     """
     uniq, err = models
     if uniq.length != x_nss.length or err.length != x_nss.length:
@@ -243,15 +229,10 @@ def evaluate(corpus_nss: list[Nss], sequences: list[Sequence], traces: list[Trac
 
 def write_evaluation_report(path, report: EvaluationReport, header_lines=()):
     """Per-sequence evaluation records plus summary header comments."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("#evaluation v1\n")
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(f"# total={report.total} variable={report.variable_count} "
-                 f"filtered_noisy={report.filtered_noisy} "
-                 f"true_matches={report.true_matches} "
-                 f"false_positives={report.false_positives} recall={report.recall!r}\n")
-        fh.write("seq_id,variability,is_variable,measurement_error,matched\n")
-        for row in report.details:
-            fh.write(f"{row['seq_id']},{row['variability']!r},{row['is_variable']},"
-                     f"{row['measurement_error']!r},{row['matched']}\n")
+    summary = (f"total={report.total} variable={report.variable_count} "
+               f"filtered_noisy={report.filtered_noisy} true_matches={report.true_matches} "
+               f"false_positives={report.false_positives} recall={report.recall!r}")
+    write_records(path, ["seq_id,variability,is_variable,measurement_error,matched"] + [
+        f"{row['seq_id']},{row['variability']!r},{row['is_variable']},"
+        f"{row['measurement_error']!r},{row['matched']}" for row in report.details],
+        "#evaluation v1", [*header_lines, summary])

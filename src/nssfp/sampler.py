@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, ValidationError, parse_field, read_records
+from .errors import UsageError, ValidationError, parse_field, read_records, write_records
 from .model import softmax
 
 VULNERABLE = "vulnerable"
@@ -276,19 +276,19 @@ def summarize_bench(samples: list[TimingSample]) -> dict:
     return out
 
 
+_BENCH_COLUMNS = "variant,vocab_size,nucleus_size,loop_time_ns"
+
+
 def write_bench_report(path, samples: list[TimingSample], header_lines=()):
     """Line-delimited records for plotting size-vs-time scatters."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("variant,vocab_size,nucleus_size,loop_time_ns\n")
-        for s in samples:
-            fh.write(f"{s.variant},{s.vocab_size},{s.nucleus_size},{s.loop_time_ns}\n")
+    write_records(path, [_BENCH_COLUMNS] + [
+        f"{s.variant},{s.vocab_size},{s.nucleus_size},{s.loop_time_ns}" for s in samples],
+        header_lines=header_lines)
 
 
 def read_bench_report(path) -> list[TimingSample]:
     """The samples :func:`write_bench_report` stored."""
-    names = ["variant", "vocab_size", "nucleus_size", "loop_time_ns"]
+    names = _BENCH_COLUMNS.split(",")
     records = read_records(path, names, ",")
     next(records)
     samples = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (InsufficientDataError, ParseError, UsageError, ValidationError,
-                     parse_field, read_records)
+                     dense_series, parse_field, read_records, write_records)
 from .fingerprint import Nss
 from .model import check_id
 
@@ -297,15 +297,16 @@ def prepare_pool(traces: list[Trace], drop_fraction: float = DEFAULT_DROP_FRACTI
 
 def write_traces(path, traces: list[Trace], cfg: ChannelConfig, header_lines=()):
     """Trace interchange file: one rescaled measurement record per step."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#trace v1 seed={cfg.rng_seed} capture={cfg.capture_fraction!r}\n")
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    def lines():
         for t in traces:
-            for step in range(t.step_count):
-                fh.write(f"{t.seq_id}\t{step}\t{int(t.per_step_hit_counts[step])}\t"
-                         f"{float(t.per_step_durations[step])!r}\t"
-                         f"{float(t.estimated_sizes[step])!r}\n")
+            columns = zip(t.per_step_hit_counts.astype(np.int64, copy=False).tolist(),
+                          t.per_step_durations.astype(float, copy=False).tolist(),
+                          t.estimated_sizes.astype(float, copy=False).tolist())
+            for step, (count, duration, size) in enumerate(columns):
+                yield f"{t.seq_id}\t{step}\t{count}\t{duration!r}\t{size!r}"
+
+    write_records(path, lines(), f"#trace v1 seed={cfg.rng_seed} "
+                  f"capture={cfg.capture_fraction!r}", header_lines)
 
 
 def _capture_fraction(text: str) -> float:
@@ -318,15 +319,14 @@ def _capture_fraction(text: str) -> float:
 def read_traces(path) -> tuple[list[Trace], dict]:
     """Parse a trace file; returns traces (noise scored per own slope) and header meta.
 
-    Records may arrive in any order; the steps of each trace must form a
-    dense 0..len-1 range with no step repeated, hit counts must be
-    non-negative and durations and estimated sizes finite.
+    Records may arrive in any order; the steps of each trace must cover
+    0..len-1 exactly once (:func:`~nssfp.errors.dense_series`), hit counts
+    must be non-negative and durations and estimated sizes finite.
     """
     records = read_records(path, ("seq_id", "step", "hit_count", "duration", "estimated_size"),
                            "\t", "#trace v1", {"seed": int, "capture": _capture_fraction})
     meta = next(records)
-    # seq_id -> (line of its first record, step -> (count, duration, size))
-    rows: dict[str, tuple[int, dict[int, tuple[int, float, float]]]] = {}
+    rows: dict[str, list] = {}
     for lineno, (seq_id, step_text, count, duration, size) in records:
         step = parse_field(int, step_text, "step", path, lineno)
         record = (parse_field(int, count, "hit count", path, lineno),
@@ -338,23 +338,13 @@ def read_traces(path) -> tuple[list[Trace], dict]:
         if not 0 <= record[0] < 2**63:
             raise ParseError("hit count is negative or out of the int64 range",
                              path=str(path), line=lineno)
-        steps = rows.setdefault(seq_id, (lineno, {}))[1]
-        if step in steps:
-            raise ParseError(f"step {step} of {seq_id!r} repeats",
-                             path=str(path), line=lineno)
-        steps[step] = record
+        rows.setdefault(seq_id, []).append((step, lineno, record))
     traces = []
-    for seq_id, (first_line, steps) in rows.items():
-        n = len(steps)
-        if min(steps) != 0 or max(steps) != n - 1:
-            raise ParseError(f"steps of {seq_id!r} are not dense 0..{n - 1}",
-                             path=str(path), line=first_line)
-        recs = [steps[i] for i in range(n)]
-        counts = np.array([r[0] for r in recs], dtype=np.int64)
-        durations = np.array([r[1] for r in recs])
-        sizes = np.array([r[2] for r in recs])
+    for seq_id, recs in dense_series(path, rows, "step"):
+        counts, durations, sizes = zip(*recs)
+        counts = np.array(counts, dtype=np.int64)
         traces.append(_self_scored(Trace(
-            seq_id=seq_id, estimated_sizes=sizes, per_step_hit_counts=counts,
-            per_step_durations=durations, estimated_iterations=counts / meta["capture"],
-            noise_level=0.0)))
+            seq_id=seq_id, estimated_sizes=np.array(sizes), per_step_hit_counts=counts,
+            per_step_durations=np.array(durations),
+            estimated_iterations=counts / meta["capture"], noise_level=0.0)))
     return traces, meta

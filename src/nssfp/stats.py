@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InsufficientDataError, ParseError, UsageError, ValidationError,
-                     parse_field, read_records)
+                     parse_field, read_records, write_records)
 
 DEFAULT_EPSILON = 1e-18
 ERROR_BOUND_SIGMAS = 10.0
@@ -191,11 +191,8 @@ def write_fit_report(path, uniq: UniquenessModel, err: ErrorModel | None, header
     """Both models in one CSV record; mean, std, d and tau are nan if ``err`` is None."""
     e = (err.mean, err.std, err.bound, err.tau) if err else (math.nan,) * 4
     values = (uniq.epsilon, uniq.log_mu, uniq.log_sigma, uniq.radius) + e
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{FIT_HEADER}\n")
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(f"{_FIT_COLUMNS}\n{uniq.length},{','.join(map(repr, values))}\n")
+    write_records(path, (_FIT_COLUMNS, f"{uniq.length},{','.join(map(repr, values))}"),
+                  FIT_HEADER, header_lines)
 
 
 def read_fit_report(path) -> tuple[UniquenessModel, ErrorModel | None]:

@@ -396,10 +396,13 @@ BAD_INPUTS = {
               (_model_json(weights="[NaN,1.0]"), None)],
     "seqs": [("s\t0\t1,2\n", 1), ("#seq v1 vocab_size=9\ns\t0\n", 2),
              ("#seq v1 vocab_size=9\ns\t0\t1,x\n", 2),
-             ("#seq v1 vocab_size=9\n#seq v1 vocab_size=8\n", 2)],
+             ("#seq v1 vocab_size=9\n#seq v1 vocab_size=8\n", 2),
+             ("#seq v1 vocab_size=9\ns\t0\t1,2\ns\t0\t3,4\n", 3)],
     "nss": [("s\t0\tn=5\n", 1), ("#nss v1 model=m q=0.9\ns\t0\n", 2),
             ("#nss v1 model=m q=0.9\ns\t0\tn=x\n", 2),
-            ("#nss v1 model=m q=0.9\n# \udce9\ns\t0\tn=5\n", 2)],
+            ("#nss v1 model=m q=0.9\n# \udce9\ns\t0\tn=5\n", 2),
+            ("#nss v1 model=m q=0.9\ns\t0\tn=5\ns\t1\tn=7\ns\t1\tn=8\n", 4),
+            ("#nss v1 model=m q=0.9\nu\t0\tn=5\ns\t1\tn=7\ns\t2\tn=8\n", 3)],
     "dist": [("a,b,1.5\n", 1), ("#pairdist v1 length=2\na,b\n", 2),
              ("#pairdist v1 length=2\n\na,b,nan\n", 3),
              ("#pairdist v1 length=2\na,b,-1.5\n", 2)],
@@ -452,3 +455,14 @@ def test_every_malformed_input_ends_in_one_error_line(tmp_path, capsys, good_inp
     assert main(argv) in (1, 2)
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and (f"{bad}:{line}: " if line else f"{bad}: ") in errors[0], errors
+
+
+def test_repeated_sequence_id_ends_in_one_error_line(tmp_path, capsys, good_inputs):
+    # once, nss wrote both records under one id and read_nss joined them into one series
+    seqs, out = tmp_path / "seqs.txt", tmp_path / "series.nss"
+    seqs.write_text("#seq v1 vocab_size=9\ns\t0\t1,2\nu\t0\t3,4\ns\t0\t5,6\n")
+    assert main(["nss", "--model", str(good_inputs["model"]), "--seqs", str(seqs),
+                 "--out", str(out)]) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and f"{seqs}:4: " in errors[0], errors
+    assert not out.exists()

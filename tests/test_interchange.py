@@ -120,8 +120,9 @@ def test_write_nss_rejects_mixed_headers(tmp_path):
 def test_read_nss_requires_dense_positions(tmp_path):
     path = tmp_path / "sparse.nss"
     path.write_text("#nss v1 model=a q=0.9\ns1\t0\tn=5\ns1\t2\tn=6\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError) as exc:
         read_nss(path)
+    assert exc.value.line == 2
 
 
 def test_sequences_roundtrip(tmp_path):
@@ -182,6 +183,8 @@ def test_nss_file_roundtrip(tmp_path, ids, q, model_id, sizes):
     assert meta["model"] == model_id
     assert [(x.seq_id, x.q, x.model_id, x.sizes.tolist()) for x in loaded] == [
         (x.seq_id, q, model_id, x.sizes.tolist()) for x in series]
+    write_nss(tmp_path / "again.nss", loaded, header_lines=["config seed=0"])
+    assert (tmp_path / "again.nss").read_bytes() == path.read_bytes()
 
 
 _reals = st.floats(allow_nan=False, allow_infinity=False)
@@ -211,6 +214,10 @@ def test_trace_file_roundtrip_any_values(tmp_path, ids, capture, seed, steps):
         assert a.estimated_sizes.tobytes() == b.estimated_sizes.tobytes()
         assert a.per_step_durations.tobytes() == b.per_step_durations.tobytes()
         assert a.per_step_hit_counts.tolist() == b.per_step_hit_counts.tolist()
+    write_traces(tmp_path / "again.trc", loaded,
+                 ChannelConfig(capture_fraction=capture, rng_seed=seed),
+                 header_lines=["config seed=0"])
+    assert (tmp_path / "again.trc").read_bytes() == path.read_bytes()
 
 
 @_file_settings
@@ -229,6 +236,8 @@ def test_sequence_file_roundtrip(tmp_path, ids, vocab_size, rows, cuts):
     assert got_vocab == vocab_size
     assert [(s.id, s.words.tolist(), s.boundaries) for s in loaded] == [
         (s.id, s.words.tolist(), s.boundaries) for s in seqs]
+    write_sequences(tmp_path / "again.seq", loaded, vocab_size=got_vocab)
+    assert (tmp_path / "again.seq").read_bytes() == path.read_bytes()
 
 
 _distances = st.floats(0.0, exclude_min=True, allow_infinity=False)
@@ -244,7 +253,10 @@ def test_distance_file_roundtrip(tmp_path, ids, length, distances, header):
                if _valid_ids([x, y]) == [x, y]]
     path = tmp_path / "rt.dist"
     write_distances(path, records, length=length, header_lines=header)
-    assert read_distances(path) == (records, length)
+    loaded, got_length = read_distances(path)
+    assert (loaded, got_length) == (records, length)
+    write_distances(tmp_path / "again.dist", loaded, length=got_length, header_lines=header)
+    assert (tmp_path / "again.dist").read_bytes() == path.read_bytes()
 
 
 @_file_settings
@@ -256,7 +268,10 @@ def test_distance_file_roundtrip(tmp_path, ids, length, distances, header):
 def test_bench_file_roundtrip(tmp_path, samples, header):
     path = tmp_path / "rt.csv"
     write_bench_report(path, samples, header_lines=header)
-    assert read_bench_report(path) == samples
+    loaded = read_bench_report(path)
+    assert loaded == samples
+    write_bench_report(tmp_path / "again.csv", loaded, header_lines=header)
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 _HEADERS = [b"", b"#nss v1 model=m q=0.9\n", b"#trace v1 seed=0 capture=0.5\n",

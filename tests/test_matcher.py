@@ -9,8 +9,7 @@ import nssfp.matcher as matcher
 from nssfp.errors import UsageError
 from nssfp.fingerprint import Nss
 from nssfp.matcher import (MATCHED, NO_MATCH, NOT_VARIABLE, MatchResult, evaluate,
-                           fit_error_bound, gen_candidate_subtraces, match, match_all,
-                           measurement_error)
+                           fit_error_bound, match, match_all, measurement_error)
 from nssfp.model import Sequence
 from nssfp.sidechannel import ChannelConfig, Trace, prepare_pool, simulate_pool
 from nssfp.stats import ErrorModel, UniquenessModel, error_bound
@@ -31,6 +30,16 @@ def _models(n, radius, bound):
     err = ErrorModel(length=n, mean=bound / 2, std=bound / 20, bound=bound,
                      tau=radius - bound, matchable=radius - bound > 0)
     return uniq, err
+
+
+def gen_candidate_subtraces(traces, length):
+    """All contiguous length-N windows, in trace order then offset order; traces
+    shorter than N are dropped. The window-loop oracle of ``matcher._scan``."""
+    if length < 1:
+        raise UsageError("window length must be >= 1")
+    for trace in traces:
+        for offset in range(trace.step_count - length + 1):
+            yield trace.seq_id, offset, trace.estimated_sizes[offset:offset + length]
 
 
 def test_gen_candidate_subtraces_counts():
