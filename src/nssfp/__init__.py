@@ -13,7 +13,7 @@ from .errors import (ConfigurationError, InsufficientDataError, NssfpError, Pars
                      UsageError, ValidationError)
 from .fingerprint import Nss, VariabilityReport, generate_nss, similar, variability
 from .matcher import (EvaluationReport, MatchResult, evaluate, fit_error_bound, match,
-                      match_all, measurement_error)
+                      measurement_error)
 from .model import (NgramModel, Sequence, Vocabulary, load_model, save_model, tokenize,
                     train_model)
 from .sampler import (FilterOutcome, TimingSample, bench_filter, nucleus_size_from_probs,

@@ -78,10 +78,9 @@ def read_config_file(path) -> dict[str, str]:
     return {key.strip(): value.strip() for _, (key, value) in records}
 
 
-def env_overrides(environ=None) -> dict[str, str]:
-    environ = os.environ if environ is None else environ
+def env_overrides() -> dict[str, str]:
     out = {}
-    for key, value in environ.items():
+    for key, value in os.environ.items():
         if not key.startswith(ENV_PREFIX):
             continue
         name = key[len(ENV_PREFIX):].lower().replace("__", ".")
@@ -100,6 +99,8 @@ def resolve_config(file_values: dict[str, str] | None = None,
             if key.startswith("channel."):
                 if base not in _CHANNEL_FIELDS:
                     raise ConfigurationError(f"unknown channel option {base!r}")
+                if base == "rng_seed":  # CLI runs overwrite it with seed
+                    raise ConfigurationError("channel.rng_seed follows seed; set seed instead")
             elif base not in _PIPELINE_FIELDS or base == "channel":
                 raise ConfigurationError(f"unknown option {key!r}")
             merged[key] = _convert(base, str(raw))

@@ -119,13 +119,12 @@ def synthesize_corpus(
     lexicon_size: int = 60,
     chain_fanout: int = 3,
     post_words_range: tuple[float, float] = (3.0, 8.0),
-    novelty_range: tuple[float, float] = (0.25, 0.45),
 ) -> PostCorpus:
     """Seeded chat-style babble with per-author lexicons and phrasing habits.
 
     Each author owns a small lexicon wired into a sparse word chain, a
-    personal "novelty" rate at which uniformly random global words interrupt
-    the chain, and a personal mean post length drawn from
+    personal "novelty" rate in [0.25, 0.45) at which uniformly random global
+    words interrupt the chain, and a personal mean post length drawn from
     ``post_words_range``. Posts are short, chat-style messages: under a
     model trained on the whole corpus, the first words of each post
     condition on a short context and fall back toward the broad unigram
@@ -150,7 +149,7 @@ def synthesize_corpus(
             int(w): rng.choice(lexicon, size=chain_fanout, replace=False)
             for w in lexicon
         }
-        novelty = rng.uniform(*novelty_range)
+        novelty = rng.uniform(0.25, 0.45)
         mean_post = rng.uniform(*post_words_range)
         current = pick(lexicon)
         produced = 0

@@ -12,8 +12,8 @@ pairwise distance samples the fitting stage consumes.
 
 import numpy as np
 
-from .errors import (ParseError, UsageError, ValidationError, dense_series, parse_field,
-                     read_records, write_records)
+from .errors import (ParseError, UsageError, dense_series, parse_field, read_records,
+                     write_records)
 from .fingerprint import Nss
 from .model import Sequence
 
@@ -52,7 +52,7 @@ def read_nss(path) -> tuple[list[Nss], dict]:
             raise ParseError(f"unknown payload {payload!r}", path=str(path), line=lineno)
         size = parse_field(int, payload[2:], "nucleus size", path, lineno)
         if size < 0:
-            raise ValidationError(f"{path}:{lineno}: negative nucleus size")
+            raise ParseError("negative nucleus size", path=str(path), line=lineno)
         if size >= 2**63:
             raise ParseError("nucleus size out of the int64 range", path=str(path),
                              line=lineno)

@@ -152,18 +152,6 @@ def match(x_nss: Nss, traces: list[Trace],
                 MatchResult(verdict=NO_MATCH, threshold_used=models[1].tau))
 
 
-def match_all(x_nss: Nss, traces: list[Trace],
-              models: tuple[UniquenessModel, ErrorModel],
-              variability_threshold: float = DEFAULT_VARIABILITY_THRESHOLD) -> list[MatchResult]:
-    """Diagnostic exhaustive mode: every sub-threshold window, not just the first.
-
-    Under the fitted bounds at most one text can match, so a multi-element
-    result is direct evidence that an assumption was violated.
-    """
-    return (list(_scan(x_nss, traces, models, variability_threshold))
-            or [MatchResult(verdict=NO_MATCH, threshold_used=models[1].tau)])
-
-
 def evaluate(corpus_nss: list[Nss], sequences: list[Sequence], traces: list[Trace],
              kept: list[Trace], models: tuple[UniquenessModel, ErrorModel],
              variability_threshold: float = DEFAULT_VARIABILITY_THRESHOLD,

@@ -13,8 +13,7 @@ from operator import methodcaller
 
 import numpy as np
 
-from .errors import (ConfigurationError, NssfpError, ParseError, UsageError,
-                     ValidationError)
+from .errors import ConfigurationError, NssfpError, ParseError, ValidationError
 
 _TOKEN_RE = re.compile(r"[\w']+|[^\w\s]")
 
@@ -203,23 +202,6 @@ class NgramModel:
     def vocab_size(self) -> int:
         return len(self.vocabulary)
 
-    def context_at(self, sequence: Sequence, position: int) -> tuple[int, ...]:
-        """Conditioning context: prefix words since the last session boundary.
-
-        At a boundary the context is empty, so the model is re-initialized.
-        The per-position reference for :meth:`context_codes`.
-        """
-        if position < 0 or position > len(sequence):
-            raise UsageError(f"position {position} out of range [0, {len(sequence)}]")
-        last = 0
-        for b in sequence.boundaries:
-            if b <= position:
-                last = b
-            else:
-                break
-        span = min(self.order - 1, position - last)
-        return tuple(int(w) for w in sequence.words[position - span:position])
-
     def context_code(self, ctx: tuple[int, ...]) -> int:
         """Integer code of a context's last ``order - 1`` words."""
         ctx = ctx[max(0, len(ctx) - self.order + 1):]
@@ -234,7 +216,9 @@ class NgramModel:
         return tuple(reversed(words))
 
     def context_codes(self, sequence: Sequence) -> np.ndarray:
-        """``context_code(context_at(sequence, t))`` for every position, in one pass."""
+        """``context_code`` of each position's context, the prefix words since
+        the last session boundary, in one pass (per-position oracle:
+        ``context_at`` in ``tests/oracles.py``)."""
         return _context_codes(sequence.words, sequence.boundaries, self.order - 1, self.base)
 
     def mixture(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,7 +282,8 @@ def train_model(corpus: list[Sequence], order: int = DEFAULT_ORDER,
     """Count n-grams over the corpus and return a deterministic model.
 
     N-grams never cross session boundaries, matching the reset semantics of
-    :meth:`NgramModel.context_at`. The model id is a content hash of the corpus
+    :meth:`NgramModel.context_codes` (oracle: ``context_at`` in
+    ``tests/oracles.py``). The model id is a content hash of the corpus
     and the training configuration.
     """
     if not corpus:

@@ -20,6 +20,7 @@ from .model import softmax
 
 VULNERABLE = "vulnerable"
 MITIGATED = "mitigated"
+BENCH_REPEATS = 5
 
 #: IEEE-754 double max; doubling it overflows to +inf, which is the whole trick.
 MAXFLOAT = float(np.finfo(np.float64).max)
@@ -204,10 +205,10 @@ class _pinned_to_one_core:
 
 
 def bench_filter(variant: str, vocab_size: int, trials: int, rng_seed: int,
-                 p: float = 0.9, repeats: int = 5) -> list[TimingSample]:
+                 p: float = 0.9) -> list[TimingSample]:
     """Time the removal step of one filter variant over random inputs.
 
-    Per trial the filter's own removal function is timed ``repeats`` times
+    Per trial the filter's own removal function is timed ``BENCH_REPEATS`` times
     on the highest-resolution monotonic clock after one discarded warm-up
     run, and the median is recorded. The ranking step and the vulnerable
     filter's index-list build are excluded: only the removal differs
@@ -226,7 +227,7 @@ def bench_filter(variant: str, vocab_size: int, trials: int, rng_seed: int,
             mask = cum > p
             size = int(vocab_size - np.count_nonzero(mask))
             times = []
-            for rep in range(repeats + 1):
+            for rep in range(BENCH_REPEATS + 1):
                 filtered = logits.copy()
                 if variant == VULNERABLE:
                     # a fresh list per run, as each filter call builds one;

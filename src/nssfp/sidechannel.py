@@ -112,7 +112,8 @@ def simulate_trace(nss: Nss, vocab_size: int, cfg: ChannelConfig,
     iterations. The probe captures a binomial fraction of them at jittered
     timestamps; with probability ``outlier_rate`` the whole step is dilated
     by ``outlier_scale``. Steps are separated by ``segment_gap_cycles``.
-    Only the generator draws run step by step; timestamps take array passes.
+    Only the generator draws and the sort of each step's hit positions run
+    step by step; timestamps take array passes.
     """
     if np.any(nss.sizes > vocab_size):
         raise ValidationError(
@@ -133,6 +134,7 @@ def simulate_trace(nss: Nss, vocab_size: int, cfg: ChannelConfig,
             if end + k > draws.shape[1]:
                 draws = np.concatenate((draws, np.empty((2, end + k))), axis=1)
             rng.random(out=draws[0, end:end + k])
+            draws[0, end:end + k].sort()
             rng.standard_normal(out=draws[1, end:end + k])
             counts[t], end = k, end + k
     dilate = np.where(dilation < cfg.outlier_rate, cfg.outlier_scale, 1.0)
@@ -141,32 +143,13 @@ def simulate_trace(nss: Nss, vocab_size: int, cfg: ChannelConfig,
     start = np.append(0.0, np.cumsum(step_cycles[:-1]))
     hit_steps = np.repeat(np.arange(iters.size, dtype=np.int64), counts)
     hit_dilate = dilate[hit_steps]
-    positions = _sorted_within_steps(draws[0, :end], counts) * iters[hit_steps]
+    positions = draws[0, :end] * iters[hit_steps]
     hit_times = start[hit_steps] + (positions + 1.0) * cpi * hit_dilate
     # normal(0.0, std, k) is 0.0 + std * standard_normal(k): same draws, same sums
     hit_times += draws[1, :end] * cfg.hit_jitter_std * hit_dilate
     np.maximum.accumulate(hit_times, out=hit_times)
     return RawTrace(seq_id=nss.seq_id, hit_steps=hit_steps, hit_times=hit_times,
                     true_step_count=nss.length)
-
-
-def _sorted_within_steps(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sort each step's run of ``counts[t]`` values: one row per step of a
-    matrix padded with inf, sorted along its rows in blocks of up to 2**20
-    cells so that one step with far more hits than the rest stays cheap."""
-    out = np.empty_like(values)
-    width = max(int(counts.max()), 1)
-    rows, first = max(1, (1 << 20) // width), 0
-    for lo in range(0, counts.size, rows):
-        block = counts[lo:lo + rows]
-        cell = np.repeat(np.arange(block.size) * width - (np.cumsum(block) - block), block)
-        cell += np.arange(cell.size)
-        matrix = np.full(block.size * width, np.inf)
-        matrix[cell] = values[first:first + cell.size]
-        matrix.reshape(block.size, width).sort(axis=1)
-        out[first:first + cell.size] = matrix[cell]
-        first += cell.size
-    return out
 
 
 def segment_and_reconstruct(raw: RawTrace, cfg: ChannelConfig, vocab_size: int) -> Trace:

@@ -96,12 +96,12 @@ def smoothed_histogram(samples, buckets: int, window: int = 11) -> list[tuple[fl
     return list(zip(centers.tolist(), smoothed.tolist()))
 
 
-def fit_lognormal(samples, min_count: int = MIN_FIT_SAMPLES) -> tuple[float, float]:
+def fit_lognormal(samples) -> tuple[float, float]:
     """Maximum-likelihood log-normal fit: mean and population std of the logs."""
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.size < min_count:
+    if samples.size < MIN_FIT_SAMPLES:
         raise InsufficientDataError(
-            f"need at least {min_count} samples for a log-normal fit, got {samples.size}")
+            f"need at least {MIN_FIT_SAMPLES} samples for a log-normal fit, got {samples.size}")
     if np.any(samples <= 0):
         raise ValidationError("log-normal fit requires strictly positive samples")
     logs = np.log(samples)
@@ -147,8 +147,8 @@ def normal_quantile(eps: float) -> float:
     return z
 
 
-def uniqueness_radius(sample: PairwiseDistanceSample, eps: float = DEFAULT_EPSILON,
-                      min_count: int = MIN_FIT_SAMPLES) -> UniquenessModel:
+def uniqueness_radius(sample: PairwiseDistanceSample,
+                      eps: float = DEFAULT_EPSILON) -> UniquenessModel:
     """Fit the distances and place U(N) at the eps-quantile of the fit.
 
     With eps at its default of 1e-18, the probability that a non-similar
@@ -156,23 +156,22 @@ def uniqueness_radius(sample: PairwiseDistanceSample, eps: float = DEFAULT_EPSIL
     """
     if not 0.0 < eps <= 0.5:
         raise UsageError(f"eps must be in (0, 0.5], got {eps}")
-    log_mu, log_sigma = fit_lognormal(sample.distances, min_count=min_count)
+    log_mu, log_sigma = fit_lognormal(sample.distances)
     radius = math.exp(log_mu + log_sigma * normal_quantile(eps))
     return UniquenessModel(length=sample.length, log_mu=log_mu, log_sigma=log_sigma,
                            epsilon=eps, radius=radius)
 
 
-def error_bound(errors, uniqueness: UniquenessModel,
-                min_count: int = MIN_FIT_SAMPLES) -> ErrorModel:
+def error_bound(errors, uniqueness: UniquenessModel) -> ErrorModel:
     """Normal fit of measurement errors; d(N) = mean + 10 std, tau = U - d.
 
     A non-positive tau flags the channel/corpus combination as
     non-matchable instead of raising: the caller decides what to do.
     """
     errors = np.asarray(errors, dtype=np.float64)
-    if errors.size < min_count:
+    if errors.size < MIN_FIT_SAMPLES:
         raise InsufficientDataError(
-            f"need at least {min_count} error samples, got {errors.size}")
+            f"need at least {MIN_FIT_SAMPLES} error samples, got {errors.size}")
     if np.any(errors < 0):
         raise ValidationError("errors are norms and must be non-negative")
     mean = float(errors.mean())

@@ -310,6 +310,22 @@ def test_config_rejects_unknown_keys():
         resolve_config({"q": "not_a_number"}, {}, {})
 
 
+@pytest.mark.parametrize("source", ["config", "env"])
+def test_channel_rng_seed_key_ends_in_one_error_line(tmp_path, capsys, monkeypatch, source):
+    # the CLI overwrites the channel seed with seed, so the key would have no effect
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--vocab-size", "64", "--trials", "1", "--out", str(out)]
+    if source == "config":
+        (tmp_path / "run.cfg").write_text("channel.rng_seed=99\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        monkeypatch.setenv("NSSFP_CHANNEL__RNG_SEED", "5")
+    assert main(argv) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert errors == ["error: channel.rng_seed follows seed; set seed instead"]
+    assert not out.exists()
+
+
 def test_resolved_lines_are_deterministic():
     a = PipelineConfig().resolved_lines()
     b = PipelineConfig().resolved_lines()
@@ -444,8 +460,9 @@ def good_inputs(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command, slot, text, line", [
-    (command, slot, text, line) for command, slots in READING_COMMANDS for slot in slots
-    for text, line in BAD_INPUTS[slot]])
+    pytest.param(command, slot, text, line, id=f"{command[0]}-{slot}-{i}")
+    for command, slots in READING_COMMANDS for slot in slots
+    for i, (text, line) in enumerate(BAD_INPUTS[slot])])
 def test_every_malformed_input_ends_in_one_error_line(tmp_path, capsys, good_inputs,
                                                       command, slot, text, line):
     bad = tmp_path / slot

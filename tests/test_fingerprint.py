@@ -10,6 +10,7 @@ from nssfp.cli import main as cli_main
 from nssfp.errors import UsageError, ValidationError
 from nssfp.model import Sequence, Vocabulary, train_model
 from nssfp.sampler import nucleus_size_from_probs
+from oracles import context_at
 
 
 def test_generate_nss_single_prefix(tiny_model, tiny_corpus):
@@ -26,7 +27,7 @@ def test_generate_nss_matches_explicit_oracle(tiny_model, tiny_corpus):
     words = np.concatenate([seqs[2].words, seqs[3].words])
     joined = Sequence(id="j", words=words, boundaries=(0, len(seqs[2])))
     nss = fp.generate_nss(tiny_model, joined, 0.9)
-    contexts = [tiny_model.context_at(joined, t) for t in range(len(joined))]
+    contexts = [context_at(tiny_model, joined, t) for t in range(len(joined))]
     expected = [nucleus_size_from_probs(tiny_model.context_probs(c), 0.9) for c in contexts]
     assert list(nss.sizes) == expected
 

@@ -60,8 +60,9 @@ def test_ingest_error_reporting(tmp_path):
 
     negative = tmp_path / "neg.nss"
     negative.write_text("#nss v1 model=a q=0.9\ns1\t0\tn=-3\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError, match="negative nucleus size") as exc:
         read_nss(negative)
+    assert exc.value.line == 2
 
 
 def test_ids_reject_delimiters(tmp_path):

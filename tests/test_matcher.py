@@ -9,7 +9,7 @@ import nssfp.matcher as matcher
 from nssfp.errors import UsageError
 from nssfp.fingerprint import Nss
 from nssfp.matcher import (MATCHED, NO_MATCH, NOT_VARIABLE, MatchResult, evaluate,
-                           fit_error_bound, match, match_all, measurement_error)
+                           fit_error_bound, match, measurement_error)
 from nssfp.model import Sequence
 from nssfp.sidechannel import ChannelConfig, Trace, prepare_pool, simulate_pool
 from nssfp.stats import ErrorModel, UniquenessModel, error_bound
@@ -145,12 +145,13 @@ def test_match_determinism_and_first_match_order():
     assert r1 == r2
     assert r1.trace_id == "first"  # insertion order wins
 
-    hits = match_all(x, pool, models, variability_threshold=10)
+    hits = list(matcher._scan(x, pool, models, 10))
     assert [h.trace_id for h in hits] == ["first", "second"]
 
 
 def _loop_results(x, traces, tau):
-    """The window-by-window loop the scan must reproduce (variable candidate)."""
+    """Every hit of the window-by-window loop the scan must reproduce
+    (variable candidate)."""
     sizes = x.sizes.astype(np.float64)
     hits = []
     if tau > 0:
@@ -158,7 +159,7 @@ def _loop_results(x, traces, tau):
             d = matcher._window_distance(sizes, window)
             if d < tau:
                 hits.append(MatchResult(MATCHED, trace_id, offset, d, tau))
-    return hits or [MatchResult(NO_MATCH, threshold_used=tau)]
+    return hits
 
 
 def _fields(r):
@@ -181,9 +182,9 @@ def _ulps(value, k):
        noise=st.sampled_from([0.0, 1e-3, 1.0, 30.0]), pick=st.integers(0, 3),
        ulps=st.integers(-3, 3))
 def test_scan_equals_window_loop(n, seed, kinds, scale, quantized, noise, pick, ulps):
-    """match and match_all equal the gen_candidate_subtraces loop field for
-    field, distance bits included, with tau placed within a few ulps of a
-    window's own distance."""
+    """match and every hit of _scan equal the gen_candidate_subtraces loop
+    field for field, distance bits included, with tau placed within a few
+    ulps of a window's own distance."""
     rng = np.random.default_rng(seed)
     # at the tiny scale the candidate is all zeros and the squares underflow
     unit = min(scale, 1.0)
@@ -212,9 +213,11 @@ def test_scan_equals_window_loop(n, seed, kinds, scale, quantized, noise, pick, 
     models = (uniq, ErrorModel(length=n, mean=0.0, std=0.0, bound=uniq.radius - tau,
                                tau=tau, matchable=tau > 0))
 
-    expected = [_fields(r) for r in _loop_results(x, traces, tau)]
-    assert [_fields(r) for r in match_all(x, traces, models, -1.0)] == expected
-    assert _fields(match(x, traces, models, -1.0)) == expected[0]
+    hits = _loop_results(x, traces, tau)
+    assert [_fields(r) for r in matcher._scan(x, traces, models, -1.0)] == [
+        _fields(r) for r in hits]
+    first = hits[0] if hits else MatchResult(NO_MATCH, threshold_used=tau)
+    assert _fields(match(x, traces, models, -1.0)) == _fields(first)
 
 
 def test_scan_measures_windows_after_an_overflowed_prefix_sum():
@@ -223,9 +226,9 @@ def test_scan_measures_windows_after_an_overflowed_prefix_sum():
     trace = _trace([1e200, 1.0, 2.0, 1.0, 2.0], "t")
     models = _models(2, radius=2.0, bound=1.0)  # tau = 1
     expected = [_fields(r) for r in _loop_results(x, [trace], 1.0)]
-    assert [(r.offset, r.distance) for r in match_all(x, [trace], models, -1.0)] == [
-        (1, 0.0), (3, 0.0)]
-    assert [_fields(r) for r in match_all(x, [trace], models, -1.0)] == expected
+    hits = list(matcher._scan(x, [trace], models, -1.0))
+    assert [(r.offset, r.distance) for r in hits] == [(1, 0.0), (3, 0.0)]
+    assert [_fields(r) for r in hits] == expected
 
 
 def _corpus(rng, n_seqs=8, length=120):

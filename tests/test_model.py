@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nssfp.errors import ConfigurationError, UsageError, ValidationError
+from nssfp.errors import ConfigurationError, ValidationError
 from nssfp.model import (Sequence, Vocabulary, load_model, save_model, tokenize,
                          train_model)
+from oracles import context_at
 
 
 def _probs(model, seq, t):
-    return model.context_probs(model.context_at(seq, t))
+    return model.context_probs(context_at(model, seq, t))
 
 
 def test_tokenize_lowercases_and_splits_punctuation():
@@ -133,14 +134,6 @@ def test_position_reset_semantics(tiny_model, tiny_corpus):
     assert np.array_equal(_probs(uni_model, joined, 3), _probs(uni_model, joined, 7))
 
 
-def test_position_out_of_range(tiny_model, tiny_corpus):
-    _, seqs, _ = tiny_corpus
-    with pytest.raises(UsageError):
-        tiny_model.context_at(seqs[0], len(seqs[0]) + 1)
-    with pytest.raises(UsageError):
-        tiny_model.context_at(seqs[0], -1)
-
-
 def test_model_save_load_roundtrip(tmp_path, tiny_model, tiny_corpus):
     _, seqs, _ = tiny_corpus
     path = tmp_path / "model.json"
@@ -225,7 +218,7 @@ def test_array_tables_equal_dict_oracle(tmp_path):
                 == sum(len(t) for t in tables.values()))
         for seq in seqs:
             assert model.context_codes(seq).tolist() == [
-                model.context_code(model.context_at(seq, t)) for t in range(len(seq))]
+                model.context_code(context_at(model, seq, t)) for t in range(len(seq))]
 
         path = tmp_path / "model.json"
         save_model(path, model)

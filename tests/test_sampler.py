@@ -162,12 +162,12 @@ def test_bench_times_the_filters_removal_step(monkeypatch):
                         counting("vulnerable", sampler._remove_vulnerable))
     monkeypatch.setattr(sampler, "_remove_mitigated",
                         counting("mitigated", sampler._remove_mitigated))
-    bench_filter(VULNERABLE, vocab_size=64, trials=3, rng_seed=2, repeats=4)
-    bench_filter(MITIGATED, vocab_size=64, trials=3, rng_seed=2, repeats=4)
-    assert calls == {"vulnerable": 3 * 5, "mitigated": 3 * 5}
+    bench_filter(VULNERABLE, vocab_size=64, trials=3, rng_seed=2)
+    bench_filter(MITIGATED, vocab_size=64, trials=3, rng_seed=2)
+    assert calls == {"vulnerable": 3 * 6, "mitigated": 3 * 6}
     top_p_filter_vulnerable(np.zeros(4), 0.5)
     top_p_filter_mitigated(np.zeros(4), 0.5)
-    assert calls == {"vulnerable": 3 * 5 + 1, "mitigated": 3 * 5 + 1}
+    assert calls == {"vulnerable": 3 * 6 + 1, "mitigated": 3 * 6 + 1}
 
 
 def test_pearson_degenerate():

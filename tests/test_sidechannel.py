@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from nssfp.errors import InsufficientDataError, ParseError, UsageError, ValidationError
 from nssfp.fingerprint import Nss
-from nssfp.sidechannel import (ChannelConfig, RawTrace, Trace, _sorted_within_steps,
-                               estimate_global_slope, filter_noisy, noise_level,
-                               read_traces, rescore_noise, segment_and_reconstruct,
-                               simulate_pool, simulate_trace, trace_rng, write_traces)
+from nssfp.sidechannel import (ChannelConfig, RawTrace, Trace, estimate_global_slope,
+                               filter_noisy, noise_level, read_traces, rescore_noise,
+                               segment_and_reconstruct, simulate_pool, simulate_trace,
+                               trace_rng, write_traces)
 
 
 def lossless(seed=0):
@@ -413,15 +413,6 @@ def test_reconstruction_equals_segment_loop(stream):
     counts, durations = _loop_counts_and_durations(times, n, cfg)
     assert _same(trace.per_step_hit_counts, counts)
     assert _same(trace.per_step_durations, durations)
-
-
-def test_sort_within_steps_in_several_blocks():
-    # one step wide enough that a block holds only a few rows
-    counts = np.array([3, 2**20 // 3 + 1, 0, 5, 1, 2], dtype=np.int64)
-    values = np.random.default_rng(2).random(int(counts.sum()))
-    edges = np.cumsum(counts)[:-1]
-    expected = np.concatenate([np.sort(v) for v in np.split(values, edges)])
-    assert _same(_sorted_within_steps(values, counts), expected)
 
 
 def test_simulate_pool_is_one_trace_per_series():

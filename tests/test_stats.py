@@ -49,7 +49,8 @@ def test_normal_quantile_domain():
 
 
 def test_fit_lognormal_two_point():
-    log_mu, log_sigma = fit_lognormal([math.e, math.e ** 3], min_count=2)
+    # 15 copies each of e and e^3: log mean 2, population log std 1
+    log_mu, log_sigma = fit_lognormal([math.e] * 15 + [math.e ** 3] * 15)
     assert log_mu == pytest.approx(2.0)
     assert log_sigma == pytest.approx(1.0)  # population convention
 
