@@ -1,6 +1,10 @@
 """Exception types shared across the pipeline, and the one framing of every
 line-record file: :func:`write_records` writes it, :func:`read_records` reads
-it and raises a :class:`ParseError` at ``path:line`` where it is malformed."""
+it and raises a :class:`ParseError` at ``path:line`` where it is malformed.
+:func:`read_columns` parses canonical NSS and trace files in bulk; any other
+file goes through the record loop, which gives every error and its line."""
+
+import numpy as np
 
 
 class NssfpError(Exception):
@@ -120,6 +124,60 @@ def dense_series(path, rows: dict, what: str) -> list:
         (_, line), message = min(faults)
         raise ParseError(message, path=str(path), line=line)
     return series
+
+
+def read_columns(path, header: str, types: dict, dtypes: tuple, tag: str = ""):
+    """``(meta, ids, columns)``, one array per id and value, of a canonical file of
+    ``id TAB index TAB value...`` records typed by ``dtypes``; None for any other.
+    Canonical: the ``header`` on line 1, then ``#`` lines not repeating it, then
+    records, none empty or ``#``, the last value led by ``tag``; ASCII numbers that
+    numpy reads as ``int``/``float`` would, integers >= 0, floats finite; each id
+    one run 0..n-1."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        start = text.find("\n") + 1 or len(text)
+        meta = _header(text[len(header):start].rstrip("\n"), types, path, 1)
+    except (UnicodeDecodeError, ParseError):
+        return None
+    while text.startswith("#", start) and not text.startswith(header, start):
+        start = text.find("\n", start) + 1 or len(text)
+    body = text[start:-1] if text.endswith("\n") else text[start:]
+    n, width = body.count("\n") + 1, len(dtypes) + 1
+    # records at least `width` fields wide (usecols) with this many tabs are all
+    # exactly that wide; a tag, once per record, opens the last field or empties
+    # a number
+    if (not text.startswith(header) or not body or body[0] == "#" or "\n#" in body
+            or body.count("\t") != (width - 1) * n or tag and body.count("\t" + tag) != n):
+        return None
+    del text
+    records = (body.replace("\t" + tag, "\t\t") if tag else body).split("\n")
+    # numpy strips \x1c-\x1f around a number and reads some non-ASCII characters
+    # as digits ("5\u01fe" as 512); int() and float() do neither
+    numbers = body if body.isascii() else "".join(r.partition("\t")[2] for r in records)
+    if not numbers.isascii() or any(c in numbers for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    del body, numbers
+    try:
+        table = np.loadtxt(records, dtype=[(f"f{i}", d) for i, d in enumerate(dtypes)],
+                           delimiter="\t", comments=None, ndmin=1,
+                           usecols=[*range(1, width - 1), width - 1 + bool(tag)])
+    except ValueError:
+        return None
+    index, *values = (np.ascontiguousarray(table[name]) for name in table.dtype.names)
+    starts = np.flatnonzero(index == 0)
+    ends = np.append(starts[1:], n)
+    ids = [records[i].partition("\t")[0] for i in starts.tolist()]
+    # one index per record line, so a table short of the empty lines loadtxt skips fails
+    if (not starts.size or starts[0] or len(set(ids)) < len(ids)
+            or not np.array_equal(index, np.arange(n) - np.repeat(starts, ends - starts))
+            or any((v < 0).any() if v.dtype.kind == "i" else not np.isfinite(v).all()
+                   for v in values)
+            # "\n" starts each line of a run: count the lines that carry its id
+            or any(("\n" + "\n".join(records[i:j])).count(f"\n{key}\t") != j - i
+                   for key, i, j in zip(ids, starts.tolist(), ends.tolist()))):
+        return None
+    return meta, ids, [np.split(v, starts[1:]) for v in values]
 
 
 def _header(text: str, types: dict, path, lineno: int) -> dict:

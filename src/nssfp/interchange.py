@@ -8,18 +8,23 @@ The NSS format carries one nucleus size per prefix:
 Sibling formats use the same shape: ``#seq v1`` persists token-id
 sequences with their session boundaries, and ``#pairdist v1`` carries the
 pairwise distance samples the fitting stage consumes.
+
+NSS files in canonical form, as :func:`write_nss` writes them, are parsed in
+bulk; any other goes through the record loop, which gives every error and its
+line. Both yield equal series.
 """
 
 import numpy as np
 
-from .errors import (ParseError, UsageError, dense_series, parse_field, read_records,
-                     write_records)
+from .errors import (ParseError, UsageError, dense_series, parse_field, read_columns,
+                     read_records, write_records)
 from .fingerprint import Nss
 from .model import Sequence
 
 NSS_HEADER = "#nss v1"
 SEQ_HEADER = "#seq v1"
 DIST_HEADER = "#pairdist v1"
+NSS_TYPES = {"model": str, "q": float}
 
 
 # --- NSS --------------------------------------------------------------------
@@ -36,14 +41,22 @@ def write_nss(path, nss_list: list[Nss], header_lines=()):
 
 
 def read_nss(path) -> tuple[list[Nss], dict]:
-    """Assemble full series from an NSS file in one pass.
+    """Assemble full series from an NSS file, in bulk if it is canonical
+    (:func:`~nssfp.errors.read_columns`), else with the record loop.
 
     Records may arrive in any order; the positions of each sequence must
     cover 0..len-1 exactly once (:func:`~nssfp.errors.dense_series`). A file
     without records is malformed.
     """
+    meta, ids, (sizes,) = (read_columns(path, NSS_HEADER, NSS_TYPES, (np.int64, np.int64), "n=")
+                           or _read_nss_records(path))
+    return [Nss(seq_id, meta["q"], meta["model"], s) for seq_id, s in zip(ids, sizes)], meta
+
+
+def _read_nss_records(path):
+    """The record loop: what :func:`~nssfp.errors.read_columns` gives, for any file."""
     records = read_records(path, ("seq_id", "position", "payload"), "\t", NSS_HEADER,
-                           {"model": str, "q": float})
+                           NSS_TYPES)
     meta = next(records)
     rows: dict[str, list] = {}
     for lineno, (seq_id, pos_str, payload) in records:
@@ -59,8 +72,8 @@ def read_nss(path) -> tuple[list[Nss], dict]:
         rows.setdefault(seq_id, []).append((position, lineno, size))
     if not rows:
         raise ParseError("no nucleus size records", path=str(path), line=1)
-    return [Nss(seq_id, meta["q"], meta["model"], np.array(sizes, dtype=np.int64))
-            for seq_id, sizes in dense_series(path, rows, "position")], meta
+    series = dense_series(path, rows, "position")
+    return meta, [k for k, _ in series], [[np.array(v, dtype=np.int64) for _, v in series]]
 
 
 # --- sequences --------------------------------------------------------------

@@ -16,12 +16,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (InsufficientDataError, ParseError, UsageError, ValidationError,
-                     dense_series, parse_field, read_records, write_records)
+                     dense_series, parse_field, read_columns, read_records,
+                     write_records)
 from .fingerprint import Nss
 from .model import check_id
 
 DEFAULT_CAPTURE_FRACTION = 0.011
 DEFAULT_DROP_FRACTION = 0.06
+TRACE_HEADER = "#trace v1"
+TRACE_DTYPES = (np.int64, np.int64, np.float64, np.float64)  # step, count, duration, size
 
 
 @dataclass(frozen=True)
@@ -288,7 +291,7 @@ def write_traces(path, traces: list[Trace], cfg: ChannelConfig, header_lines=())
             for step, (count, duration, size) in enumerate(columns):
                 yield f"{t.seq_id}\t{step}\t{count}\t{duration!r}\t{size!r}"
 
-    write_records(path, lines(), f"#trace v1 seed={cfg.rng_seed} "
+    write_records(path, lines(), f"{TRACE_HEADER} seed={cfg.rng_seed} "
                   f"capture={cfg.capture_fraction!r}", header_lines)
 
 
@@ -299,15 +302,30 @@ def _capture_fraction(text: str) -> float:
     return capture
 
 
+TRACE_TYPES = {"seed": int, "capture": _capture_fraction}
+
+
 def read_traces(path) -> tuple[list[Trace], dict]:
     """Parse a trace file; returns traces (noise scored per own slope) and header meta.
 
-    Records may arrive in any order; the steps of each trace must cover
-    0..len-1 exactly once (:func:`~nssfp.errors.dense_series`), hit counts
-    must be non-negative and durations and estimated sizes finite.
+    A canonical file (:func:`~nssfp.errors.read_columns`) is parsed in bulk,
+    any other with the record loop. Records may arrive in any order; the steps
+    of each trace must cover 0..len-1 exactly once
+    (:func:`~nssfp.errors.dense_series`), hit counts must be non-negative and
+    durations and estimated sizes finite.
     """
+    meta, ids, columns = (read_columns(path, TRACE_HEADER, TRACE_TYPES, TRACE_DTYPES)
+                          or _read_trace_records(path))
+    return [_self_scored(Trace(
+        seq_id=seq_id, estimated_sizes=sizes, per_step_hit_counts=counts,
+        per_step_durations=durations, estimated_iterations=counts / meta["capture"],
+        noise_level=0.0)) for seq_id, counts, durations, sizes in zip(ids, *columns)], meta
+
+
+def _read_trace_records(path):
+    """The record loop: what :func:`~nssfp.errors.read_columns` gives, for any file."""
     records = read_records(path, ("seq_id", "step", "hit_count", "duration", "estimated_size"),
-                           "\t", "#trace v1", {"seed": int, "capture": _capture_fraction})
+                           "\t", TRACE_HEADER, TRACE_TYPES)
     meta = next(records)
     rows: dict[str, list] = {}
     for lineno, (seq_id, step_text, count, duration, size) in records:
@@ -322,12 +340,7 @@ def read_traces(path) -> tuple[list[Trace], dict]:
             raise ParseError("hit count is negative or out of the int64 range",
                              path=str(path), line=lineno)
         rows.setdefault(seq_id, []).append((step, lineno, record))
-    traces = []
-    for seq_id, recs in dense_series(path, rows, "step"):
-        counts, durations, sizes = zip(*recs)
-        counts = np.array(counts, dtype=np.int64)
-        traces.append(_self_scored(Trace(
-            seq_id=seq_id, estimated_sizes=np.array(sizes), per_step_hit_counts=counts,
-            per_step_durations=np.array(durations),
-            estimated_iterations=counts / meta["capture"], noise_level=0.0)))
-    return traces, meta
+    series = dense_series(path, rows, "step")
+    runs = [tuple(zip(*recs)) for _, recs in series]  # (counts, durations, sizes) per id
+    return meta, [k for k, _ in series], [[np.array(run[f], dtype=dtype) for run in runs]
+                                          for f, dtype in enumerate(TRACE_DTYPES[1:])]

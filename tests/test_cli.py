@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -142,24 +143,44 @@ BENCH_HEAD = "variant,vocab_size,nucleus_size,loop_time_ns\n"
 
 
 @pytest.mark.parametrize("command, files", [
-    (["fit", "--distances", "{dist}"], {"dist": "#pairdist v1 length=2\na,b,far\n"}),
-    (["fit", "--distances", "{dist}"], {"dist": "#pairdist v1 length=two\na,b,1.5\n"}),
-    (["report", "--fit", "{fit}"],
-     {"fit": FIT_HEAD + "2,1e-06,1.0,wide,5.0,0.5,0.05,1.0,4.0\n"}),
-    (["report", "--fit", "{fit}"], {"fit": FIT_HEAD + "2,1e-06,1.0,0.5,5.0\n"}),
-    (["match", "--nss", "{nss}", "--traces", "{trc}", "--fit", "{fit}"],
-     {"nss": NSS_ONE, "fit": FIT_HEAD + FIT_ROW,
-      "trc": "#trace v1 seed=one capture=0.011\ns\t0\t1\t0.0\t5.0\n"}),
-    (["analyze", "--nss", "{nss}", "--seqs", "{seqs}"],
-     {"nss": NSS_ONE, "seqs": "#seq v1 vocab_size=abc\ns\t0\t1,2\n"}),
-    (["analyze", "--nss", "{nss}", "--seqs", "{seqs}"],
-     {"nss": NSS_ONE.replace("q=0.9", "q=high"),
-      "seqs": "#seq v1 vocab_size=9\ns\t0\t1,2\n"}),
-    (["report", "--bench", "{bench}"], {"bench": BENCH_HEAD + "vulnerable,10,abc,5\n"}),
-    (["report", "--bench", "{bench}"], {"bench": BENCH_HEAD + "vulnerable,10\n"}),
-    (["match", "--nss", "{nss}", "--traces", "{trc}", "--fit", "{fit}"],
-     {"nss": NSS_ONE, "fit": FIT_HEAD + FIT_ROW,
-      "trc": "#trace v1 seed=0 capture=0.5\ns\t0\t2\t10.0\t5.0\ns\t1\t4\t20.0\tnan\n"}),
+    pytest.param(["fit", "--distances", "{dist}"], {"dist": "#pairdist v1 length=2\na,b,far\n"},
+                 id="fit-distance"),
+    pytest.param(["fit", "--distances", "{dist}"], {"dist": "#pairdist v1 length=two\na,b,1.5\n"},
+                 id="fit-length"),
+    pytest.param(["report", "--fit", "{fit}"],
+                 {"fit": FIT_HEAD + "2,1e-06,1.0,wide,5.0,0.5,0.05,1.0,4.0\n"},
+                 id="report-fit-field"),
+    pytest.param(["report", "--fit", "{fit}"], {"fit": FIT_HEAD + "2,1e-06,1.0,0.5,5.0\n"},
+                 id="report-fit-row-width"),
+    pytest.param(["match", "--nss", "{nss}", "--traces", "{trc}", "--fit", "{fit}"],
+                 {"nss": NSS_ONE, "fit": FIT_HEAD + FIT_ROW,
+                  "trc": "#trace v1 seed=one capture=0.011\ns\t0\t1\t0.0\t5.0\n"},
+                 id="match-trace-seed"),
+    pytest.param(["analyze", "--nss", "{nss}", "--seqs", "{seqs}"],
+                 {"nss": NSS_ONE, "seqs": "#seq v1 vocab_size=abc\ns\t0\t1,2\n"},
+                 id="analyze-vocab-size"),
+    pytest.param(["analyze", "--nss", "{nss}", "--seqs", "{seqs}"],
+                 {"nss": NSS_ONE.replace("q=0.9", "q=high"),
+                  "seqs": "#seq v1 vocab_size=9\ns\t0\t1,2\n"},
+                 id="analyze-nss-q"),
+    pytest.param(["analyze", "--nss", "{nss}", "--seqs", "{seqs}"],
+                 {"nss": NSS_ONE.replace("n=7", "n=1_0x"),
+                  "seqs": "#seq v1 vocab_size=9\ns\t0\t1,2\n"},
+                 id="analyze-nss-size"),
+    pytest.param(["report", "--bench", "{bench}"], {"bench": BENCH_HEAD + "vulnerable,10,abc,5\n"},
+                 id="report-bench-field"),
+    pytest.param(["report", "--bench", "{bench}"], {"bench": BENCH_HEAD + "vulnerable,10\n"},
+                 id="report-bench-row-width"),
+    pytest.param(["match", "--nss", "{nss}", "--traces", "{trc}", "--fit", "{fit}"],
+                 {"nss": NSS_ONE, "fit": FIT_HEAD + FIT_ROW,
+                  "trc": "#trace v1 seed=0 capture=0.5\ns\t0\t2\t10.0\t5.0\n"
+                         "s\t1\t4\t20.0\tnan\n"},
+                 id="match-trace-nan-size"),
+    pytest.param(["match", "--nss", "{nss}", "--traces", "{trc}", "--fit", "{fit}"],
+                 {"nss": NSS_ONE, "fit": FIT_HEAD + FIT_ROW,
+                  "trc": "#trace v1 seed=0 capture=0.5\ns\t0\t2\t10.0\t5.0\n"
+                         f"s\t1\t{2**63}\t20.0\t5.0\n"},
+                 id="match-trace-count-over-int64"),
 ])
 def test_malformed_numbers_end_in_one_error_line(tmp_path, capsys, command, files):
     paths = {}
@@ -170,6 +191,7 @@ def test_malformed_numbers_end_in_one_error_line(tmp_path, capsys, command, file
     assert main(argv) == 1
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and f"{tmp_path}" in errors[0], errors
+    assert any(re.search(rf"{re.escape(str(path))}:\d+: ", errors[0]) for path in paths.values())
 
 
 @pytest.mark.parametrize("command", [

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from nssfp import interchange, sidechannel
 from nssfp.config import read_config_file
 from nssfp.corpus import load_corpus
 from nssfp.errors import ParseError, UsageError, ValidationError
@@ -12,7 +15,7 @@ from nssfp.interchange import (read_distances, read_nss, read_sequences, write_d
 from nssfp.model import Sequence, check_id
 from nssfp.sampler import (MITIGATED, VULNERABLE, TimingSample, read_bench_report,
                            write_bench_report)
-from nssfp.sidechannel import ChannelConfig, Trace, read_traces, write_traces
+from nssfp.sidechannel import ChannelConfig, Trace, read_traces, simulate_pool, write_traces
 from nssfp.stats import read_fit_report
 
 
@@ -385,3 +388,171 @@ def test_read_distances_rejects_non_positive_or_non_finite(tmp_path, distance):
     with pytest.raises(ParseError, match="not finite and positive") as exc:
         read_distances(path)
     assert exc.value.line == 4
+
+
+# --- bulk parsing against the record loop -----------------------------------
+
+# each bulk-parsing reader: its module, a header, and one record's value fields
+_MODULES = {read_nss: interchange, read_traces: sidechannel}
+_HEADS = {read_nss: "#nss v1 model=m q=0.9\n", read_traces: "#trace v1 seed=0 capture=0.5\n"}
+_VALUES = {
+    read_nss: st.tuples(st.integers(0, 2**63 - 1).map(lambda n: f"n={n}")),
+    read_traces: st.tuples(st.integers(0, 2**63 - 1).map(str), _reals.map(repr),
+                           _reals.map(repr)),
+}
+
+
+def _outcome(read, path):
+    """What ``read`` makes of ``path``: equal for two readers only when the
+    series match in repr, field types, dtypes and bits, or the errors do."""
+    try:
+        series, meta = read(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return repr(series), repr(meta), [
+        [(name, type(v), v.dtype.str, v.tobytes()) if isinstance(v, np.ndarray)
+         else (name, type(v), repr(v)) for name, v in vars(x).items()] for x in series]
+
+
+def _loop_outcome(read, path):
+    """:func:`_outcome` of the record loop alone, bulk parsing turned off."""
+    with mock.patch.object(_MODULES[read], "read_columns", lambda *args: None):
+        return _outcome(read, path)
+
+
+# fields that numpy's parser and int()/float() might read differently
+_TOKENS = st.one_of(
+    st.builds("{}{}{}".format,
+              st.sampled_from(["", "+", "-", "0", " ", "\x0b", "\x1c", "\u3000", "n="]),
+              st.sampled_from(["5", "1_000", "\u0661\u0662", "\uff15", "1.5", "-0.0", "1.",
+                               "nan", "inf", "1e400", "0x1p3", str(2**63), ""]),
+              st.sampled_from(["", " ", "\t", "\t6", "\x1c", "\x85", "_", "#"])),
+    st.text("0123456789+-._eEinfxn= \t\x0b\x1c\x85\u3000\u0661\uff15\u01fe\u0903", max_size=6))
+_BULK_IDS = st.one_of(st.sampled_from(["s", "u", "v"]), st.sampled_from(
+    ["x#y", "#x", "s\x00", "e" * 70, "n=1", "s ", "a,b", "\x1c", "\x0b\x0c\x85\u2028"]))
+
+
+def _rarely(draw):
+    return draw(st.sampled_from([False, False, False, True]))
+
+
+@st.composite
+def _record_files(draw, read):
+    """Record files for ``read``: valid ones, now and then with shuffled,
+    repeated or gapped indexes or header framing; valid ones with one bad
+    field; and valid ones with a fragment spliced in."""
+    rows = [[seq_id, str(index), *draw(_VALUES[read])]
+            for seq_id in draw(st.lists(_BULK_IDS, min_size=1, max_size=3, unique=True))
+            for index in range(draw(st.integers(1, 4)))]
+    if _rarely(draw):
+        rows = draw(st.permutations(rows))
+    if _rarely(draw):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    if len(rows) > 1 and _rarely(draw):
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    flaw = draw(st.sampled_from(["none", "field", "field", "splice"]))
+    if flaw == "field":
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(1, len(row) - 1))] = draw(_TOKENS)
+    text = ((draw(st.sampled_from(["\n", "# note\n"])) if _rarely(draw) else "")
+            + _HEADS[read]
+            + draw(st.sampled_from(["", "# config seed=0\n", "# config seed=0\n# q=0.9\n"]))
+            + (_HEADS[read] if _rarely(draw) else "")
+            + "".join("\t".join(row) + "\n" for row in rows))
+    if _rarely(draw):
+        text = text.rstrip("\n")
+    data = text.encode("utf-8")
+    if flaw == "splice":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(_fragments) + data[at:]
+    return data
+
+
+@pytest.mark.parametrize("read", list(_MODULES))
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_bulk_read_equals_record_loop(tmp_path, read, data):
+    path = tmp_path / "records"
+    path.write_bytes(data.draw(_record_files(read)))
+    assert _outcome(read, path) == _loop_outcome(read, path)
+
+
+@pytest.mark.parametrize("read, records", [
+    pytest.param(read_nss, "s\t0\tn=1_000\n", id="underscore-int"),
+    pytest.param(read_nss, "s\t\u0661\u0662\tn=5\n", id="arabic-indic-int"),
+    pytest.param(read_traces, "s\t0\t\uff15\t10.0\t5.0\n", id="fullwidth-int"),
+    pytest.param(read_traces, "s\t0\t2\t0x1p3\t5.0\n", id="hex-float"),
+    pytest.param(read_nss, "x#y\t0\tn=5\n", id="hash-in-id"),
+    pytest.param(read_nss, "s\x00\t0\tn=5\ns\x00\t1\tn=6\n", id="id-ending-in-nul"),
+    pytest.param(read_traces, "e" * 70 + "\t0\t2\t10.0\t5.0\n", id="id-over-64-chars"),
+    pytest.param(read_nss, "s\t0\tn=5\t6\n", id="nss-tab-in-last-field"),
+    pytest.param(read_traces, "s\t0\t2\t10.0\t5.0\t\n", id="trace-tab-ending-last-field"),
+    pytest.param(read_nss, "s\t0\t5\n", id="payload-without-n="),
+    pytest.param(read_nss, "s\tn=0\tn=5\ns\t1\t6\n", id="tag-in-the-index"),
+    pytest.param(read_nss, "s\t+0\tn=+5\n", id="plus-sign"),
+    pytest.param(read_traces, "s\t 0\t 2\t10.0\t5.0\n", id="leading-space"),
+    pytest.param(read_traces, "s\t0\t2\tnan\t5.0\n", id="nan"),
+    pytest.param(read_traces, "s\t0\t2\t10.0\tinf\n", id="inf"),
+    pytest.param(read_traces, "s\t0\t2\t1e400\t5.0\n", id="1e400"),
+    pytest.param(read_traces, f"s\t0\t{2**63}\t10.0\t5.0\n", id="count-2**63"),
+    pytest.param(read_nss, f"s\t0\tn={2**63}\n", id="size-2**63"),
+    pytest.param(read_nss, "s\t0\tn=5\n\ns\t1\tn=6\n", id="empty-line"),
+    pytest.param(read_nss, "s\t0\tn=5\n \t\ns\t1\tn=6\n", id="whitespace-line"),
+    pytest.param(read_nss, "s\t0\tn=5\r\ns\t1\tn=6\rs\t2\tn=7\n", id="carriage-returns"),
+    pytest.param(read_nss, "a\t0\tn=5\nb\t0\tn=6\na\t1\tn=7\n", id="out-of-order-ids"),
+    pytest.param(read_traces, "s\t0\t2\t10.0\x1c\t5.0\n", id="numpy-only-space"),
+    pytest.param(read_nss, "s\t0\tn=5\u01fe\n", id="numpy-only-digit"),
+    pytest.param(read_traces, "\u0903\t0\t\u0903\t10.0\t5.0\n", id="numpy-only-digit-count"),
+])
+def test_bulk_hazards_equal_record_loop(tmp_path, read, records):
+    path = tmp_path / "records"
+    path.write_bytes((_HEADS[read] + records).encode("utf-8"))
+    assert _outcome(read, path) == _loop_outcome(read, path)
+
+
+@pytest.mark.parametrize("read, text", [
+    (read_nss, "#nss v2 model=m q=0.9\ns\t0\tn=5\n"),
+    (read_traces, "#trace v2 seed=0 capture=0.5\ns\t0\t2\t10.0\t5.0\n"),
+])
+def test_bulk_read_needs_its_own_header(tmp_path, read, text):
+    # past the header's length, this line reads as a valid header
+    path = tmp_path / "records"
+    path.write_text(text)
+    assert _outcome(read, path) == _loop_outcome(read, path)
+
+
+# Latin-1, every character Python counts as whitespace (none lies above U+3000),
+# and some that numpy 2.4's int parser was seen to read as digits
+_DECORATIONS = sorted({chr(c) for c in range(256)} | {chr(c) for c in range(0x3001)
+                                                      if chr(c).isspace()}
+                      | set("\u01fe\u04ff\u0761\u0903\u0dba\u1170\u1400") - set("\t\n\r"))
+
+
+def test_bulk_reads_decorated_numbers_as_the_loop_does(tmp_path):
+    # numpy's parser and int()/float() each strip some characters as whitespace
+    path = tmp_path / "records"
+    for c in _DECORATIONS:
+        for number in (f"5{c}", f"{c}5", f"5{c}5"):
+            for read, records in ((read_nss, f"s\t0\tn={number}\n"),
+                                  (read_traces, f"s\t0\t2\t{number}\t5.0\n")):
+                path.write_bytes((_HEADS[read] + records).encode("utf-8"))
+                assert _outcome(read, path) == _loop_outcome(read, path), (read, number)
+
+
+def test_written_files_are_read_in_bulk(tmp_path, tiny_model, tiny_corpus):
+    from nssfp.fingerprint import generate_nss
+
+    _, seqs, _ = tiny_corpus
+    series = [generate_nss(tiny_model, s, 0.9) for s in seqs]
+    traces = simulate_pool(series, tiny_model.vocab_size, ChannelConfig())
+    write_nss(tmp_path / "s.nss", series, header_lines=["config seed=0"])
+    write_traces(tmp_path / "p.trc", traces, ChannelConfig(), header_lines=["config seed=0"])
+    files = [(read_nss, tmp_path / "s.nss"), (read_traces, tmp_path / "p.trc")]
+
+    loop = mock.Mock(side_effect=AssertionError("a written file fell back to the loop"))
+    with (mock.patch.object(interchange, "_read_nss_records", loop),
+          mock.patch.object(sidechannel, "_read_trace_records", loop)):
+        bulk = [_outcome(read, path) for read, path in files]
+    assert bulk == [_loop_outcome(read, path) for read, path in files]
+    assert [len(outcome[2]) for outcome in bulk] == [len(seqs), len(seqs)]
