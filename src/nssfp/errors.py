@@ -1,8 +1,9 @@
 """Exception types shared across the pipeline, and the one framing of every
 line-record file: :func:`write_records` writes it, :func:`read_records` reads
 it and raises a :class:`ParseError` at ``path:line`` where it is malformed.
-:func:`read_columns` parses canonical NSS and trace files in bulk; any other
-file goes through the record loop, which gives every error and its line."""
+:func:`read_series` reads the dense-series files (NSS and traces): canonical
+ones in bulk, any other through one record loop, which gives every error and
+its line."""
 
 import numpy as np
 
@@ -99,34 +100,66 @@ def write_records(path, lines, header: str = "", header_lines=()):
             fh.write(f"{line}\n")
 
 
-def dense_series(path, rows: dict, what: str) -> list:
-    """``(id, values in index order)`` per id of ``rows``, which maps each id,
-    in order of first appearance, to its ``(index, line, value)`` records in
-    file order. Each id's indexes must cover 0..n-1 exactly once: the first
-    repeated index in the file is a :class:`ParseError` at its line; failing
-    that, the first id with a gap is one at the id's first line."""
+def read_series(path, header: str, types: dict, fields: tuple, tag: str = ""):
+    """``(meta, ids, columns)`` of a file of ``id TAB index TAB value...`` records
+    after ``header``, typed by ``fields``: ``((name, dtype), ...)`` for the index and
+    each value; ``columns`` holds per value one array per id. A canonical file is
+    parsed in bulk, any other by the record loop, which gives every error and its line."""
+    return (_read_columns(path, header, types, tuple(d for _, d in fields), tag)
+            or _read_series_records(path, header, types, fields, tag))
+
+
+def _read_series_records(path, header: str, types: dict, fields: tuple, tag: str):
+    """What :func:`_read_columns` gives, for any file. Per record, the index is
+    parsed, the last value must start with ``tag``, then each value is parsed in
+    turn: an int must be >= 0 and < 2**63, a float finite. Each id's indexes must
+    cover 0..n-1 exactly once, in any order: the first repeated index in the file
+    is a :class:`ParseError` at its line; failing that, the first id with a gap is
+    one at the id's first line."""
+    (what, _), *kinds = fields
+    records = read_records(path, ("seq_id", *(n.replace(" ", "_") for n, _ in fields)),
+                           "\t", header, types)
+    meta = next(records)
+    rows: dict[str, list] = {}
+    for lineno, (key, index, *texts) in records:
+        index = parse_field(int, index, what, path, lineno)
+        if not texts[-1].startswith(tag):
+            raise ParseError(f"unknown payload {texts[-1]!r}", path=str(path), line=lineno)
+        texts[-1] = texts[-1][len(tag):]
+        values = []
+        for text, (name, dtype) in zip(texts, kinds):
+            integer = np.dtype(dtype).kind == "i"
+            value = parse_field(int if integer else float, text, name, path, lineno)
+            if integer and not 0 <= value < 2**63:
+                fault = f"negative {name}" if value < 0 else f"{name} out of the int64 range"
+                raise ParseError(fault, path=str(path), line=lineno)
+            if not integer and not np.isfinite(value):
+                raise ParseError(f"non-finite {name}", path=str(path), line=lineno)
+            values.append(value)
+        rows.setdefault(key, []).append((index, lineno, values))
     series, faults = [], []
-    for key, records in rows.items():
-        index, lines, values = zip(*records)
+    for key, run in rows.items():
+        index, lines, values = zip(*run)
         n = len(index)
         if index != tuple(range(n)):  # out of order, repeated or with a gap
             # by index, then line: each repeat comes right after the record it repeats
-            index, lines, values = zip(*sorted(records))
+            index, lines, values = zip(*sorted(run))
             repeats = [(line, i) for i, j, line in zip(index, index[1:], lines[1:]) if i == j]
             if repeats:
                 line, i = min(repeats)
                 faults.append(((0, line), f"{what} {i} of {key!r} repeats"))
             elif index != tuple(range(n)):
                 gap = f"{what}s of {key!r} are not dense 0..{n - 1}"
-                faults.append(((1, records[0][1]), gap))
-        series.append((key, values))
+                faults.append(((1, run[0][1]), gap))
+        series.append((key, tuple(zip(*values))))  # one tuple per value field
     if faults:
         (_, line), message = min(faults)
         raise ParseError(message, path=str(path), line=line)
-    return series
+    return meta, [key for key, _ in series], [
+        [np.array(run[f], dtype=dtype) for _, run in series] for f, (_, dtype) in enumerate(kinds)]
 
 
-def read_columns(path, header: str, types: dict, dtypes: tuple, tag: str = ""):
+def _read_columns(path, header: str, types: dict, dtypes: tuple, tag: str = ""):
     """``(meta, ids, columns)``, one array per id and value, of a canonical file of
     ``id TAB index TAB value...`` records typed by ``dtypes``; None for any other.
     Canonical: the ``header`` on line 1, then ``#`` lines not repeating it, then

@@ -9,15 +9,14 @@ Sibling formats use the same shape: ``#seq v1`` persists token-id
 sequences with their session boundaries, and ``#pairdist v1`` carries the
 pairwise distance samples the fitting stage consumes.
 
-NSS files in canonical form, as :func:`write_nss` writes them, are parsed in
-bulk; any other goes through the record loop, which gives every error and its
-line. Both yield equal series.
+NSS files are read by :func:`~nssfp.errors.read_series`, which parses
+canonical ones in bulk and any other with the record loop.
 """
 
 import numpy as np
 
-from .errors import (ParseError, UsageError, dense_series, parse_field, read_columns,
-                     read_records, write_records)
+from .errors import (ParseError, UsageError, ValidationError, parse_field, read_records,
+                     read_series, write_records)
 from .fingerprint import Nss
 from .model import Sequence
 
@@ -25,6 +24,7 @@ NSS_HEADER = "#nss v1"
 SEQ_HEADER = "#seq v1"
 DIST_HEADER = "#pairdist v1"
 NSS_TYPES = {"model": str, "q": float}
+NSS_FIELDS = (("position", np.int64), ("nucleus size", np.int64))
 
 
 # --- NSS --------------------------------------------------------------------
@@ -41,39 +41,15 @@ def write_nss(path, nss_list: list[Nss], header_lines=()):
 
 
 def read_nss(path) -> tuple[list[Nss], dict]:
-    """Assemble full series from an NSS file, in bulk if it is canonical
-    (:func:`~nssfp.errors.read_columns`), else with the record loop.
+    """Assemble full series from an NSS file (:func:`~nssfp.errors.read_series`).
 
     Records may arrive in any order; the positions of each sequence must
-    cover 0..len-1 exactly once (:func:`~nssfp.errors.dense_series`). A file
-    without records is malformed.
+    cover 0..len-1 exactly once. A file without records is malformed.
     """
-    meta, ids, (sizes,) = (read_columns(path, NSS_HEADER, NSS_TYPES, (np.int64, np.int64), "n=")
-                           or _read_nss_records(path))
-    return [Nss(seq_id, meta["q"], meta["model"], s) for seq_id, s in zip(ids, sizes)], meta
-
-
-def _read_nss_records(path):
-    """The record loop: what :func:`~nssfp.errors.read_columns` gives, for any file."""
-    records = read_records(path, ("seq_id", "position", "payload"), "\t", NSS_HEADER,
-                           NSS_TYPES)
-    meta = next(records)
-    rows: dict[str, list] = {}
-    for lineno, (seq_id, pos_str, payload) in records:
-        position = parse_field(int, pos_str, "position", path, lineno)
-        if not payload.startswith("n="):
-            raise ParseError(f"unknown payload {payload!r}", path=str(path), line=lineno)
-        size = parse_field(int, payload[2:], "nucleus size", path, lineno)
-        if size < 0:
-            raise ParseError("negative nucleus size", path=str(path), line=lineno)
-        if size >= 2**63:
-            raise ParseError("nucleus size out of the int64 range", path=str(path),
-                             line=lineno)
-        rows.setdefault(seq_id, []).append((position, lineno, size))
-    if not rows:
+    meta, ids, (sizes,) = read_series(path, NSS_HEADER, NSS_TYPES, NSS_FIELDS, "n=")
+    if not ids:
         raise ParseError("no nucleus size records", path=str(path), line=1)
-    series = dense_series(path, rows, "position")
-    return meta, [k for k, _ in series], [[np.array(v, dtype=np.int64) for _, v in series]]
+    return [Nss(seq_id, meta["q"], meta["model"], s) for seq_id, s in zip(ids, sizes)], meta
 
 
 # --- sequences --------------------------------------------------------------
@@ -93,11 +69,11 @@ def read_sequences(path) -> tuple[list[Sequence], int]:
         if seq_id in sequences:
             raise ParseError(f"sequence {seq_id!r} repeats", path=str(path), line=lineno)
         try:
-            bounds = tuple(int(b) for b in bounds_text.split(","))
-            words = np.array([int(w) for w in words_text.split(",")], dtype=np.int64)
-        except (ValueError, OverflowError) as exc:
+            sequences[seq_id] = Sequence(
+                id=seq_id, boundaries=tuple(int(b) for b in bounds_text.split(",")),
+                words=np.array([int(w) for w in words_text.split(",")], dtype=np.int64))
+        except (ValueError, OverflowError, ValidationError) as exc:
             raise ParseError(str(exc), path=str(path), line=lineno) from exc
-        sequences[seq_id] = Sequence(id=seq_id, words=words, boundaries=bounds)
     return list(sequences.values()), vocab_size
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, ValidationError, parse_field, read_records, write_records
+from .errors import (ParseError, UsageError, ValidationError, parse_field, read_records,
+                     write_records)
 from .model import softmax
 
 VULNERABLE = "vulnerable"
@@ -296,6 +297,8 @@ def read_bench_report(path) -> list[TimingSample]:
     for lineno, fields in records:
         if fields == names:
             continue
+        if fields[0] not in FILTERS:
+            raise ParseError(f"unknown variant {fields[0]!r}", path=str(path), line=lineno)
         vocab, size, ns = (parse_field(int, text, name, path, lineno) for name, text in
                            zip(names[1:], fields[1:]))
         samples.append(TimingSample(fields[0], size, ns, vocab))

@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (InsufficientDataError, ParseError, UsageError, ValidationError,
-                     dense_series, parse_field, read_columns, read_records,
+from .errors import (InsufficientDataError, UsageError, ValidationError, read_series,
                      write_records)
 from .fingerprint import Nss
 from .model import check_id
@@ -24,7 +23,8 @@ from .model import check_id
 DEFAULT_CAPTURE_FRACTION = 0.011
 DEFAULT_DROP_FRACTION = 0.06
 TRACE_HEADER = "#trace v1"
-TRACE_DTYPES = (np.int64, np.int64, np.float64, np.float64)  # step, count, duration, size
+TRACE_FIELDS = (("step", np.int64), ("hit count", np.int64), ("duration", np.float64),
+                ("estimated size", np.float64))
 
 
 @dataclass(frozen=True)
@@ -306,41 +306,13 @@ TRACE_TYPES = {"seed": int, "capture": _capture_fraction}
 
 
 def read_traces(path) -> tuple[list[Trace], dict]:
-    """Parse a trace file; returns traces (noise scored per own slope) and header meta.
-
-    A canonical file (:func:`~nssfp.errors.read_columns`) is parsed in bulk,
-    any other with the record loop. Records may arrive in any order; the steps
-    of each trace must cover 0..len-1 exactly once
-    (:func:`~nssfp.errors.dense_series`), hit counts must be non-negative and
-    durations and estimated sizes finite.
+    """Parse a trace file (:func:`~nssfp.errors.read_series`); returns traces
+    (noise scored per own slope) and header meta. The steps of each trace must
+    cover 0..len-1 exactly once, in any order; hit counts must be non-negative
+    and durations and estimated sizes finite. A file without records holds none.
     """
-    meta, ids, columns = (read_columns(path, TRACE_HEADER, TRACE_TYPES, TRACE_DTYPES)
-                          or _read_trace_records(path))
+    meta, ids, columns = read_series(path, TRACE_HEADER, TRACE_TYPES, TRACE_FIELDS)
     return [_self_scored(Trace(
         seq_id=seq_id, estimated_sizes=sizes, per_step_hit_counts=counts,
         per_step_durations=durations, estimated_iterations=counts / meta["capture"],
         noise_level=0.0)) for seq_id, counts, durations, sizes in zip(ids, *columns)], meta
-
-
-def _read_trace_records(path):
-    """The record loop: what :func:`~nssfp.errors.read_columns` gives, for any file."""
-    records = read_records(path, ("seq_id", "step", "hit_count", "duration", "estimated_size"),
-                           "\t", TRACE_HEADER, TRACE_TYPES)
-    meta = next(records)
-    rows: dict[str, list] = {}
-    for lineno, (seq_id, step_text, count, duration, size) in records:
-        step = parse_field(int, step_text, "step", path, lineno)
-        record = (parse_field(int, count, "hit count", path, lineno),
-                  parse_field(float, duration, "duration", path, lineno),
-                  parse_field(float, size, "estimated size", path, lineno))
-        if not (math.isfinite(record[1]) and math.isfinite(record[2])):
-            raise ParseError("non-finite duration or estimated size",
-                             path=str(path), line=lineno)
-        if not 0 <= record[0] < 2**63:
-            raise ParseError("hit count is negative or out of the int64 range",
-                             path=str(path), line=lineno)
-        rows.setdefault(seq_id, []).append((step, lineno, record))
-    series = dense_series(path, rows, "step")
-    runs = [tuple(zip(*recs)) for _, recs in series]  # (counts, durations, sizes) per id
-    return meta, [k for k, _ in series], [[np.array(run[f], dtype=dtype) for run in runs]
-                                          for f, dtype in enumerate(TRACE_DTYPES[1:])]

@@ -1,7 +1,5 @@
-import os
 import re
 
-import numpy as np
 import pytest
 
 from nssfp.cli import build_parser, main
@@ -435,7 +433,9 @@ BAD_INPUTS = {
     "seqs": [("s\t0\t1,2\n", 1), ("#seq v1 vocab_size=9\ns\t0\n", 2),
              ("#seq v1 vocab_size=9\ns\t0\t1,x\n", 2),
              ("#seq v1 vocab_size=9\n#seq v1 vocab_size=8\n", 2),
-             ("#seq v1 vocab_size=9\ns\t0\t1,2\ns\t0\t3,4\n", 3)],
+             ("#seq v1 vocab_size=9\ns\t0\t1,2\ns\t0\t3,4\n", 3),
+             ("#seq v1 vocab_size=9\ns\t0,5\t1,2\n", 2),
+             ("#seq v1 vocab_size=9\ns\t1\t1,2\n", 2)],
     "nss": [("s\t0\tn=5\n", 1), ("#nss v1 model=m q=0.9\ns\t0\n", 2),
             ("#nss v1 model=m q=0.9\ns\t0\tn=x\n", 2),
             ("#nss v1 model=m q=0.9\n# \udce9\ns\t0\tn=5\n", 2),
@@ -451,7 +451,7 @@ BAD_INPUTS = {
     "fit": [(FIT_ROW, 1), (FIT_HEAD + "2,1e-06\n", 4), (FIT_HEAD + FIT_ROW + FIT_ROW, 5),
             ("#fit v2\n\udce9\n", 2)],
     "bench": [(BENCH_HEAD + "vulnerable,10\n", 2), (BENCH_HEAD + "mitigated,1,2,x\n", 2),
-              ("# caf\udce9\n", 1)],
+              ("# caf\udce9\n", 1), (BENCH_HEAD + "vulnerabel,10,5,7\n", 2)],
 }
 # every subcommand that reads a file, with the format of each input it reads
 READING_COMMANDS = [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nssfp import interchange, sidechannel
+from nssfp import errors
 from nssfp.config import read_config_file
 from nssfp.corpus import load_corpus
 from nssfp.errors import ParseError, UsageError, ValidationError
@@ -392,8 +392,7 @@ def test_read_distances_rejects_non_positive_or_non_finite(tmp_path, distance):
 
 # --- bulk parsing against the record loop -----------------------------------
 
-# each bulk-parsing reader: its module, a header, and one record's value fields
-_MODULES = {read_nss: interchange, read_traces: sidechannel}
+# each bulk-parsing reader: a header and one record's value fields
 _HEADS = {read_nss: "#nss v1 model=m q=0.9\n", read_traces: "#trace v1 seed=0 capture=0.5\n"}
 _VALUES = {
     read_nss: st.tuples(st.integers(0, 2**63 - 1).map(lambda n: f"n={n}")),
@@ -416,7 +415,7 @@ def _outcome(read, path):
 
 def _loop_outcome(read, path):
     """:func:`_outcome` of the record loop alone, bulk parsing turned off."""
-    with mock.patch.object(_MODULES[read], "read_columns", lambda *args: None):
+    with mock.patch.object(errors, "_read_columns", lambda *args: None):
         return _outcome(read, path)
 
 
@@ -468,7 +467,7 @@ def _record_files(draw, read):
     return data
 
 
-@pytest.mark.parametrize("read", list(_MODULES))
+@pytest.mark.parametrize("read", list(_HEADS))
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -551,8 +550,7 @@ def test_written_files_are_read_in_bulk(tmp_path, tiny_model, tiny_corpus):
     files = [(read_nss, tmp_path / "s.nss"), (read_traces, tmp_path / "p.trc")]
 
     loop = mock.Mock(side_effect=AssertionError("a written file fell back to the loop"))
-    with (mock.patch.object(interchange, "_read_nss_records", loop),
-          mock.patch.object(sidechannel, "_read_trace_records", loop)):
+    with mock.patch.object(errors, "_read_series_records", loop):
         bulk = [_outcome(read, path) for read, path in files]
     assert bulk == [_loop_outcome(read, path) for read, path in files]
     assert [len(outcome[2]) for outcome in bulk] == [len(seqs), len(seqs)]
