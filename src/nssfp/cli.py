@@ -61,19 +61,15 @@ def _resolve(args) -> PipelineConfig:
 def _load_inputs(args, cfg):
     """Corpus -> (vocab, author sequences) honoring cap/min-word settings."""
     corpus = corpus_mod.load_corpus(args.corpus, format=args.format)
-    min_words = args.min_words if args.min_words else 1
     return corpus_mod.aggregate_by_author(corpus, word_cap=cfg.word_cap,
-                                          min_words=min_words)
+                                          min_words=args.min_words)
 
 
 def cmd_synth(args) -> int:
     cfg = _resolve(args)
     corpus = corpus_mod.synthesize_corpus(
         authors=args.authors, seed=cfg.seed, vocab_size=args.vocab_size,
-        target_words=args.target_words, lexicon_size=args.lexicon_size,
-        chain_fanout=args.chain_fanout,
-        post_words_range=((args.mean_post_words, args.mean_post_words)
-                          if args.mean_post_words else (3.0, 8.0)))
+        target_words=args.target_words)
     corpus_mod.save_corpus(args.out, corpus)
     print(f"wrote {len(corpus.posts)} posts for {args.authors} authors to {args.out}")
     return 0
@@ -251,6 +247,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _resolve(args)
     if args.evaluation:
         for line in read_lines(args.evaluation):
             if line.startswith("# total="):
@@ -296,16 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--authors", type=int, required=True)
     p.add_argument("--vocab-size", type=int, default=12000)
     p.add_argument("--target-words", type=int, default=1200)
-    p.add_argument("--lexicon-size", type=int, default=60)
-    p.add_argument("--chain-fanout", type=int, default=3)
-    p.add_argument("--mean-post-words", type=float, default=None, help="override both ends of the post-length range")
     p.add_argument("--out", required=True)
 
     p = command("train", cmd_train, "train the n-gram model on a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--format", default=corpus_mod.TSV_POSTS,
                    choices=[corpus_mod.TSV_POSTS, corpus_mod.PLAIN_DIR])
-    p.add_argument("--min-words", type=int, default=0)
+    p.add_argument("--min-words", type=int, default=1)
     p.add_argument("--save-seqs", help="also persist aggregated sequences (#seq v1)")
     p.add_argument("--out", required=True)
 
@@ -315,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[corpus_mod.TSV_POSTS, corpus_mod.PLAIN_DIR])
     p.add_argument("--seqs", help="read sequences from a #seq v1 file instead")
     p.add_argument("--model", required=True)
-    p.add_argument("--min-words", type=int, default=0)
+    p.add_argument("--min-words", type=int, default=1)
     p.add_argument("--truncate", action="store_true",
                    help="drop shorter sequences and cut the rest to --length")
     p.add_argument("--out", required=True)
@@ -347,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--format", default=corpus_mod.TSV_POSTS,
                    choices=[corpus_mod.TSV_POSTS, corpus_mod.PLAIN_DIR])
-    p.add_argument("--min-words", type=int, default=0)
+    p.add_argument("--min-words", type=int, default=1)
     p.add_argument("--out", required=True)
 
     p = command("bench", cmd_bench, "time the removal loop of the filter variants")

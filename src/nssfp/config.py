@@ -34,6 +34,10 @@ class PipelineConfig:
     seed: int = 0
     channel: ChannelConfig = field(default_factory=ChannelConfig)
 
+    def __post_init__(self):
+        if self.sequence_length < 1:
+            raise ConfigurationError(f"sequence_length must be >= 1, got {self.sequence_length}")
+
     def resolved_lines(self) -> list[str]:
         """Deterministic key=value dump for run logs and output headers."""
         lines = []

@@ -27,15 +27,12 @@ DEFAULT_WORD_CAP = 3000
 @dataclass(frozen=True)
 class PostCorpus:
     posts: list[tuple[str, float, str]]
-    source: str = ""
 
 
 @dataclass(frozen=True)
 class AuthorSequence:
     author: str
     sequence: Sequence
-    post_count: int
-    mean_post_length: float
 
 
 def load_corpus(path, format: str = TSV_POSTS) -> PostCorpus:
@@ -61,7 +58,7 @@ def load_corpus(path, format: str = TSV_POSTS) -> PostCorpus:
         raise UsageError(f"unknown corpus format {format!r}")
     if not posts:
         raise ValidationError(f"corpus {path} contains no posts")
-    return PostCorpus(posts=posts, source=str(path))
+    return PostCorpus(posts=posts)
 
 
 def save_corpus(path, corpus: PostCorpus):
@@ -93,19 +90,15 @@ def aggregate_by_author(corpus: PostCorpus, word_cap: int = DEFAULT_WORD_CAP,
         posts = sorted(grouped[author], key=lambda p: p[0])
         words: list[str] = []
         boundaries: list[int] = []
-        lengths: list[int] = []
         for _, post_words in posts:
             if not post_words or len(words) >= word_cap:
                 continue
             boundaries.append(len(words))
-            take = post_words[:word_cap - len(words)]
-            words.extend(take)
-            lengths.append(len(take))
+            words.extend(post_words[:word_cap - len(words)])
         if len(words) < min_words or not words:
             continue
         seq = Sequence(id=author, words=vocab.encode(words), boundaries=tuple(boundaries))
-        out.append(AuthorSequence(author=author, sequence=seq, post_count=len(boundaries),
-                                  mean_post_length=float(np.mean(lengths))))
+        out.append(AuthorSequence(author=author, sequence=seq))
     return vocab, out
 
 
@@ -116,22 +109,19 @@ def synthesize_corpus(
     seed: int,
     vocab_size: int = 12000,
     target_words: int = 1200,
-    lexicon_size: int = 60,
-    chain_fanout: int = 3,
-    post_words_range: tuple[float, float] = (3.0, 8.0),
 ) -> PostCorpus:
     """Seeded chat-style babble with per-author lexicons and phrasing habits.
 
-    Each author owns a small lexicon wired into a sparse word chain, a
-    personal "novelty" rate in [0.25, 0.45) at which uniformly random global
-    words interrupt the chain, and a personal mean post length drawn from
-    ``post_words_range``. Posts are short, chat-style messages: under a
-    model trained on the whole corpus, the first words of each post
-    condition on a short context and fall back toward the broad unigram
-    tail (nuclei spanning a large fraction of the vocabulary), while
-    mid-post positions stay sharp. Short posts therefore drive both the
-    size variability and the author-specific big/small position pattern
-    that makes the series distinguishable fingerprints.
+    Each author owns a 60-word lexicon wired into a sparse chain (each word
+    leads to 3 of them), a personal "novelty" rate in [0.25, 0.45) at which
+    uniformly random global words interrupt the chain, and a personal mean
+    post length drawn from [3, 8) words. Posts are short, chat-style
+    messages: under a model trained on the whole corpus, the first words of
+    each post condition on a short context and fall back toward the broad
+    unigram tail (nuclei spanning a large fraction of the vocabulary), while
+    mid-post positions stay sharp. Short posts therefore drive both the size
+    variability and the author-specific big/small position pattern that
+    makes the series distinguishable fingerprints.
     """
     if authors < 1:
         raise UsageError("need at least one author")
@@ -144,13 +134,13 @@ def synthesize_corpus(
     posts: list[tuple[str, float, str]] = []
     for a in range(authors):
         author = f"author{a:04d}"
-        lexicon = rng.choice(vocab_size, size=lexicon_size, replace=False)
+        lexicon = rng.choice(vocab_size, size=60, replace=False)
         successors = {
-            int(w): rng.choice(lexicon, size=chain_fanout, replace=False)
+            int(w): rng.choice(lexicon, size=3, replace=False)
             for w in lexicon
         }
         novelty = rng.uniform(0.25, 0.45)
-        mean_post = rng.uniform(*post_words_range)
+        mean_post = rng.uniform(3.0, 8.0)
         current = pick(lexicon)
         produced = 0
         ts = 0
@@ -169,4 +159,4 @@ def synthesize_corpus(
             posts.append((author, float(ts), " ".join(body)))
             produced += post_len
             ts += 1
-    return PostCorpus(posts=posts, source=f"synthetic(seed={seed})")
+    return PostCorpus(posts=posts)

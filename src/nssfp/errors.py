@@ -7,6 +7,10 @@ its line."""
 
 import numpy as np
 
+# the interchange formats separate fields and lines with these, so no id may
+# hold one; a line that starts with "#" is a header or a comment
+ID_DELIMITERS = ("\t", ",", "\n", "\r")
+
 
 class NssfpError(Exception):
     """Base class for all errors raised by this package."""
@@ -32,6 +36,18 @@ class ParseError(NssfpError):
         self.line = line
         loc = f"{path}:{line}: " if path or line else ""
         super().__init__(f"{loc}{message}")
+
+
+def _is_id(value: str) -> bool:
+    return not any(c in value for c in ID_DELIMITERS) and not value.startswith("#")
+
+
+def check_id(value: str, what: str):
+    """Reject an id that holds a field delimiter of the interchange formats
+    or would read back as a comment line."""
+    if not _is_id(value):
+        raise ValidationError(
+            f"{what} id {value!r} contains a tab, comma or line break, or starts with '#'")
 
 
 def parse_field(convert, text: str, what: str, path, line: int):
@@ -110,7 +126,8 @@ def read_series(path, header: str, types: dict, fields: tuple, tag: str = ""):
 
 
 def _read_series_records(path, header: str, types: dict, fields: tuple, tag: str):
-    """What :func:`_read_columns` gives, for any file. Per record, the index is
+    """What :func:`_read_columns` gives, for any file. An id that :func:`check_id`
+    rejects is a :class:`ParseError` at its first line. Per record, the index is
     parsed, the last value must start with ``tag``, then each value is parsed in
     turn: an int must be >= 0 and < 2**63, a float finite. Each id's indexes must
     cover 0..n-1 exactly once, in any order: the first repeated index in the file
@@ -122,6 +139,11 @@ def _read_series_records(path, header: str, types: dict, fields: tuple, tag: str
     meta = next(records)
     rows: dict[str, list] = {}
     for lineno, (key, index, *texts) in records:
+        if key not in rows:
+            try:
+                check_id(key, "sequence")
+            except ValidationError as exc:
+                raise ParseError(str(exc), path=str(path), line=lineno) from None
         index = parse_field(int, index, what, path, lineno)
         if not texts[-1].startswith(tag):
             raise ParseError(f"unknown payload {texts[-1]!r}", path=str(path), line=lineno)
@@ -165,7 +187,7 @@ def _read_columns(path, header: str, types: dict, dtypes: tuple, tag: str = ""):
     Canonical: the ``header`` on line 1, then ``#`` lines not repeating it, then
     records, none empty or ``#``, the last value led by ``tag``; ASCII numbers that
     numpy reads as ``int``/``float`` would, integers >= 0, floats finite; each id
-    one run 0..n-1."""
+    one that :func:`check_id` accepts, in one run 0..n-1."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -202,7 +224,7 @@ def _read_columns(path, header: str, types: dict, dtypes: tuple, tag: str = ""):
     ends = np.append(starts[1:], n)
     ids = [records[i].partition("\t")[0] for i in starts.tolist()]
     # one index per record line, so a table short of the empty lines loadtxt skips fails
-    if (not starts.size or starts[0] or len(set(ids)) < len(ids)
+    if (not starts.size or starts[0] or len(set(ids)) < len(ids) or not all(map(_is_id, ids))
             or not np.array_equal(index, np.arange(n) - np.repeat(starts, ends - starts))
             or any((v < 0).any() if v.dtype.kind == "i" else not np.isfinite(v).all()
                    for v in values)

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, ValidationError
-from .model import NgramModel, Sequence, check_id
+from .errors import UsageError, ValidationError, check_id
+from .model import NgramModel, Sequence
 from .sampler import nucleus_size_from_probs
 
 DEFAULT_VARIABILITY_THRESHOLD = 1450.0
@@ -48,9 +48,7 @@ class Nss:
 
 @dataclass(frozen=True)
 class VariabilityReport:
-    mean: float
     variability: float
-    threshold: float
     is_variable: bool
 
 
@@ -85,15 +83,14 @@ _MARGIN_HEADROOM = 64.0
 
 
 def _nucleus_sizes(model: NgramModel, codes: np.ndarray, p: float) -> list[int]:
-    """``nucleus_size_from_probs(model.context_probs(ctx), p)`` for many context codes.
+    """``nucleus_size_from_probs(model.context_probs(code), p)`` for many context codes.
 
     :func:`_sparse_nucleus_sizes` sizes every context it can prove; the
-    rest go through the dense oracle.
+    rest go through the dense oracle, which takes the same codes.
     """
     sizes, sure = _sparse_nucleus_sizes(model, codes, p)
     for b in np.flatnonzero(~sure):
-        ctx = model.context_words(codes[b])
-        sizes[b] = nucleus_size_from_probs(model.context_probs(ctx), p)
+        sizes[b] = nucleus_size_from_probs(model.context_probs(codes[b]), p)
     return sizes.tolist()
 
 
@@ -206,10 +203,8 @@ def variability(nss: Nss, threshold: float = DEFAULT_VARIABILITY_THRESHOLD) -> V
     model; it must be retuned per model.
     """
     sizes = nss.sizes.astype(np.float64)
-    mu = float(sizes.mean())
-    var = float(np.sqrt(np.mean((sizes - mu) ** 2)))
-    return VariabilityReport(mean=mu, variability=var, threshold=float(threshold),
-                             is_variable=var > threshold)
+    var = float(np.sqrt(np.mean((sizes - sizes.mean()) ** 2)))
+    return VariabilityReport(variability=var, is_variable=var > threshold)
 
 
 def similar(x: Sequence, y: Sequence, window: int = DEFAULT_SIMILARITY_WINDOW) -> bool:

@@ -13,15 +13,12 @@ from operator import methodcaller
 
 import numpy as np
 
-from .errors import ConfigurationError, NssfpError, ParseError, ValidationError
+from .errors import ConfigurationError, NssfpError, ParseError, ValidationError, check_id
 
 _TOKEN_RE = re.compile(r"[\w']+|[^\w\s]")
 
 DEFAULT_ORDER = 3
 DEFAULT_WEIGHTS = (0.1, 0.3, 0.6)
-# the interchange formats separate fields and lines with these, so no id may
-# hold one; a line that starts with "#" is a header or a comment
-ID_DELIMITERS = ("\t", ",", "\n", "\r")
 
 
 def tokenize(text: str) -> list[str]:
@@ -31,12 +28,13 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Dense word-id mapping. ``tokens[index[w]] == w`` for every word."""
+    """Dense word-id mapping; ``index`` is built so that ``tokens[index[w]] == w``."""
 
     tokens: tuple[str, ...]
-    index: dict[str, int] = field(repr=False)
+    index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "index", {w: i for i, w in enumerate(self.tokens)})
         if len(self.tokens) < 2:
             raise ValidationError("vocabulary needs at least 2 tokens")
         if len(self.index) != len(self.tokens):
@@ -45,8 +43,7 @@ class Vocabulary:
     @classmethod
     def from_tokens(cls, tokens) -> "Vocabulary":
         """Build from any iterable of word strings; ids follow sorted order."""
-        uniq = tuple(sorted(set(tokens)))
-        return cls(tokens=uniq, index={w: i for i, w in enumerate(uniq)})
+        return cls(tokens=tuple(sorted(set(tokens))))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -56,14 +53,6 @@ class Vocabulary:
             return np.array([self.index[w] for w in words], dtype=np.int64)
         except KeyError as exc:
             raise ValidationError(f"unknown token {exc.args[0]!r}") from exc
-
-
-def check_id(value: str, what: str):
-    """Reject an id that holds a field delimiter of the interchange formats
-    or would read back as a comment line."""
-    if any(c in value for c in ID_DELIMITERS) or value.startswith("#"):
-        raise ValidationError(
-            f"{what} id {value!r} contains a tab, comma or line break, or starts with '#'")
 
 
 @dataclass(frozen=True)
@@ -177,7 +166,7 @@ class NgramModel:
     available ones. The unigram table is add-one smoothed, so every
     context yields a fully supported, normalized distribution.
 
-    Contexts are looked up by integer code (see :meth:`context_code`).
+    Contexts are looked up by integer code (see :meth:`context_codes`).
     Immutable after construction; safe to share across threads.
     """
 
@@ -202,23 +191,10 @@ class NgramModel:
     def vocab_size(self) -> int:
         return len(self.vocabulary)
 
-    def context_code(self, ctx: tuple[int, ...]) -> int:
-        """Integer code of a context's last ``order - 1`` words."""
-        ctx = ctx[max(0, len(ctx) - self.order + 1):]
-        return int((np.array(ctx, dtype=np.int64) + 1) @ _place_values(len(ctx), self.base))
-
-    def context_words(self, code: int) -> tuple[int, ...]:
-        """The context a code stands for; inverse of :meth:`context_code`."""
-        words = []
-        while code:
-            code, digit = divmod(int(code), self.base)
-            words.append(digit - 1)
-        return tuple(reversed(words))
-
     def context_codes(self, sequence: Sequence) -> np.ndarray:
-        """``context_code`` of each position's context, the prefix words since
-        the last session boundary, in one pass (per-position oracle:
-        ``context_at`` in ``tests/oracles.py``)."""
+        """Code of each position's context, the prefix words since the last session
+        boundary, in one pass (encoding: :func:`_context_codes`; per-position oracles:
+        ``context_at`` and ``context_code`` in ``tests/oracles.py``)."""
         return _context_codes(sequence.words, sequence.boundaries, self.order - 1, self.base)
 
     def mixture(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,9 +221,9 @@ class NgramModel:
                           where=wsum[:, None] > 0.0)
         return coefs, rows
 
-    def context_probs(self, ctx: tuple[int, ...]) -> np.ndarray:
-        """Interpolated probability vector for a context tuple (the dense oracle)."""
-        coefs, rows = self.mixture(np.array([self.context_code(ctx)], dtype=np.int64))
+    def context_probs(self, code: int) -> np.ndarray:
+        """Interpolated probability vector for a context code (the dense oracle)."""
+        coefs, rows = self.mixture(np.array([code], dtype=np.int64))
         if not coefs.any():
             # nothing available carries weight; fall back to the unigram floor
             return self.unigram_probs.copy()
@@ -277,9 +253,9 @@ def _check_config(order, weights: tuple[float, ...], vocab_size: int):
             f"{order - 1} context codes, beyond the int64 bound 2^63-1")
 
 
-def train_model(corpus: list[Sequence], order: int = DEFAULT_ORDER,
-                weights=DEFAULT_WEIGHTS, vocabulary: Vocabulary | None = None) -> NgramModel:
-    """Count n-grams over the corpus and return a deterministic model.
+def train_model(corpus: list[Sequence], order: int = DEFAULT_ORDER, weights=DEFAULT_WEIGHTS,
+                *, vocabulary: Vocabulary) -> NgramModel:
+    """Count n-grams over the corpus, whose word ids index ``vocabulary``.
 
     N-grams never cross session boundaries, matching the reset semantics of
     :meth:`NgramModel.context_codes` (oracle: ``context_at`` in
@@ -289,10 +265,7 @@ def train_model(corpus: list[Sequence], order: int = DEFAULT_ORDER,
     if not corpus:
         raise ConfigurationError("training corpus is empty")
     weights = tuple(float(w) for w in weights)
-    if vocabulary is None:
-        vocab_size = int(max(int(seq.words.max()) for seq in corpus)) + 1
-    else:
-        vocab_size = len(vocabulary)
+    vocab_size = len(vocabulary)
     _check_config(order, weights, vocab_size)
 
     hasher = hashlib.sha256()
@@ -314,9 +287,6 @@ def train_model(corpus: list[Sequence], order: int = DEFAULT_ORDER,
         at = np.flatnonzero(codes >= base ** (k - 2))  # a full k-1 words since the start
         tables[k] = NgramTable.build(codes[at], words[at], np.ones(at.size))
 
-    if vocabulary is None:
-        fake = tuple(f"<{i}>" for i in range(vocab_size))
-        vocabulary = Vocabulary(tokens=fake, index={w: i for i, w in enumerate(fake)})
     model_id = hasher.hexdigest()[:16]
     unigram = np.bincount(words, minlength=vocab_size)
     return NgramModel(order, weights, vocabulary, tables, unigram, model_id)
@@ -363,7 +333,7 @@ def load_model(path) -> NgramModel:
         raise ValidationError(f"{path} is not a model file")
     try:
         tokens = tuple(payload["tokens"])
-        vocab = Vocabulary(tokens=tokens, index={w: i for i, w in enumerate(tokens)})
+        vocab = Vocabulary(tokens=tokens)
         v = len(vocab)
         order = payload["order"]
         if type(order) is not int:

@@ -289,7 +289,8 @@ def write_bench_report(path, samples: list[TimingSample], header_lines=()):
 
 
 def read_bench_report(path) -> list[TimingSample]:
-    """The samples :func:`write_bench_report` stored."""
+    """The samples :func:`write_bench_report` stored: per row a vocabulary of at
+    least 1, a nucleus size in 0..vocab_size and a non-negative loop time."""
     names = _BENCH_COLUMNS.split(",")
     records = read_records(path, names, ",")
     next(records)
@@ -301,5 +302,8 @@ def read_bench_report(path) -> list[TimingSample]:
             raise ParseError(f"unknown variant {fields[0]!r}", path=str(path), line=lineno)
         vocab, size, ns = (parse_field(int, text, name, path, lineno) for name, text in
                            zip(names[1:], fields[1:]))
+        if vocab < 1 or not 0 <= size <= vocab or ns < 0:
+            raise ParseError(f"impossible sample: vocab_size {vocab}, nucleus_size {size}, "
+                             f"loop_time_ns {ns}", path=str(path), line=lineno)
         samples.append(TimingSample(fields[0], size, ns, vocab))
     return samples

@@ -15,10 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (InsufficientDataError, UsageError, ValidationError, read_series,
-                     write_records)
+from .errors import (InsufficientDataError, UsageError, ValidationError, check_id,
+                     read_series, write_records)
 from .fingerprint import Nss
-from .model import check_id
 
 DEFAULT_CAPTURE_FRACTION = 0.011
 DEFAULT_DROP_FRACTION = 0.06
@@ -107,8 +106,7 @@ def trace_rng(cfg: ChannelConfig, seq_id: str) -> np.random.Generator:
         np.random.SeedSequence([cfg.rng_seed & 0xFFFFFFFF, zlib.crc32(seq_id.encode())]))
 
 
-def simulate_trace(nss: Nss, vocab_size: int, cfg: ChannelConfig,
-                   rng: np.random.Generator | None = None) -> RawTrace:
+def simulate_trace(nss: Nss, vocab_size: int, cfg: ChannelConfig) -> RawTrace:
     """Run the probe against a victim whose loop counts follow the NSS.
 
     Per step t the victim's removal loop runs ``vocab_size - sizes[t]``
@@ -121,8 +119,7 @@ def simulate_trace(nss: Nss, vocab_size: int, cfg: ChannelConfig,
     if np.any(nss.sizes > vocab_size):
         raise ValidationError(
             f"NSS {nss.seq_id!r} has sizes above the vocabulary size {vocab_size}")
-    if rng is None:
-        rng = trace_rng(cfg, nss.seq_id)
+    rng = trace_rng(cfg, nss.seq_id)
     cpi, capture = cfg.cycles_per_iteration, cfg.capture_fraction
     iters = vocab_size - nss.sizes
     dilation = np.empty(iters.size)

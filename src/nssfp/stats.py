@@ -58,14 +58,18 @@ class UniquenessModel:
 
 @dataclass(frozen=True)
 class ErrorModel:
-    """Normal fit of measurement errors, the bound d(N), and tau_N."""
+    """Normal fit of measurement errors, the bound d(N), and tau_N; only a
+    positive tau can match."""
 
     length: int
     mean: float
     std: float
     bound: float
     tau: float
-    matchable: bool
+
+    @property
+    def matchable(self) -> bool:
+        return self.tau > 0
 
 
 def smoothed_histogram(samples, buckets: int, window: int = 11) -> list[tuple[float, float]]:
@@ -178,8 +182,7 @@ def error_bound(errors, uniqueness: UniquenessModel) -> ErrorModel:
     std = float(errors.std())
     bound = mean + ERROR_BOUND_SIGMAS * std
     tau = uniqueness.radius - bound
-    return ErrorModel(length=uniqueness.length, mean=mean, std=std, bound=bound,
-                      tau=tau, matchable=tau > 0)
+    return ErrorModel(length=uniqueness.length, mean=mean, std=std, bound=bound, tau=tau)
 
 
 FIT_HEADER = "#fit v2"
@@ -218,5 +221,4 @@ def read_fit_report(path) -> tuple[UniquenessModel, ErrorModel | None]:
         raise ParseError(str(exc), path=str(path), line=record_line) from None
     if any(math.isnan(v) for v in (mean, std, bound, tau)):
         return uniq, None
-    return uniq, ErrorModel(length=n, mean=mean, std=std, bound=bound, tau=tau,
-                            matchable=tau > 0)
+    return uniq, ErrorModel(length=n, mean=mean, std=std, bound=bound, tau=tau)

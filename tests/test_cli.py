@@ -391,7 +391,8 @@ def test_report_evaluation_prints_summary_and_rows(tmp_path, capsys):
     assert main(["report", "--evaluation", str(report)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: {report}:3: not UTF-8 text"]
+    assert [l for l in captured.err.splitlines() if not l.startswith("# config ")] == [
+        f"error: {report}:3: not UTF-8 text"]
 
 
 def _model_json(tables='{"2":{"0":{"1":2}}}', unigram="[2,1,0]", weights="[0.4,0.6]"):
@@ -437,6 +438,7 @@ BAD_INPUTS = {
              ("#seq v1 vocab_size=9\ns\t0,5\t1,2\n", 2),
              ("#seq v1 vocab_size=9\ns\t1\t1,2\n", 2)],
     "nss": [("s\t0\tn=5\n", 1), ("#nss v1 model=m q=0.9\ns\t0\n", 2),
+            ("#nss v1 model=m q=0.9\na,b\t0\tn=5\na,b\t1\tn=6\n", 2),
             ("#nss v1 model=m q=0.9\ns\t0\tn=x\n", 2),
             ("#nss v1 model=m q=0.9\n# \udce9\ns\t0\tn=5\n", 2),
             ("#nss v1 model=m q=0.9\ns\t0\tn=5\ns\t1\tn=7\ns\t1\tn=8\n", 4),
@@ -446,12 +448,15 @@ BAD_INPUTS = {
              ("#pairdist v1 length=2\na,b,-1.5\n", 2)],
     "trc": [("s\t0\t2\t10.0\t5.0\n", 1), ("#trace v1 seed=0 capture=0.5\ns\t0\t2\n", 2),
             ("#trace v1 seed=0 capture=0.5\ns\t0\t-4\t10.0\t5.0\n", 2),
+            ("#trace v1 seed=0 capture=0.5\ns\t0\t2\t10.0\t5.0\na,b\t0\t2\t10.0\t5.0\n", 3),
             ("#trace v1 seed=0 capture=0.5\ns\t0\t2\t10.0\t5.0\n"
              "#trace v1 seed=0 capture=0.01\ns\t1\t4\t20.0\t7.0\n", 3)],
     "fit": [(FIT_ROW, 1), (FIT_HEAD + "2,1e-06\n", 4), (FIT_HEAD + FIT_ROW + FIT_ROW, 5),
             ("#fit v2\n\udce9\n", 2)],
     "bench": [(BENCH_HEAD + "vulnerable,10\n", 2), (BENCH_HEAD + "mitigated,1,2,x\n", 2),
-              ("# caf\udce9\n", 1), (BENCH_HEAD + "vulnerabel,10,5,7\n", 2)],
+              ("# caf\udce9\n", 1), (BENCH_HEAD + "vulnerabel,10,5,7\n", 2),
+              (BENCH_HEAD + "vulnerable,10,-5,-7\n", 2), (BENCH_HEAD + "vulnerable,10,50,7\n", 2),
+              (BENCH_HEAD + "mitigated,0,0,7\n", 2), (BENCH_HEAD + "mitigated,10,5,-1\n", 2)],
 }
 # every subcommand that reads a file, with the format of each input it reads
 READING_COMMANDS = [
@@ -504,4 +509,34 @@ def test_repeated_sequence_id_ends_in_one_error_line(tmp_path, capsys, good_inpu
                  "--out", str(out)]) == 1
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and f"{seqs}:4: " in errors[0], errors
+    assert not out.exists()
+
+
+def test_report_resolves_its_configuration(tmp_path, capsys, good_inputs):
+    fit = str(good_inputs["fit"])
+    assert main(["report", "--fit", fit, "--seed", "4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("N=") and "# config seed=4" in captured.err.splitlines()
+    assert main(["report", "--fit", fit, "--config", str(tmp_path / "missing.cfg")]) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and "missing.cfg" in errors[0], errors
+
+
+@pytest.mark.parametrize("command, source, value", [
+    ("nss", "flag", -3), ("nss", "config", 0), ("evaluate", "flag", 0),
+    ("evaluate", "config", -1)])
+def test_sequence_length_below_one_ends_in_one_error_line(tmp_path, capsys, good_inputs,
+                                                          command, source, value):
+    out = tmp_path / "out"
+    argv = (["nss", "--model", str(good_inputs["model"]), "--seqs", str(good_inputs["seqs"]),
+             "--truncate"] if command == "nss" else
+            ["evaluate", "--corpus", str(good_inputs["corpus"])]) + ["--out", str(out)]
+    if source == "flag":
+        argv += ["--length", str(value)]
+    else:
+        (tmp_path / "run.cfg").write_text(f"sequence_length={value}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert errors == [f"error: sequence_length must be >= 1, got {value}"]
     assert not out.exists()

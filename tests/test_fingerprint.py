@@ -10,7 +10,7 @@ from nssfp.cli import main as cli_main
 from nssfp.errors import UsageError, ValidationError
 from nssfp.model import Sequence, Vocabulary, train_model
 from nssfp.sampler import nucleus_size_from_probs
-from oracles import context_at
+from oracles import context_at, context_code
 
 
 def test_generate_nss_single_prefix(tiny_model, tiny_corpus):
@@ -27,8 +27,9 @@ def test_generate_nss_matches_explicit_oracle(tiny_model, tiny_corpus):
     words = np.concatenate([seqs[2].words, seqs[3].words])
     joined = Sequence(id="j", words=words, boundaries=(0, len(seqs[2])))
     nss = fp.generate_nss(tiny_model, joined, 0.9)
-    contexts = [context_at(tiny_model, joined, t) for t in range(len(joined))]
-    expected = [nucleus_size_from_probs(tiny_model.context_probs(c), 0.9) for c in contexts]
+    codes = [context_code(tiny_model, context_at(tiny_model, joined, t))
+             for t in range(len(joined))]
+    expected = [nucleus_size_from_probs(tiny_model.context_probs(c), 0.9) for c in codes]
     assert list(nss.sizes) == expected
 
 
@@ -41,7 +42,7 @@ def test_generate_nss_deterministic_and_boundary_spike(tiny_model, tiny_corpus):
     again = fp.generate_nss(tiny_model, joined, 0.9)
     assert np.array_equal(a.sizes, again.sizes)
     # the size at the boundary equals the empty-context size
-    empty_size = nucleus_size_from_probs(tiny_model.context_probs(()), 0.9)
+    empty_size = nucleus_size_from_probs(tiny_model.context_probs(0), 0.9)
     assert a.sizes[b] == empty_size
 
 
@@ -80,17 +81,16 @@ def test_sparse_nucleus_sizes_equal_dense_oracle(monkeypatch):
     def check(built, data):
         model, seqs = built
         contexts = list(dict.fromkeys(
-            [model.context_code(())] + [c for s in seqs for c in model.context_codes(s).tolist()]
-            + [model.context_code(tuple(data.draw(st.lists(
+            [0] + [c for s in seqs for c in model.context_codes(s).tolist()]
+            + [context_code(model, tuple(data.draw(st.lists(
                 st.integers(0, model.vocab_size - 1), max_size=model.order - 1))))]))
         # p at an exact prefix sum of the oracle puts a block boundary on p
         ctx = data.draw(st.sampled_from(contexts))
-        cum = np.cumsum(np.sort(model.context_probs(model.context_words(ctx)))[::-1])
+        cum = np.cumsum(np.sort(model.context_probs(ctx))[::-1])
         at_sum = float(min(cum[data.draw(st.integers(0, cum.size - 1))], 1.0))
         p = data.draw(st.one_of(st.just(at_sum), st.just(1.0),
                                 st.floats(0.01, 1.0, exclude_min=True)))
-        expected = [nucleus_size_from_probs(model.context_probs(model.context_words(c)), p)
-                    for c in contexts]
+        expected = [nucleus_size_from_probs(model.context_probs(c), p) for c in contexts]
         assert fp._nucleus_sizes(model, np.array(contexts), p) == expected
 
     check()
@@ -116,8 +116,7 @@ def _spread_models(draw):
 def test_sparse_sizes_merge_blocks_above_successors(built, p):
     model, seqs = built
     codes = np.unique(np.concatenate([model.context_codes(s) for s in seqs]))
-    expected = [nucleus_size_from_probs(model.context_probs(model.context_words(c)), p)
-                for c in codes]
+    expected = [nucleus_size_from_probs(model.context_probs(c), p) for c in codes]
     assert fp._nucleus_sizes(model, codes, p) == expected
 
 
@@ -131,7 +130,7 @@ def test_nss_file_equals_dense_path_on_c9_corpus(tmp_path, monkeypatch):
     nss = ["nss", *shape, "--model", str(model), "--truncate", "--length", "1000"]
     assert cli_main([*nss, "--out", str(tmp_path / "sparse.nss")]) == 0
     monkeypatch.setattr(fp, "_nucleus_sizes", lambda m, contexts, p: [
-        nucleus_size_from_probs(m.context_probs(m.context_words(c)), p) for c in contexts])
+        nucleus_size_from_probs(m.context_probs(c), p) for c in contexts])
     assert cli_main([*nss, "--out", str(tmp_path / "dense.nss")]) == 0
     assert (tmp_path / "sparse.nss").read_bytes() == (tmp_path / "dense.nss").read_bytes()
 
@@ -149,7 +148,7 @@ def test_variability_examples():
 
     two = fp.Nss("t", 0.9, "m", np.array([0, 2900]))
     r = fp.variability(two, threshold=1450)
-    assert r.mean == 1450 and r.variability == 1450
+    assert r.variability == 1450
     assert not r.is_variable  # strictly greater required
 
     three = fp.Nss("x", 0.9, "m", np.array([100, 200, 300]))

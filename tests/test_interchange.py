@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from nssfp import errors
 from nssfp.config import read_config_file
 from nssfp.corpus import load_corpus
-from nssfp.errors import ParseError, UsageError, ValidationError
+from nssfp.errors import ParseError, UsageError, ValidationError, check_id
 from nssfp.fingerprint import Nss
 from nssfp.interchange import (read_distances, read_nss, read_sequences, write_distances,
                                write_nss, write_sequences)
-from nssfp.model import Sequence, check_id
+from nssfp.model import Sequence
 from nssfp.sampler import (MITIGATED, VULNERABLE, TimingSample, read_bench_report,
                            write_bench_report)
 from nssfp.sidechannel import ChannelConfig, Trace, read_traces, simulate_pool, write_traces
@@ -71,8 +71,9 @@ def test_ingest_error_reporting(tmp_path):
 def test_ids_reject_delimiters(tmp_path):
     path = tmp_path / "comma.nss"
     path.write_text("#nss v1 model=m q=0.9\na,b\t0\tn=5\n")
-    with pytest.raises(ValidationError, match="'a,b'"):
+    with pytest.raises(ParseError, match="'a,b'") as exc:
         read_nss(path)
+    assert exc.value.line == 2
     for bad in ("a\tb", "a\nb", "a\rb", "#a"):
         with pytest.raises(ValidationError):
             Nss(bad, 0.9, "m", np.array([1]))
@@ -264,9 +265,9 @@ def test_distance_file_roundtrip(tmp_path, ids, length, distances, header):
 
 
 @_file_settings
-@given(samples=st.lists(st.builds(TimingSample, st.sampled_from([VULNERABLE, MITIGATED]),
-                                  st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1),
-                                  st.integers(1, 2**63 - 1)), max_size=6),
+@given(samples=st.lists(st.integers(1, 2**63 - 1).flatmap(lambda vocab: st.builds(
+           TimingSample, st.sampled_from([VULNERABLE, MITIGATED]), st.integers(0, vocab),
+           st.integers(0, 2**63 - 1), st.just(vocab))), max_size=6),
        header=st.lists(st.text(st.characters(blacklist_categories=("Cs", "Cc"))),
                        max_size=2))
 def test_bench_file_roundtrip(tmp_path, samples, header):

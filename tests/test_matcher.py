@@ -28,7 +28,7 @@ def _models(n, radius, bound):
     uniq = UniquenessModel(length=n, log_mu=np.log(radius) if radius > 0 else 0.0,
                            log_sigma=1.0, epsilon=1e-6, radius=radius)
     err = ErrorModel(length=n, mean=bound / 2, std=bound / 20, bound=bound,
-                     tau=radius - bound, matchable=radius - bound > 0)
+                     tau=radius - bound)
     return uniq, err
 
 
@@ -211,7 +211,7 @@ def test_scan_equals_window_loop(n, seed, kinds, scale, quantized, noise, pick, 
     uniq = UniquenessModel(length=n, log_mu=0.0, log_sigma=1.0, epsilon=1e-6,
                            radius=abs(tau) + 1.0)
     models = (uniq, ErrorModel(length=n, mean=0.0, std=0.0, bound=uniq.radius - tau,
-                               tau=tau, matchable=tau > 0))
+                               tau=tau))
 
     hits = _loop_results(x, traces, tau)
     assert [_fields(r) for r in matcher._scan(x, traces, models, -1.0)] == [

@@ -9,11 +9,16 @@ from hypothesis import strategies as st
 from nssfp.errors import ConfigurationError, ValidationError
 from nssfp.model import (Sequence, Vocabulary, load_model, save_model, tokenize,
                          train_model)
-from oracles import context_at
+from oracles import context_at, context_code
 
 
 def _probs(model, seq, t):
-    return model.context_probs(context_at(model, seq, t))
+    return model.context_probs(context_code(model, context_at(model, seq, t)))
+
+
+def _vocab(seqs):
+    """Tokens ``<i>`` for the ids 0..max of the sequences."""
+    return Vocabulary(tuple(f"<{i}>" for i in range(max(int(s.words.max()) for s in seqs) + 1)))
 
 
 def test_tokenize_lowercases_and_splits_punctuation():
@@ -50,35 +55,37 @@ def test_sequence_validation():
 def test_unigram_counts_from_symmetric_corpus():
     # "a b a b": symmetric counts stay 0.5/0.5 even with the add-one floor
     seq = Sequence(id="s", words=np.array([0, 1, 0, 1]))
-    model = train_model([seq], order=1, weights=(1.0,))
+    model = train_model([seq], order=1, weights=(1.0,), vocabulary=_vocab([seq]))
     assert np.allclose(_probs(model, seq, 0), [0.5, 0.5])
 
 
 def test_training_is_deterministic():
     seq = Sequence(id="s", words=np.array([0, 1, 0, 1]))
-    a = train_model([seq], order=3, weights=(0.1, 0.3, 0.6))
-    b = train_model([seq], order=3, weights=(0.1, 0.3, 0.6))
+    vocab = _vocab([seq])
+    a = train_model([seq], order=3, weights=(0.1, 0.3, 0.6), vocabulary=vocab)
+    b = train_model([seq], order=3, weights=(0.1, 0.3, 0.6), vocabulary=vocab)
     assert a.model_id == b.model_id
-    c = train_model([seq], order=3, weights=(0.2, 0.2, 0.6))
+    c = train_model([seq], order=3, weights=(0.2, 0.2, 0.6), vocabulary=vocab)
     assert c.model_id != a.model_id
 
 
 def test_train_validation_errors():
     seq = Sequence(id="s", words=np.array([0, 1]))
+    vocab = _vocab([seq])
     with pytest.raises(ConfigurationError):
-        train_model([], order=2, weights=(0.5, 0.5))
+        train_model([], order=2, weights=(0.5, 0.5), vocabulary=vocab)
     with pytest.raises(ConfigurationError):
-        train_model([seq], order=0, weights=())
+        train_model([seq], order=0, weights=(), vocabulary=vocab)
     with pytest.raises(ConfigurationError):
-        train_model([seq], order=6, weights=(1,) * 6)
+        train_model([seq], order=6, weights=(1,) * 6, vocabulary=vocab)
     with pytest.raises(ConfigurationError):
-        train_model([seq], order=2, weights=(0.5,))
+        train_model([seq], order=2, weights=(0.5,), vocabulary=vocab)
     with pytest.raises(ConfigurationError):
-        train_model([seq], order=2, weights=(0.9, 0.2))
+        train_model([seq], order=2, weights=(0.9, 0.2), vocabulary=vocab)
     with pytest.raises(ConfigurationError):
-        train_model([seq], order=2, weights=(-0.5, 1.5))
+        train_model([seq], order=2, weights=(-0.5, 1.5), vocabulary=vocab)
     with pytest.raises(ConfigurationError):
-        train_model([seq], order=2, weights=(float("nan"), 1.0))
+        train_model([seq], order=2, weights=(float("nan"), 1.0), vocabulary=vocab)
 
 
 def test_every_context_yields_normalized_distribution(rng):
@@ -88,7 +95,7 @@ def test_every_context_yields_normalized_distribution(rng):
         n = int(rng.integers(5, 40))
         words = rng.integers(0, 30, size=n)
         corpus.append(Sequence(id=f"r{i}", words=words))
-    model = train_model(corpus, order=2, weights=(0.3, 0.7))
+    model = train_model(corpus, order=2, weights=(0.3, 0.7), vocabulary=_vocab(corpus))
     for seq in corpus[:20]:
         for t in range(len(seq) + 1):
             assert abs(_probs(model, seq, t).sum() - 1.0) <= 1e-9
@@ -127,7 +134,7 @@ def test_position_reset_semantics(tiny_model, tiny_corpus):
     words = np.concatenate([seqs[0].words, seqs[1].words])
     b = len(seqs[0])
     joined = Sequence(id="j", words=words, boundaries=(0, b))
-    empty_ctx = tiny_model.context_probs(())
+    empty_ctx = tiny_model.context_probs(0)
     assert np.array_equal(_probs(tiny_model, joined, b), empty_ctx)
     # order-1 model: distribution independent of position
     uni_model = train_model(seqs, order=1, weights=(1.0,), vocabulary=vocab)
@@ -209,7 +216,7 @@ def test_array_tables_equal_dict_oracle(tmp_path):
         for k, table in model.tables.items():
             assert len(table) == len(tables[k])
             for ctx, succ in tables[k].items():
-                row = table.find(np.array([model.context_code(ctx)]))[0]
+                row = table.find(np.array([context_code(model, ctx)]))[0]
                 a, b = table.offsets[row], table.offsets[row + 1]
                 ids, counts = table.ids[a:b], table.counts[a:b]
                 assert row >= 0 and ids.tolist() == sorted(succ)
@@ -218,7 +225,7 @@ def test_array_tables_equal_dict_oracle(tmp_path):
                 == sum(len(t) for t in tables.values()))
         for seq in seqs:
             assert model.context_codes(seq).tolist() == [
-                model.context_code(context_at(model, seq, t)) for t in range(len(seq))]
+                context_code(model, context_at(model, seq, t)) for t in range(len(seq))]
 
         path = tmp_path / "model.json"
         save_model(path, model)
@@ -239,8 +246,8 @@ def test_context_codes_must_fit_int64():
     seq = Sequence(id="s", words=np.array([0, 3, 1, 2, 3, 1]))
     big = Sequence(id="b", words=np.array([0, 60000, 1, 2, 3]))
     with pytest.raises(ConfigurationError, match="int64"):
-        train_model([seq, big], order=5, weights=(0.2,) * 5)
-    train_model([seq, big], order=4, weights=(0.25,) * 4)
+        train_model([seq, big], order=5, weights=(0.2,) * 5, vocabulary=_vocab([seq, big]))
+    train_model([seq, big], order=4, weights=(0.25,) * 4, vocabulary=_vocab([seq, big]))
     gpt2 = Sequence(id="g", words=np.array([0, 50256, 1, 2, 50256, 0]))
-    model = train_model([gpt2], order=5, weights=(0.2,) * 5)
+    model = train_model([gpt2], order=5, weights=(0.2,) * 5, vocabulary=_vocab([gpt2]))
     assert len(model.tables[5]) == 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nssfp import sidechannel
 from nssfp.errors import InsufficientDataError, ParseError, UsageError, ValidationError
 from nssfp.fingerprint import Nss
 from nssfp.sidechannel import (ChannelConfig, RawTrace, Trace, estimate_global_slope,
@@ -377,12 +378,14 @@ class _EveryIterationHit:
         return getattr(self._rng, name)
 
 
-def test_simulator_grows_its_hit_buffer():
+def test_simulator_grows_its_hit_buffer(monkeypatch):
     cfg = ChannelConfig(capture_fraction=0.001, rng_seed=6)
     nss = _nss([0, 900, 10, 1000, 500] * 4)
-    raw = simulate_trace(nss, 1000, cfg, rng=_EveryIterationHit(trace_rng(cfg, "x")))
+    monkeypatch.setattr(sidechannel, "trace_rng",
+                        lambda cfg, seq_id: _EveryIterationHit(trace_rng(cfg, seq_id)))
+    raw = simulate_trace(nss, 1000, cfg)
     steps, times = _loop_simulate_trace(nss, 1000, cfg,
-                                        rng=_EveryIterationHit(trace_rng(cfg, "x")))
+                                        rng=_EveryIterationHit(trace_rng(cfg, nss.seq_id)))
     assert raw.hit_times.size == int(np.sum(1000 - nss.sizes))
     assert _same(raw.hit_steps, steps) and _same(raw.hit_times, times)
 

@@ -136,8 +136,7 @@ def test_fit_report_roundtrip(tmp_path, n, eps, log_mu, log_sigma, radius, error
     err = None
     if errors is not None:
         mean, std, bound, tau = errors
-        err = ErrorModel(length=n, mean=mean, std=std, bound=bound, tau=tau,
-                         matchable=tau > 0)
+        err = ErrorModel(length=n, mean=mean, std=std, bound=bound, tau=tau)
     path = tmp_path / "fit.csv"
     write_fit_report(path, uniq, err, header_lines=header)
     assert read_fit_report(path) == (uniq, err)
