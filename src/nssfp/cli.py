@@ -277,94 +277,76 @@ def cmd_report(args) -> int:
     raise UsageError("report needs one of --evaluation/--fit/--distances/--bench")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FORMAT = ("--format", dict(default=corpus_mod.TSV_POSTS,
+                           choices=[corpus_mod.TSV_POSTS, corpus_mod.PLAIN_DIR]))
+_MIN_WORDS = ("--min-words", dict(type=int, default=1))
+_OUT = ("--out", dict(required=True))
+
+# each subcommand cmd_<name>: (help, its own arguments after the config flags)
+COMMANDS = {
+    "synth": ("generate a seeded synthetic post corpus", [
+        ("--authors", dict(type=int, required=True)),
+        ("--vocab-size", dict(type=int, default=12000)),
+        ("--target-words", dict(type=int, default=1200)),
+        _OUT]),
+    "train": ("train the n-gram model on a corpus", [
+        ("--corpus", dict(required=True)), _FORMAT, _MIN_WORDS,
+        ("--save-seqs", dict(help="also persist aggregated sequences (#seq v1)")),
+        _OUT]),
+    "nss": ("generate nucleus size series", [
+        ("--corpus", {}), _FORMAT,
+        ("--seqs", dict(help="read sequences from a #seq v1 file instead")),
+        ("--model", dict(required=True)), _MIN_WORDS,
+        ("--truncate", dict(action="store_true",
+                            help="drop shorter sequences and cut the rest to --length")),
+        _OUT]),
+    "analyze": ("pairwise fingerprint distances", [
+        ("--nss", dict(required=True)), ("--seqs", dict(required=True)), _OUT]),
+    "fit": ("fit U(N) and optionally d(N)/tau from traces", [
+        ("--distances", dict(required=True)), ("--nss", {}), ("--traces", {}), _OUT]),
+    "simulate": ("simulate side-channel traces for an NSS file", [
+        ("--nss", dict(required=True)), ("--vocab-size", dict(type=int, required=True)),
+        _OUT]),
+    "match": ("match candidate NSS against a trace pool", [
+        ("--nss", dict(required=True)), ("--traces", dict(required=True)),
+        ("--fit", dict(required=True)),
+        ("--target", dict(help="match only this sequence id")), ("--out", {})]),
+    "evaluate": ("full end-to-end attack evaluation", [
+        ("--corpus", dict(required=True)), _FORMAT, _MIN_WORDS, _OUT]),
+    "bench": ("time the removal loop of the filter variants", [
+        ("--variant", dict(default="both",
+                           choices=["both", sampler.VULNERABLE, sampler.MITIGATED])),
+        ("--vocab-size", dict(type=int, default=50257)),
+        ("--trials", dict(type=int, default=50)), _OUT]),
+    "report": ("summarize pipeline artifacts", [
+        ("--evaluation", {}), ("--fit", {}), ("--bench", {}), ("--distances", {}),
+        ("--buckets", dict(type=int, default=100)),
+        ("--hist-window", dict(type=int, default=11)), ("--out", {})]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone, which parses
+    that command's arguments and prints its help the same way."""
     parser = argparse.ArgumentParser(
         prog="nssfp",
         description="Nucleus-size-series fingerprinting pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=fn)
-        _add_config_flags(p)
-        return p
-
-    p = command("synth", cmd_synth, "generate a seeded synthetic post corpus")
-    p.add_argument("--authors", type=int, required=True)
-    p.add_argument("--vocab-size", type=int, default=12000)
-    p.add_argument("--target-words", type=int, default=1200)
-    p.add_argument("--out", required=True)
-
-    p = command("train", cmd_train, "train the n-gram model on a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--format", default=corpus_mod.TSV_POSTS,
-                   choices=[corpus_mod.TSV_POSTS, corpus_mod.PLAIN_DIR])
-    p.add_argument("--min-words", type=int, default=1)
-    p.add_argument("--save-seqs", help="also persist aggregated sequences (#seq v1)")
-    p.add_argument("--out", required=True)
-
-    p = command("nss", cmd_nss, "generate nucleus size series")
-    p.add_argument("--corpus")
-    p.add_argument("--format", default=corpus_mod.TSV_POSTS,
-                   choices=[corpus_mod.TSV_POSTS, corpus_mod.PLAIN_DIR])
-    p.add_argument("--seqs", help="read sequences from a #seq v1 file instead")
-    p.add_argument("--model", required=True)
-    p.add_argument("--min-words", type=int, default=1)
-    p.add_argument("--truncate", action="store_true",
-                   help="drop shorter sequences and cut the rest to --length")
-    p.add_argument("--out", required=True)
-
-    p = command("analyze", cmd_analyze, "pairwise fingerprint distances")
-    p.add_argument("--nss", required=True)
-    p.add_argument("--seqs", required=True)
-    p.add_argument("--out", required=True)
-
-    p = command("fit", cmd_fit, "fit U(N) and optionally d(N)/tau from traces")
-    p.add_argument("--distances", required=True)
-    p.add_argument("--nss")
-    p.add_argument("--traces")
-    p.add_argument("--out", required=True)
-
-    p = command("simulate", cmd_simulate, "simulate side-channel traces for an NSS file")
-    p.add_argument("--nss", required=True)
-    p.add_argument("--vocab-size", type=int, required=True)
-    p.add_argument("--out", required=True)
-
-    p = command("match", cmd_match, "match candidate NSS against a trace pool")
-    p.add_argument("--nss", required=True)
-    p.add_argument("--traces", required=True)
-    p.add_argument("--fit", required=True)
-    p.add_argument("--target", help="match only this sequence id")
-    p.add_argument("--out")
-
-    p = command("evaluate", cmd_evaluate, "full end-to-end attack evaluation")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--format", default=corpus_mod.TSV_POSTS,
-                   choices=[corpus_mod.TSV_POSTS, corpus_mod.PLAIN_DIR])
-    p.add_argument("--min-words", type=int, default=1)
-    p.add_argument("--out", required=True)
-
-    p = command("bench", cmd_bench, "time the removal loop of the filter variants")
-    p.add_argument("--variant", default="both",
-                   choices=["both", sampler.VULNERABLE, sampler.MITIGATED])
-    p.add_argument("--vocab-size", type=int, default=50257)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--out", required=True)
-
-    p = command("report", cmd_report, "summarize pipeline artifacts")
-    p.add_argument("--evaluation")
-    p.add_argument("--fit")
-    p.add_argument("--bench")
-    p.add_argument("--distances")
-    p.add_argument("--buckets", type=int, default=100)
-    p.add_argument("--hist-window", type=int, default=11)
-    p.add_argument("--out")
-
+    for name, (help_text, arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            # looked up now, so that a rebound module attribute (a tracer's) runs
+            p.set_defaults(func=globals()[f"cmd_{name}"])
+            _add_config_flags(p)
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a known subcommand needs only its own parser; anything else gets them all
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

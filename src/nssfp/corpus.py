@@ -22,6 +22,7 @@ from .model import Sequence, Vocabulary, tokenize
 TSV_POSTS = "tsv_posts"
 PLAIN_DIR = "plain_dir"
 DEFAULT_WORD_CAP = 3000
+LEXICON_SIZE = 60  # words per synthetic author
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,13 @@ def synthesize_corpus(
     """
     if authors < 1:
         raise UsageError("need at least one author")
+    if vocab_size < LEXICON_SIZE:
+        raise UsageError(f"vocab_size must be >= {LEXICON_SIZE}, the size of an author's "
+                         f"lexicon, got {vocab_size}")
+    if target_words < 1:
+        raise UsageError(f"target_words must be >= 1, got {target_words}")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     def pick(arr: np.ndarray) -> int:  # rng.choice(arr)'s stream, without its overhead
@@ -134,7 +142,7 @@ def synthesize_corpus(
     posts: list[tuple[str, float, str]] = []
     for a in range(authors):
         author = f"author{a:04d}"
-        lexicon = rng.choice(vocab_size, size=60, replace=False)
+        lexicon = rng.choice(vocab_size, size=LEXICON_SIZE, replace=False)
         successors = {
             int(w): rng.choice(lexicon, size=3, replace=False)
             for w in lexicon

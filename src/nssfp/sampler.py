@@ -108,12 +108,18 @@ def _remove_vulnerable(filtered: np.ndarray, not_in_p: np.ndarray):
     filtered[not_in_p] = -np.inf           # len(not_in_p) trips
 
 
+@np.errstate(over="ignore")
 def _remove_mitigated(filtered: np.ndarray, order: np.ndarray, sorted_logits: np.ndarray,
-                      cum: np.ndarray, p: float) -> np.ndarray:
-    """Subtract +inf or 0 at every rank; returns the subtracted term."""
-    z = np.where(cum > p, np.inf, 0.0)     # == indicator * MAXFLOAT * 2 after overflow
-    filtered[order] = sorted_logits - z    # vocab-size trips, unconditionally
-    return z
+                      cum: np.ndarray, p: float, removed: np.ndarray, term: np.ndarray):
+    """Subtract +inf or 0 at every rank, allocating nothing: ``removed`` (bool)
+    receives the indicator ``cum > p`` and ``term`` (float) the subtracted term,
+    then the filtered logits in rank order."""
+    np.greater(cum, p, out=removed)
+    np.copyto(term, removed)               # a cast in place; a mixed-type ufunc would buffer
+    np.multiply(term, MAXFLOAT, out=term)
+    np.add(term, term, out=term)           # indicator * MAXFLOAT * 2: +inf or 0
+    np.subtract(sorted_logits, term, out=term)
+    filtered[order] = term                 # vocab-size trips, unconditionally
 
 
 def top_p_filter_vulnerable(logits, p: float) -> tuple[np.ndarray, FilterOutcome]:
@@ -142,16 +148,16 @@ def top_p_filter_mitigated(logits, p: float) -> tuple[np.ndarray, FilterOutcome]
 
     Every rank is visited exactly once and receives the same arithmetic:
     subtract ``indicator(cum > p) * MAXFLOAT * 2``, which overflows to
-    +inf for removed tokens and is 0 for kept ones. ``np.where`` is the
-    branch-free selection form of that indicator product; no control flow
-    or indexing depends on the comparison outcome.
+    +inf for removed tokens and is 0 for kept ones, computed as that
+    product; no control flow or indexing depends on the comparison outcome.
     """
     logits, order, cum = _rank(logits, p)
     filtered = logits.copy()
-    z = _remove_mitigated(filtered, order, logits[order], cum, p)
-    removed = int(np.count_nonzero(z))
+    mask = np.empty(logits.size, dtype=bool)
+    _remove_mitigated(filtered, order, logits[order], cum, p, mask, np.empty(logits.size))
+    removed = int(np.count_nonzero(mask))
     outcome = FilterOutcome(
-        kept_ids=np.sort(order[z == 0.0]),
+        kept_ids=np.sort(order[~mask]),
         removed_count=removed,
         removal_loop_iterations=int(logits.size),
         nucleus_size=logits.size - removed,
@@ -219,6 +225,8 @@ def bench_filter(variant: str, vocab_size: int, trials: int, rng_seed: int,
         raise UsageError("trials must be >= 1")
     if variant not in FILTERS:
         raise UsageError(f"unknown variant {variant!r}")
+    if rng_seed < 0:
+        raise UsageError(f"seed must be >= 0, got {rng_seed}")
     rng = np.random.default_rng(rng_seed)
     samples = []
     with _pinned_to_one_core():
@@ -227,6 +235,7 @@ def bench_filter(variant: str, vocab_size: int, trials: int, rng_seed: int,
             sorted_logits = logits[order]
             mask = cum > p
             size = int(vocab_size - np.count_nonzero(mask))
+            removed, term = np.empty(vocab_size, dtype=bool), np.empty(vocab_size)
             times = []
             for rep in range(BENCH_REPEATS + 1):
                 filtered = logits.copy()
@@ -239,7 +248,7 @@ def bench_filter(variant: str, vocab_size: int, trials: int, rng_seed: int,
                     t1 = time.perf_counter_ns()
                 else:
                     t0 = time.perf_counter_ns()
-                    _remove_mitigated(filtered, order, sorted_logits, cum, p)
+                    _remove_mitigated(filtered, order, sorted_logits, cum, p, removed, term)
                     t1 = time.perf_counter_ns()
                 if rep > 0:  # discard warm-up
                     times.append(t1 - t0)

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from nssfp.cli import build_parser, main
+from nssfp.cli import COMMANDS, build_parser, main
 from nssfp.config import PipelineConfig, env_overrides, read_config_file, resolve_config
 from nssfp.errors import ConfigurationError
 
@@ -540,3 +540,69 @@ def test_sequence_length_below_one_ends_in_one_error_line(tmp_path, capsys, good
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert errors == [f"error: sequence_length must be >= 1, got {value}"]
     assert not out.exists()
+
+
+def _errors(capsys):
+    return [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--vocab-size", "59", "vocab_size must be >= 60"),
+    ("--vocab-size", "0", "vocab_size must be >= 60"),
+    ("--target-words", "0", "target_words must be >= 1"),
+    ("--target-words", "-5", "target_words must be >= 1"),
+    ("--seed", "-1", "seed must be >= 0"),
+])
+def test_synth_argument_out_of_range_ends_in_one_usage_line(tmp_path, capsys, flag, value,
+                                                            message):
+    out = tmp_path / "corpus.tsv"
+    assert main(["synth", "--authors", "2", flag, value, "--out", str(out)]) == 2
+    errors = _errors(capsys)
+    assert len(errors) == 1 and errors[0].startswith(f"error: usage: {message}"), errors
+    assert not out.exists()
+
+
+def test_bench_negative_seed_ends_in_one_usage_line(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--vocab-size", "100", "--trials", "1", "--seed", "-1",
+                 "--out", str(out)]) == 2
+    assert _errors(capsys) == ["error: usage: seed must be >= 0, got -1"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+@pytest.mark.parametrize("flag, field", [
+    ("--capture-fraction", "capture_fraction"),
+    ("--cycles-per-iteration", "cycles_per_iteration"),
+    ("--jitter-std", "hit_jitter_std"), ("--outlier-rate", "outlier_rate"),
+    ("--outlier-scale", "outlier_scale")])
+def test_nan_channel_setting_ends_in_one_error_line(tmp_path, capsys, good_inputs, command,
+                                                    flag, field):
+    out = tmp_path / "out"
+    argv = (["simulate", "--nss", str(good_inputs["nss"]), "--vocab-size", "9"]
+            if command == "simulate" else ["evaluate", "--corpus", str(good_inputs["corpus"])])
+    assert main(argv + [flag, "nan", "--out", str(out)]) == 1
+    errors = _errors(capsys)
+    assert len(errors) == 1 and errors[0].startswith(f"error: {field} must"), errors
+    assert not out.exists()
+
+
+def _help(parser, command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_one_command_parser_parses_and_helps_as_the_full_one(capsys, command):
+    argv = [command, "--seed", "3", "--weights", "0.5,0.5", "--jitter-std", "2.5"]
+    argv += [a for flag, options in COMMANDS[command][1] if options.get("required")
+             for a in (flag, "7")]
+    full, one = build_parser(), build_parser(command)
+    assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+    assert _help(one, command, capsys) == _help(full, command, capsys)
+    other = next(c for c in COMMANDS if c != command)
+    with pytest.raises(SystemExit) as exc:
+        one.parse_args([other])
+    assert exc.value.code == 2

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nssfp import model as model_mod
 from nssfp.errors import ConfigurationError, ValidationError
 from nssfp.model import (Sequence, Vocabulary, load_model, save_model, tokenize,
                          train_model)
@@ -237,6 +238,151 @@ def test_array_tables_equal_dict_oracle(tmp_path):
         for k, table in model.tables.items():
             for name in ("keys", "offsets", "ids", "counts"):
                 assert np.array_equal(getattr(loaded.tables[k], name), getattr(table, name))
+
+    check()
+
+
+def _json_path_model(path):
+    """``load_model`` with its bulk path switched off: the oracle of that path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_mod, "_canonical_model", lambda text: None)
+        return load_model(path)
+
+
+def _assert_same_model(a, b):
+    assert (a.order, a.weights, a.model_id, a.vocabulary.tokens) == (
+        b.order, b.weights, b.model_id, b.vocabulary.tokens)
+    assert a.unigram_counts.dtype == b.unigram_counts.dtype
+    assert np.array_equal(a.unigram_counts, b.unigram_counts)
+    assert sorted(a.tables) == sorted(b.tables)
+    for k, table in a.tables.items():
+        for name in ("keys", "offsets", "ids", "counts"):
+            x, y = getattr(table, name), getattr(b.tables[k], name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (k, name)
+
+
+def test_text_rank_is_the_order_of_decimal_strings():
+    for v in (2, 9, 10, 11, 99, 100, 101, 1000, 1001, 12345):
+        order = np.argsort(model_mod._text_rank(v))
+        assert order.tolist() == sorted(range(v), key=str)
+
+
+# ids on both sides of the digit boundaries of 10, 100 and 1000 tokens
+_EDGE_IDS = (0, 1, 2, 9, 10, 11, 19, 20, 99, 100, 101, 199, 999, 1000)
+# token stems: ASCII, non-ASCII, and characters JSON escapes
+_STEMS = ("w", "\u00e9", "\u65e5\u672c", 'q"', "b\\", "\u2028", "tab\t")
+
+
+@st.composite
+def _digit_models(draw):
+    """Trained models over 10, 100 or 1000 tokens (and one more), of order 1-5,
+    whose words sit on both sides of the digit boundaries. Sequences of one
+    word leave every table empty."""
+    v = draw(st.sampled_from([10, 11, 100, 101, 1000, 1001]))
+    order = draw(st.integers(1, 5))
+    edges = [i for i in _EDGE_IDS if i < v]
+    alphabet = draw(st.lists(st.one_of(st.sampled_from(edges), st.integers(0, v - 1)),
+                             min_size=1, max_size=6))
+    seqs = [Sequence(id=f"s{i}", words=np.array(draw(st.lists(
+        st.sampled_from(alphabet), min_size=1, max_size=30))))
+        for i in range(draw(st.integers(1, 3)))]
+    stem = draw(st.sampled_from(_STEMS))
+    vocab = Vocabulary(tuple(f"{stem}{i}" for i in range(v)))
+    weights = (1.0 / order,) * order
+    return train_model(seqs, order=order, weights=weights, vocabulary=vocab), seqs
+
+
+def test_model_file_bulk_path_equals_writer_and_json_oracles(tmp_path):
+    @settings(max_examples=150, deadline=None)
+    @given(_digit_models())
+    def check(drawn):
+        model, seqs = drawn
+        tables, unigram, model_id = _dict_trainer(seqs, model.order, model.weights,
+                                                  model.vocab_size)
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        assert path.read_bytes() == _oracle_json(model, tables, unigram, model_id)
+        text = path.read_text(encoding="utf-8")
+        assert model_mod._canonical_model(text) is not None  # the bulk path takes it
+        loaded = load_model(path)
+        _assert_same_model(loaded, _json_path_model(path))
+        _assert_same_model(loaded, model)
+        # another rendering of the same JSON is not canonical, and loads the same
+        pretty = tmp_path / "pretty.json"
+        pretty.write_text(json.dumps(json.loads(text), indent=1), encoding="utf-8")
+        assert model_mod._canonical_model(pretty.read_text(encoding="utf-8")) is None
+        _assert_same_model(load_model(pretty), model)
+
+    check()
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:  # the exception is the outcome compared
+        return exc
+
+
+def _small_model():
+    seqs = [Sequence(id="a", words=np.array([0, 1, 2, 10, 1, 2, 11, 0, 1, 10, 9])),
+            Sequence(id="b", words=np.array([2, 1, 0, 11, 10, 1]))]
+    vocab = Vocabulary(tuple(f"t{i}" for i in range(12)))
+    return train_model(seqs, order=3, weights=(0.2, 0.3, 0.5), vocabulary=vocab)
+
+
+# (written, edited): valid files that are not canonical, and malformed ones
+_NON_CANONICAL = [
+    ('{"1":2,"11":1}', '{"1":02,"11":1}'),  # leading zero in a count: not JSON
+    ('"10":{"1":2,"9":1}', '"10":{"01":2,"9":1}'),  # leading zero in a successor id
+    ('"0 11":{"10":1}', '"0 011":{"10":1}'),  # leading zero in a context word
+    ('"9":1}', '"9":1000000000000000000}'),  # 19 digits
+    ('"9":1}', '"9":99999999999999999999}'),  # beyond int64
+    ('"9":1}', '"9":0}'),  # count below 1
+    ('"9":1}', '"9":\u0661}'),  # a non-ASCII digit
+    ('"2 11":{"0":1}', '"2 12":{"0":1}'),  # a word outside the vocabulary
+    ('"0":{"1":2,"11":1},"1":{"0":1,"10":1,"2":2}',
+     '"1":{"0":1,"10":1,"2":2},"0":{"1":2,"11":1}'),  # contexts out of order
+    ('{"1":2,"11":1}', '{"11":1,"1":2}'),  # successors out of order
+    ('"11":{"0":1,"10":1}', '"10":{"0":1,"10":1}'),  # a repeated context
+    ('{"1":2,"11":1}', '{"1": 2,"11":1}'),  # whitespace in a table
+    ('"order":3', '"order": 3'),  # whitespace outside the tables
+]
+
+
+@pytest.mark.parametrize("written, edited", _NON_CANONICAL)
+def test_non_canonical_model_file_takes_the_json_path(tmp_path, written, edited):
+    path = tmp_path / "model.json"
+    save_model(path, _small_model())
+    text = path.read_text(encoding="utf-8")
+    assert text.count(written) >= 1
+    path.write_text(text.replace(written, edited, 1), encoding="utf-8")
+    assert model_mod._canonical_model(path.read_text(encoding="utf-8")) is None
+    got, want = _outcome(load_model, path), _outcome(_json_path_model, path)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        _assert_same_model(got, want)
+
+
+def test_mutated_model_file_loads_or_fails_as_the_json_path(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(path, _small_model())
+    data = path.read_bytes()
+    assert model_mod._canonical_model(data.decode()) is not None
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.integers(0, len(data) - 1), st.sampled_from(["replace", "insert", "delete"]),
+           st.sampled_from(list(b'0123456789 ":,{}[]-+.eE\\x\xc3\xa9')))
+    def check(at, how, byte):
+        mutant = tmp_path / "mutant.json"
+        mutant.write_bytes({"replace": data[:at] + bytes([byte]) + data[at + 1:],
+                            "insert": data[:at] + bytes([byte]) + data[at:],
+                            "delete": data[:at] + data[at + 1:]}[how])
+        got, want = _outcome(load_model, mutant), _outcome(_json_path_model, mutant)
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want))
+        else:
+            _assert_same_model(got, want)
 
     check()
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -183,3 +185,21 @@ def test_bench_report_format(tmp_path):
     assert lines[0] == "# seed=1"
     assert lines[1] == "variant,vocab_size,nucleus_size,loop_time_ns"
     assert lines[2] == "vulnerable,64,10,1234"
+
+
+@pytest.mark.parametrize("vocab", [1, 7, 50_257])
+def test_mitigated_removal_writes_only_into_its_buffers(vocab):
+    rng = np.random.default_rng(vocab)
+    logits, order, cum = sampler._rank(sampler._peaked_logits(rng, vocab), 0.9)
+    sorted_logits = logits[order]
+    expected = logits.copy()
+    expected[order] = sorted_logits - np.where(cum > 0.9, np.inf, 0.0)
+    filtered, removed, term = logits.copy(), np.empty(vocab, dtype=bool), np.empty(vocab)
+    tracemalloc.start()
+    try:
+        sampler._remove_mitigated(filtered, order, sorted_logits, cum, 0.9, removed, term)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(filtered, expected) and np.array_equal(removed, cum > 0.9)
+    assert peak < 4096  # one vocabulary-sized temporary would be vocab * 8 bytes

@@ -34,6 +34,13 @@ def test_config_validation():
         ChannelConfig(segment_gap_cycles=0)
 
 
+@pytest.mark.parametrize("field", ["capture_fraction", "cycles_per_iteration",
+                                   "hit_jitter_std", "outlier_rate", "outlier_scale"])
+def test_config_rejects_nan(field):
+    with pytest.raises(ValidationError, match=field):
+        ChannelConfig(**{field: math.nan})
+
+
 def test_lossless_channel_is_exact():
     cfg = lossless()
     nss = _nss([100, 400, 250, 0, 366])
@@ -206,6 +213,60 @@ def test_trace_file_roundtrip(tmp_path):
         assert np.array_equal(a.per_step_hit_counts, b.per_step_hit_counts)
         assert np.array_equal(a.per_step_durations, b.per_step_durations)
         assert a.noise_level == pytest.approx(b.noise_level)
+
+
+def _trace_file_by_lines(traces, cfg, header_lines=()) -> bytes:
+    """The trace file as a loop of one f-string per step writes it: the byte
+    oracle of ``write_traces``."""
+    lines = [f"#trace v1 seed={cfg.rng_seed} capture={cfg.capture_fraction!r}"]
+    lines += [f"# {line}" for line in header_lines]
+    for t in traces:
+        columns = zip(t.per_step_hit_counts.astype(np.int64, copy=False).tolist(),
+                      t.per_step_durations.astype(float, copy=False).tolist(),
+                      t.estimated_sizes.astype(float, copy=False).tolist())
+        for step, (count, duration, size) in enumerate(columns):
+            lines.append(f"{t.seq_id}\t{step}\t{count}\t{duration!r}\t{size!r}")
+    return "".join(f"{line}\n" for line in lines).encode("utf-8")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _trace_pools(draw):
+    """Traces with ids holding ``%`` or non-ASCII, zero steps, sizes that repeat
+    or differ only in the sign of zero, and columns of other dtypes."""
+    sizes = st.one_of(st.sampled_from([0.0, -0.0, 1.5, 7361.0, 5e-324, 1e308]), _FINITE)
+    pool = []
+    for i, seq_id in enumerate(draw(st.lists(st.sampled_from(["u", "a%d", "100%", "\u00e9"]),
+                                             unique=True, max_size=4))):
+        n = draw(st.integers(0, 6))
+        counts = np.array(draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n)),
+                          dtype=draw(st.sampled_from([np.int64, np.float64])))
+        durations = np.array(draw(st.lists(st.one_of(_FINITE, st.integers(-10, 10)),
+                                           min_size=n, max_size=n)))
+        pool.append(Trace(seq_id=seq_id, estimated_sizes=np.array(
+            draw(st.lists(sizes, min_size=n, max_size=n)), dtype=np.float64),
+            per_step_hit_counts=counts, per_step_durations=durations,
+            estimated_iterations=np.zeros(n), noise_level=0.0))
+    return pool
+
+
+def test_trace_writer_equals_line_loop(tmp_path):
+    cfg = ChannelConfig(rng_seed=4)
+    pool = simulate_pool([_nss(np.arange(40) * 90 + 7, seq_id=f"x{i}") for i in range(3)],
+                         4000, cfg)
+    write_traces(tmp_path / "pool.trc", pool, cfg, header_lines=["seed=4"])
+    assert (tmp_path / "pool.trc").read_bytes() == _trace_file_by_lines(pool, cfg, ["seed=4"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_trace_pools())
+    def check(traces):
+        path = tmp_path / "drawn.trc"
+        write_traces(path, traces, cfg)
+        assert path.read_bytes() == _trace_file_by_lines(traces, cfg)
+
+    check()
 
 
 @pytest.mark.parametrize("rows, line", [
