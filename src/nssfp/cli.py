@@ -161,6 +161,7 @@ def _fit_line(uniq, err) -> str:
 
 def cmd_simulate(args) -> int:
     cfg = _resolve(args)
+    sampler.check_vocab_size(args.vocab_size)
     series, _ = interchange.read_nss(args.nss)
     traces = sidechannel.simulate_pool(series, args.vocab_size, cfg.channel)
     sidechannel.write_traces(args.out, traces, cfg.channel,

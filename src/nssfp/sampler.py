@@ -22,6 +22,10 @@ from .model import softmax
 VULNERABLE = "vulnerable"
 MITIGATED = "mitigated"
 BENCH_REPEATS = 5
+#: The largest ``--vocab-size`` that ``bench`` and ``simulate`` take, 2**20: four
+#: times the largest tokenizer vocabulary in use (256,000 tokens). A float array
+#: of that size is 8 MiB, and a simulated step runs at most 2**20 iterations.
+MAX_VOCAB_SIZE = 1 << 20
 
 #: IEEE-754 double max; doubling it overflows to +inf, which is the whole trick.
 MAXFLOAT = float(np.finfo(np.float64).max)
@@ -30,6 +34,12 @@ MAXFLOAT = float(np.finfo(np.float64).max)
 def _check_p(p: float):
     if not 0.0 < p <= 1.0:
         raise UsageError(f"p must be in (0, 1], got {p}")
+
+
+def check_vocab_size(vocab_size: int):
+    """A usage error unless ``1 <= vocab_size <= MAX_VOCAB_SIZE``."""
+    if not 1 <= vocab_size <= MAX_VOCAB_SIZE:
+        raise UsageError(f"vocab_size must be in 1..{MAX_VOCAB_SIZE}, got {vocab_size}")
 
 
 def _cumulative(sorted_probs: np.ndarray) -> np.ndarray:
@@ -78,11 +88,18 @@ def _rank(logits, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The step both filters share: validate, softmax, descending rank
     order with ties by ascending id, clamped cumulative sums in rank order.
 
-    The full vocabulary is ranked by the default (unstable) argsort, and
-    then the ids inside every run of equal probabilities are sorted, which
-    gives exactly the stable argsort's order at a fraction of its cost.
-    Runs of ties are rare outside underflowed tails, so the repair is
-    usually one comparison pass. Returns ``(logits, order, cum)``.
+    The whole vocabulary is ranked by one in-place sort of int64 keys. A
+    non-negative double's IEEE-754 bit pattern, read as an integer, ascends
+    with its value (exponent above mantissa, sign bit clear), and softmax
+    values are ``exp(.) / sum``, never negative and never -0.0. Each key is
+    ``id - ((bits >> k) << k)``, where ``k`` is the bit width of V - 1: the
+    probability's top 64 - k bits, negated, above the id in the low k bits.
+    Ascending keys are descending probabilities with exact ties by
+    ascending id, the stable argsort's order, unless two unequal
+    probabilities share their top bits and sit in ascending id order
+    against their values. Then the ranked values rise somewhere, and the
+    ranking falls back to the stable argsort, which the tests keep as the
+    oracle. Returns ``(logits, order, cum)``.
     """
     _check_p(p)
     logits = np.asarray(logits, dtype=np.float64)
@@ -91,15 +108,16 @@ def _rank(logits, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(logits)):
         raise ValidationError("logits must be finite")
     probs = softmax(logits)
-    order = np.argsort(-probs)
+    k = (probs.size - 1).bit_length()
+    keys = probs.view(np.int64) >> k
+    keys <<= k
+    order = np.subtract(np.arange(probs.size), keys, out=keys)
+    order.sort()
+    order &= (1 << k) - 1                  # the ids, now in rank order
     ranked = probs[order]
-    tied = ranked[1:] == ranked[:-1]
-    if tied.any():
-        # run ids never decrease along the ranking, so sorting by
-        # (run id, token id) reorders ids only inside each run
-        run = np.concatenate(([0], np.cumsum(~tied)))
-        vocab = probs.size
-        order = np.sort(run * vocab + order) % vocab
+    if np.any(ranked[1:] > ranked[:-1]):   # a clash inside the shared top bits
+        order = np.argsort(-probs, kind="stable")
+        ranked = probs[order]
     return logits, order, _cumulative(ranked)
 
 
@@ -178,17 +196,16 @@ class TimingSample:
     vocab_size: int
 
 
-def _peaked_logits(rng: np.random.Generator, vocab_size: int) -> np.ndarray:
-    """Random peaked distributions in the realistic auto-completion regime.
+def _peaked_logits(rng: np.random.Generator, log_ranks: np.ndarray) -> np.ndarray:
+    """Random peaked distributions in the realistic auto-completion regime,
+    over a vocabulary whose ``log(1..V)`` rank vector is ``log_ranks``.
 
     Zipf-like tails with a random exponent give nucleus sizes spanning a
     few tokens up to a sizable fraction of the vocabulary, the range over
     which the leak is observable.
     """
     alpha = rng.uniform(0.9, 2.0)
-    ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
-    logits = -alpha * np.log(ranks) + rng.normal(0.0, 0.3, vocab_size)
-    return logits
+    return -alpha * log_ranks + rng.normal(0.0, 0.3, log_ranks.size)
 
 
 class _pinned_to_one_core:
@@ -227,11 +244,13 @@ def bench_filter(variant: str, vocab_size: int, trials: int, rng_seed: int,
         raise UsageError(f"unknown variant {variant!r}")
     if rng_seed < 0:
         raise UsageError(f"seed must be >= 0, got {rng_seed}")
+    check_vocab_size(vocab_size)
     rng = np.random.default_rng(rng_seed)
+    log_ranks = np.log(np.arange(1, vocab_size + 1, dtype=np.float64))
     samples = []
     with _pinned_to_one_core():
         for _ in range(trials):
-            logits, order, cum = _rank(_peaked_logits(rng, vocab_size), p)
+            logits, order, cum = _rank(_peaked_logits(rng, log_ranks), p)
             sorted_logits = logits[order]
             mask = cum > p
             size = int(vocab_size - np.count_nonzero(mask))

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -568,6 +569,38 @@ def test_bench_negative_seed_ends_in_one_usage_line(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert _errors(capsys) == ["error: usage: seed must be >= 0, got -1"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "1048577", "100000000000000000000"])
+def test_bench_vocab_size_out_of_range_ends_in_one_usage_line(tmp_path, capsys, value):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--vocab-size", value, "--trials", "1", "--out", str(out)]) == 2
+    assert _errors(capsys) == [f"error: usage: vocab_size must be in 1..1048576, got {value}"]
+    assert not out.exists()
+    assert main(["bench", "--vocab-size", "1", "--trials", "1", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "1048577", "100000000000000000000"])
+def test_simulate_vocab_size_out_of_range_ends_in_one_usage_line(tmp_path, capsys,
+                                                                 good_inputs, value):
+    out = tmp_path / "traces.trc"
+    assert main(["simulate", "--nss", str(good_inputs["nss"]), "--vocab-size", value,
+                 "--out", str(out)]) == 2
+    assert _errors(capsys) == [f"error: usage: vocab_size must be in 1..1048576, got {value}"]
+    assert not out.exists()
+
+
+def test_bench_nucleus_sizes_are_pinned(tmp_path):
+    """C4's inputs, the bench rows without their loop times, are fixed by the
+    seed: a change to the ranking or to the logit draws changes this digest."""
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--vocab-size", "50257", "--trials", "40", "--seed", "7",
+                 "--out", str(out)]) == 0
+    rows = [line.rsplit(",", 1)[0] for line in out.read_text().splitlines()
+            if not line.startswith("#")]
+    assert rows[0] == "variant,vocab_size,nucleus_size" and len(rows) == 1 + 2 * 40
+    assert hashlib.sha256("".join(f"{row}\n" for row in rows).encode()).hexdigest() == \
+        "dccf2712990d70e06d4d24aed12ffed72726273e56b503474283ec3d3f2ca397"
 
 
 @pytest.mark.parametrize("command", ["simulate", "evaluate"])

@@ -115,17 +115,71 @@ def _tied_logits(draw):
     return logits
 
 
+def _ulps_from(base, steps):
+    """``base`` moved ``steps`` representable doubles away from zero, elementwise."""
+    return (np.asarray(base, dtype=np.float64).view(np.int64) + steps).view(np.float64)
+
+
+@st.composite
+def _near_tied_logits(draw):
+    """Logits one or a few ulps apart around a few base values, so that their
+    probabilities differ only in their lowest bits: inside one packed key's
+    shared top bits, where the key sort orders by id and not by value."""
+    vocab = draw(st.integers(2, 300))
+    bases = draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3))
+    base = draw(st.lists(st.sampled_from(bases), min_size=vocab, max_size=vocab))
+    steps = draw(st.lists(st.integers(0, 4), min_size=vocab, max_size=vocab))
+    return _ulps_from(base, np.array(steps))
+
+
+def _levels(vocab):
+    """Eleven tied levels spread over the ids, the top level at high ids too."""
+    return (np.arange(vocab) * 37 % 11) * 0.25
+
+
 @settings(max_examples=300, deadline=None)
-@given(_tied_logits())
+@given(st.one_of(_tied_logits(), _near_tied_logits()))
 @example(np.zeros(1)).via("V = 1")
 @example(np.array([2.0, 2.0])).via("V = 2, tied")
 @example(np.array([0.0, -800.0, -800.0])).via("an underflowed tail")
+@example(_levels(3)).via("V = 2 + 1")
+@example(_levels(4)).via("V = 4")
+@example(_levels(5)).via("V = 4 + 1")
+@example(_levels(256)).via("V = 256")
+@example(_levels(257)).via("V = 256 + 1")
+@example(_ulps_from(np.ones(1024), np.arange(1024) % 5)).via("V = 1024, near ties")
+@example(_ulps_from(np.ones(1025), np.arange(1025) % 5)).via("V = 1024 + 1, near ties")
 def test_rank_equals_the_stable_argsort(logits):
     _, order, cum = sampler._rank(logits, 0.9)
     expected_order, expected_cum = _rank_oracle(logits)
     assert order.dtype == np.intp and order.flags.c_contiguous
     assert np.array_equal(order, expected_order)
     assert cum.tobytes() == expected_cum.tobytes()
+
+
+def test_rank_falls_back_to_the_stable_argsort_only_on_a_clash(monkeypatch):
+    # V = 4 packs the id into the low 2 bits; these two probabilities differ
+    # but share their top 62 bits, and the smaller one has the lower id
+    logits = np.array([0.0, 2.0**-52, -4.0, -4.0])
+    bits = softmax(logits).view(np.int64)
+    assert bits[0] < bits[1] and bits[0] >> 2 == bits[1] >> 2
+    expected_order, expected_cum = _rank_oracle(logits)
+    calls = []
+
+    def counting_argsort(*args, **kwargs):
+        calls.append(kwargs)
+        return real_argsort(*args, **kwargs)
+
+    real_argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    _, order, cum = sampler._rank(logits, 0.9)
+    assert calls == [{"kind": "stable"}]
+    assert list(order) == list(expected_order) == [1, 0, 2, 3]
+    assert cum.tobytes() == expected_cum.tobytes()
+    # a draw of the benchmark's peaked regime does not clash: the key sort ranks it
+    sampler._rank(sampler._peaked_logits(np.random.default_rng(3),
+                                         np.log(np.arange(1.0, 50_258.0))), 0.9)
+    assert len(calls) == 1
 
 
 def test_nucleus_size_monotone_in_p(rng):
@@ -190,7 +244,8 @@ def test_bench_report_format(tmp_path):
 @pytest.mark.parametrize("vocab", [1, 7, 50_257])
 def test_mitigated_removal_writes_only_into_its_buffers(vocab):
     rng = np.random.default_rng(vocab)
-    logits, order, cum = sampler._rank(sampler._peaked_logits(rng, vocab), 0.9)
+    log_ranks = np.log(np.arange(1, vocab + 1, dtype=np.float64))
+    logits, order, cum = sampler._rank(sampler._peaked_logits(rng, log_ranks), 0.9)
     sorted_logits = logits[order]
     expected = logits.copy()
     expected[order] = sorted_logits - np.where(cum > 0.9, np.inf, 0.0)
