@@ -294,231 +294,101 @@ def train_model(corpus: list[Sequence], order: int = DEFAULT_ORDER, weights=DEFA
 
 
 def save_model(path, model: NgramModel):
-    """Serialize to sorted-key JSON so identical models give identical bytes:
-    ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``, where the
-    payload holds each order's table as ``{"w1 w2": {"id": count}}``.
-
-    The tables are written straight from the arrays (byte oracle: ``_oracle_json``
-    in ``tests/test_model.py``): sorted keys order successor ids by their decimal
-    strings, and contexts word by word the same way, since a space sorts below
-    every digit (``"1 5" < "10 5"``).
+    """Serialize to sorted-key JSON, ``format`` ``ngram v2``, so identical models
+    give identical bytes. Each order's table is four flat integer arrays in the
+    table's own order: ``contexts`` (each context's words, oldest first, contexts
+    ascending by code), ``successors`` (how many each has), ``ids`` (ascending
+    within a context) and ``counts``.
     """
-    rank = _text_rank(model.vocab_size)
-    tables = []
-    for k, table in sorted(model.tables.items()):
-        places = _place_values(k - 1, model.base)
-        words = table.keys[:, None] // places % model.base - 1
-        lens = np.diff(table.offsets)
-        rows, entries = _sorted_rows((rank[words] + 1) @ places, lens, rank[table.ids],
-                                     model.base)
-        tables.append(_table_text(k, lens[rows], words[rows], table.ids[entries],
-                                  table.counts[entries].astype(np.int64)))
+    tables = {}
+    for k, table in model.tables.items():
+        words = table.keys[:, None] // _place_values(k - 1, model.base) % model.base - 1
+        tables[str(k)] = {"contexts": words.ravel().tolist(),
+                          "successors": np.diff(table.offsets).tolist(),
+                          "ids": table.ids.tolist(),
+                          "counts": table.counts.astype(np.int64).tolist()}
     payload = {
-        "format": "ngram v1",
+        "format": "ngram v2",
         "order": model.order,
         "weights": list(model.weights),
         "model_id": model.model_id,
         "tokens": list(model.vocabulary.tokens),
         "unigram_counts": model.unigram_counts.tolist(),
-        "tables": {},
+        "tables": tables,
     }
-    # no JSON string holds '"tables":{}' unescaped, so this is the key's own place
-    head, _, tail = _dumps(payload).partition('"tables":{}')
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{head}"tables":{{{",".join(tables)}}}{tail}')
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def _dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _text_rank(v: int) -> np.ndarray:
-    """Rank of each id in 0..v-1 when the ids are sorted as decimal strings."""
-    ids = np.arange(v, dtype=np.int64)
-    width = len(str(v - 1))
-    digits = np.ones(v, dtype=np.int64)
-    for j in range(1, width):
-        digits += ids >= 10 ** j
-    # padded with zeros to one width, a string keeps its order among longer
-    # ones; equal padded values ("1", "10") stay in id order, shorter first
-    rank = np.empty(v, dtype=np.int64)
-    rank[np.argsort(ids * 10 ** (width - digits), kind="stable")] = ids
-    return rank
-
-
-def _sorted_rows(row_keys, lens, entry_keys, base: int):
-    """The permutations that sort a table's rows by ``row_keys`` and its entries
-    by row, in that order, then by ``entry_keys`` (below ``base``)."""
-    rows = np.argsort(row_keys)
-    at = np.empty_like(rows)
-    at[rows] = np.arange(rows.size)
-    return rows, np.argsort(np.repeat(at, lens) * base + entry_keys)
-
-
-def _word_slots(k: int, lens: np.ndarray) -> np.ndarray:
-    """Which of a table's numbers, in text order, are context words: each
-    context has ``k - 1`` words, then an id and a count per successor."""
-    first = np.arange(lens.size) * (k - 1) + 2 * (np.cumsum(lens) - lens)
-    slots = np.zeros(lens.size * (k - 1) + 2 * int(lens.sum()), dtype=bool)
-    slots[first[:, None] + np.arange(k - 1)] = True
-    return slots
-
-
-def _table_text(k: int, lens, words, ids, counts) -> str:
-    """Text of the order-``k`` table whose contexts, in text order, have the
-    rows of ``words`` and ``lens`` successors each, listed in ``ids`` and
-    ``counts``."""
-    slots = _word_slots(k, lens)
-    numbers = np.empty(slots.size, dtype=np.int64)
-    numbers[slots] = words.ravel()
-    numbers[~slots] = np.column_stack((ids, counts)).ravel()
-    return f'"{k}":{{' + _table_form(k, lens, "%d") % tuple(numbers.tolist()) + "}"
-
-
-def _table_form(k: int, lens: np.ndarray, number: str) -> str:
-    """The inside of an order-``k`` table's text whose contexts have ``lens``
-    successors each, with ``number`` in place of every number."""
-    context = '"' + " ".join([number] * (k - 1)) + '":{'
-    entry = f'"{number}":{number}'
-    form = {m: context + ",".join([entry] * m) + "}" for m in np.unique(lens).tolist()}
-    return ",".join(map(form.__getitem__, lens.tolist()))
-
-
-# what the JSON path turns into "malformed model file"
+# what a malformed value raises, turned into "malformed model file"
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError, NssfpError)
-_BLANKS = str.maketrans('":,{}', "     ")
 
 
 def load_model(path) -> NgramModel:
-    """Read a model that :func:`save_model` wrote, checking every value.
-
-    A file exactly as :func:`save_model` writes it is parsed from its text in
-    bulk; any other file goes through :func:`json.loads`, which gives every error.
-    """
+    """Read a model that :func:`save_model` wrote, or an ``ngram v1`` file of
+    earlier versions (each table an object from context to successor counts),
+    checking every value."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise _not_json(path, exc) from None
-    model = _canonical_model(text)
-    if model is not None:
-        return model
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError
-        raise _not_json(path, exc) from None
-    if not isinstance(payload, dict) or payload.get("format") != "ngram v1":
+            payload = json.loads(fh.read())
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise ParseError(f"not a JSON model file ({exc})", path=str(path),
+                         line=getattr(exc, "lineno", 1)) from None
+    if not isinstance(payload, dict) or payload.get("format") not in ("ngram v1", "ngram v2"):
         raise ValidationError(f"{path} is not a model file")
     try:
-        header = _header(payload)
-        vocab, order, *_ = header
-        if not set(payload["tables"]) <= {str(k) for k in range(2, order + 1)}:
-            raise ValueError(f"table orders {sorted(payload['tables'])} outside 2..{order}")
-        tables = {k: _read_table(payload["tables"].get(str(k), {}), k, len(vocab))
-                  for k in range(2, order + 1)}
-        return _model(header, tables, payload["model_id"])
+        vocab = Vocabulary(tokens=tuple(payload["tokens"]))
+        v, order = len(vocab), payload["order"]
+        if type(order) is not int:
+            raise ValueError(f"order {order!r} is not an integer")
+        weights = tuple(float(w) for w in payload["weights"])
+        _check_config(order, weights, v)
+        unigram = payload["unigram_counts"]
+        if (type(unigram) is not list or len(unigram) != v
+                or not set(map(type, unigram)) <= {int} or min(unigram) < 0):
+            raise ValueError(f"unigram_counts is not {v} non-negative integers")
+        tables, orders = payload["tables"], {str(k) for k in range(2, order + 1)}
+        if payload["format"] == "ngram v1":
+            if not set(tables) <= orders:
+                raise ValueError(f"table orders {sorted(tables)} outside 2..{order}")
+            tables = {k: _read_table(tables.get(str(k), {}), k, v) for k in range(2, order + 1)}
+        else:
+            if type(tables) is not dict or set(tables) != orders:
+                raise ValueError(f"tables does not hold exactly the orders 2..{order}")
+            tables = {k: _array_table(tables[str(k)], k, v) for k in range(2, order + 1)}
+        return NgramModel(order=order, weights=weights, vocabulary=vocab, tables=tables,
+                          model_id=payload["model_id"],
+                          unigram_counts=np.array(unigram, dtype=np.int64))
     except _MALFORMED as exc:
         raise ValidationError(f"{path}: malformed model file "
                               f"({type(exc).__name__}: {exc})") from None
 
 
-def _not_json(path, exc: ValueError) -> ParseError:
-    return ParseError(f"not a JSON model file ({exc})", path=str(path),
-                      line=getattr(exc, "lineno", 1))
+_ARRAYS = ("contexts", "successors", "ids", "counts")
 
 
-def _header(payload: dict):
-    """The checked vocabulary, order, weights and unigram counts of a payload."""
-    vocab = Vocabulary(tokens=tuple(payload["tokens"]))
-    v = len(vocab)
-    order = payload["order"]
-    if type(order) is not int:
-        raise ValueError(f"order {order!r} is not an integer")
-    weights = tuple(float(w) for w in payload["weights"])
-    _check_config(order, weights, v)
-    unigram = payload["unigram_counts"]
-    if (type(unigram) is not list or len(unigram) != v
-            or not set(map(type, unigram)) <= {int} or min(unigram) < 0):
-        raise ValueError(f"unigram_counts is not {v} non-negative integers")
-    return vocab, order, weights, unigram
-
-
-def _model(header, tables: dict, model_id) -> NgramModel:
-    vocab, order, weights, unigram = header
-    return NgramModel(order=order, weights=weights, vocabulary=vocab, tables=tables,
-                      unigram_counts=np.array(unigram, dtype=np.int64), model_id=model_id)
-
-
-def _canonical_model(text: str) -> NgramModel | None:
-    """The model of ``text`` if :func:`save_model` writes exactly ``text`` for it,
-    else None: a file it does not take may still be valid, or fail on any value."""
-    start = text.find('"tables":{') + len('"tables":{')
-    end = text.find('},"tokens":', start)
-    if start < len('"tables":{') or end < 0:
-        return None
-    skeleton, body = text[:start] + text[end:], text[start:end]
-    try:
-        payload = json.loads(skeleton)
-        if _dumps(payload) != skeleton or payload["format"] != "ngram v1":
-            return None
-        header, model_id = _header(payload), payload["model_id"]
-    except _MALFORMED:
-        return None
-    vocab, order, *_ = header
-    rank, tables, at = _text_rank(len(vocab)), {}, 0
-    for k in range(2, order + 1):
-        opening = f'"{k}":{{' if k == 2 else f',"{k}":{{'
-        if not body.startswith(opening, at):
-            return None
-        at += len(opening)
-        # the first "}}" closes a context and the table
-        end = at if body.startswith("}", at) else body.find("}}", at) + 1
-        tables[k] = _bulk_table(body[at:end], k, len(vocab), rank) if end >= at else None
-        if tables[k] is None:
-            return None
-        at = end + 1
-    return _model(header, tables, model_id) if at == len(body) else None
-
-
-def _bulk_table(content: str, k: int, v: int, rank: np.ndarray) -> NgramTable | None:
-    """The order-``k`` table of its canonical text ``content`` (the inside of its
-    object), or None if ``content`` is not one: a character, number or count out of
-    place, a value out of range, or contexts or successors out of sorted order."""
-    if not content.isascii():
-        return None
-    text = np.frombuffer(content.encode("ascii"), dtype=np.uint8)
-    # one colon after each context, one per successor; one brace opens each context
-    colons = np.flatnonzero(text == ord(":"))
-    lens = np.diff(np.searchsorted(colons, np.flatnonzero(text == ord("{"))),
-                   append=colons.size + 1) - 1
-    if lens.size and lens.min() < 1:
-        return None
-    # with each run of digits cut to one "0", the text must be the table's form;
-    # a run must be a number as str() writes it, short enough to parse exactly
-    digit = text - np.uint8(ord("0")) < 10
-    follows = np.append(False, digit[:-1])
-    starts = np.flatnonzero(digit & ~follows)
-    ends = np.flatnonzero(digit & ~np.append(digit[1:], False))
-    if np.any(ends - starts >= 18) or np.any((text[starts] == ord("0")) & (ends > starts)):
-        return None
-    collapsed = text[~(digit & follows)]
-    collapsed[collapsed - np.uint8(ord("0")) < 10] = ord("0")
-    if collapsed.tobytes() != _table_form(k, lens, "0").encode("ascii"):
-        return None
-    numbers = np.fromstring(content.translate(_BLANKS), dtype=np.int64, sep=" ")
-    slots = _word_slots(k, lens)
-    words = numbers[slots].reshape(-1, k - 1)
-    ids, counts = numbers[~slots].reshape(-1, 2).T
-    if ids.size and not (words.max() < v and ids.max() < v and counts.min() >= 1):
-        return None
-    places = _place_values(k - 1, v + 1)
-    in_rows = np.repeat(np.arange(lens.size), lens) * (v + 1) + rank[ids]
-    if not (np.all(np.diff((rank[words] + 1) @ places) > 0) and np.all(np.diff(in_rows) > 0)):
-        return None
-    keys = (words + 1) @ places
-    rows, entries = _sorted_rows(keys, lens, ids, v + 1)
-    return NgramTable(keys[rows], np.append(0, np.cumsum(lens[rows])), ids[entries],
-                      counts[entries].astype(np.float64))
+def _array_table(arrays: dict, k: int, v: int) -> NgramTable:
+    """The ``NgramTable`` of one order's ``ngram v2`` arrays; ValueError unless
+    they hold integers only, agree in length, lie in range and ascend."""
+    if type(arrays) is not dict or set(arrays) != set(_ARRAYS):
+        raise ValueError(f"table {k} does not hold exactly the arrays {', '.join(_ARRAYS)}")
+    lists = [arrays[name] for name in _ARRAYS]
+    if not all(type(a) is list and set(map(type, a)) <= {int} for a in lists):
+        raise ValueError(f"an array of table {k} is not a list of integers")
+    words, lens, ids, counts = (np.array(a, dtype=np.int64) for a in lists)
+    if not (words.size == (k - 1) * lens.size and sum(lists[1]) == ids.size == counts.size):
+        raise ValueError(f"the array lengths of table {k} disagree")
+    if not (np.all((words >= 0) & (words < v)) and np.all((ids >= 0) & (ids < v))):
+        raise ValueError(f"a context word or successor id of table {k} is outside [0, {v})")
+    if not (np.all(lens >= 1) and np.all(counts >= 1)):
+        raise ValueError(f"a context of table {k} has a count below 1 or no successor")
+    keys = (words.reshape(-1, k - 1) + 1) @ _place_values(k - 1, v + 1)
+    offsets = np.append(0, np.cumsum(lens))
+    rising = np.diff(ids) > 0
+    rising[offsets[1:-1] - 1] = True  # a context's first id follows another context's
+    if not (np.all(np.diff(keys) > 0) and rising.all()):
+        raise ValueError(f"the contexts or successor ids of table {k} do not strictly ascend")
+    return NgramTable(keys, offsets, ids, counts.astype(np.float64))
 
 
 def _read_table(contexts: dict, k: int, v: int) -> NgramTable:

@@ -40,19 +40,27 @@ class ChannelConfig:
         if not 0.0 < self.capture_fraction <= 1.0:
             raise ValidationError(f"capture_fraction must be in (0, 1], got {self.capture_fraction}")
         # written so that NaN fails every check
-        if not self.cycles_per_iteration > 0:
-            raise ValidationError("cycles_per_iteration must be positive")
-        if not self.hit_jitter_std >= 0:
-            raise ValidationError("hit_jitter_std must be non-negative")
+        if not (self.cycles_per_iteration > 0 and _finite(self.cycles_per_iteration)):
+            raise ValidationError("cycles_per_iteration must be positive and finite")
+        if not (self.hit_jitter_std >= 0 and _finite(self.hit_jitter_std)):
+            raise ValidationError("hit_jitter_std must be non-negative and finite")
         if not 0.0 <= self.outlier_rate <= 1.0:
             raise ValidationError("outlier_rate must be a probability")
-        if not self.outlier_scale >= 1.0:
-            raise ValidationError("outlier_scale must be >= 1")
-        if not self.segment_gap_cycles > 0:
-            raise ValidationError("segment_gap_cycles must be positive")
+        if not (self.outlier_scale >= 1.0 and _finite(self.outlier_scale)):
+            raise ValidationError("outlier_scale must be >= 1 and finite")
+        if not (self.segment_gap_cycles > 0 and _finite(self.segment_gap_cycles)):
+            raise ValidationError("segment_gap_cycles must be positive and fit a finite float")
 
     def with_seed(self, seed: int) -> "ChannelConfig":
         return replace(self, rng_seed=int(seed))
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite float; an int beyond the float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -67,6 +75,10 @@ class RawTrace:
     true_step_count: int
 
     def __post_init__(self):
+        # a channel setting whose products overflow leaves inf or NaN times
+        if not np.isfinite(self.hit_times).all():
+            raise ValidationError(f"trace {self.seq_id!r} has non-finite hit times; "
+                                  "the channel settings overflow")
         if np.any(np.diff(self.hit_times) < 0):
             raise ValidationError("hit timestamps must be non-decreasing")
 
@@ -77,7 +89,8 @@ class Trace:
 
     A zero in ``per_step_hit_counts`` flags a step the probe never saw;
     its estimate degrades to the full vocabulary size (zero iterations
-    observed) rather than desynchronizing the alignment.
+    observed) rather than desynchronizing the alignment. ``noise_level`` is
+    0.0 until :func:`rescore_noise` scores the trace against a slope.
     """
 
     seq_id: str
@@ -107,6 +120,8 @@ def trace_rng(cfg: ChannelConfig, seq_id: str) -> np.random.Generator:
         np.random.SeedSequence([cfg.rng_seed & 0xFFFFFFFF, zlib.crc32(seq_id.encode())]))
 
 
+# products that overflow leave inf or NaN hit times, which RawTrace rejects
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_trace(nss: Nss, vocab_size: int, cfg: ChannelConfig) -> RawTrace:
     """Run the probe against a victim whose loop counts follow the NSS.
 
@@ -160,8 +175,8 @@ def segment_and_reconstruct(raw: RawTrace, cfg: ChannelConfig, vocab_size: int) 
     per observed step, except where the gap is under half the step gap (a
     dilated step). A gap of several step periods infers empty steps, so later
     steps stay aligned; unseen trailing steps pad as zero hits. Hit counts
-    are rescaled by 1/capture_fraction. The provisional noise level uses the
-    trace's own fitted slope; pipelines re-score against the global slope.
+    are rescaled by 1/capture_fraction. The noise level is 0.0 until
+    :func:`rescore_noise` scores the trace against the global slope.
     """
     n = raw.true_step_count
     if n < 1:
@@ -183,9 +198,9 @@ def segment_and_reconstruct(raw: RawTrace, cfg: ChannelConfig, vocab_size: int) 
         counts[step[seen]] = (ends - starts)[seen]
         durations[step[seen]] = times[ends[seen] - 1] - times[starts[seen]]
     est_iters = counts / cfg.capture_fraction
-    return _self_scored(Trace(seq_id=raw.seq_id, estimated_sizes=vocab_size - est_iters,
-                              per_step_hit_counts=counts, per_step_durations=durations,
-                              estimated_iterations=est_iters, noise_level=0.0))
+    return Trace(seq_id=raw.seq_id, estimated_sizes=vocab_size - est_iters,
+                 per_step_hit_counts=counts, per_step_durations=durations,
+                 estimated_iterations=est_iters, noise_level=0.0)
 
 
 def simulate_pool(series: list[Nss], vocab_size: int, cfg: ChannelConfig) -> list[Trace]:
@@ -212,12 +227,6 @@ def _fit_slope(trace: Trace) -> float | None:
         return None
     slope = float(np.sum(x * y) / sxx)
     return slope if _usable_slope(slope) else None
-
-
-def _self_scored(trace: Trace) -> Trace:
-    """``trace`` with the noise level against its own slope, if it has one."""
-    slope = _fit_slope(trace)
-    return trace if slope is None else replace(trace, noise_level=noise_level(trace, slope))
 
 
 def _usable_slope(slope: float) -> bool:
@@ -318,12 +327,12 @@ TRACE_TYPES = {"seed": int, "capture": _capture_fraction}
 
 def read_traces(path) -> tuple[list[Trace], dict]:
     """Parse a trace file (:func:`~nssfp.errors.read_series`); returns traces
-    (noise scored per own slope) and header meta. The steps of each trace must
+    (noise level 0.0, not yet scored) and header meta. The steps of each trace must
     cover 0..len-1 exactly once, in any order; hit counts must be non-negative
     and durations and estimated sizes finite. A file without records holds none.
     """
     meta, ids, columns = read_series(path, TRACE_HEADER, TRACE_TYPES, TRACE_FIELDS)
-    return [_self_scored(Trace(
-        seq_id=seq_id, estimated_sizes=sizes, per_step_hit_counts=counts,
-        per_step_durations=durations, estimated_iterations=counts / meta["capture"],
-        noise_level=0.0)) for seq_id, counts, durations, sizes in zip(ids, *columns)], meta
+    return [Trace(seq_id=seq_id, estimated_sizes=sizes, per_step_hit_counts=counts,
+                  per_step_durations=durations, estimated_iterations=counts / meta["capture"],
+                  noise_level=0.0)
+            for seq_id, counts, durations, sizes in zip(ids, *columns)], meta

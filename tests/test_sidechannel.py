@@ -34,11 +34,13 @@ def test_config_validation():
         ChannelConfig(segment_gap_cycles=0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "10**400"])
 @pytest.mark.parametrize("field", ["capture_fraction", "cycles_per_iteration",
-                                   "hit_jitter_std", "outlier_rate", "outlier_scale"])
-def test_config_rejects_nan(field):
+                                   "hit_jitter_std", "outlier_rate", "outlier_scale",
+                                   "segment_gap_cycles"])
+def test_config_rejects_nan(field, value):
     with pytest.raises(ValidationError, match=field):
-        ChannelConfig(**{field: math.nan})
+        ChannelConfig(**{field: value})
 
 
 def test_lossless_channel_is_exact():
