@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (UsageError, ValidationError, parse_field, read_lines, read_records,
                      write_records)
 from .model import Sequence, Vocabulary, tokenize
+from .sampler import MAX_VOCAB_SIZE
 
 TSV_POSTS = "tsv_posts"
 PLAIN_DIR = "plain_dir"
@@ -126,9 +127,9 @@ def synthesize_corpus(
     """
     if authors < 1:
         raise UsageError("need at least one author")
-    if vocab_size < LEXICON_SIZE:
+    if not LEXICON_SIZE <= vocab_size <= MAX_VOCAB_SIZE:
         raise UsageError(f"vocab_size must be >= {LEXICON_SIZE}, the size of an author's "
-                         f"lexicon, got {vocab_size}")
+                         f"lexicon, and <= {MAX_VOCAB_SIZE}, got {vocab_size}")
     if target_words < 1:
         raise UsageError(f"target_words must be >= 1, got {target_words}")
     if seed < 0:

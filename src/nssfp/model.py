@@ -347,6 +347,11 @@ def load_model(path) -> NgramModel:
         if (type(unigram) is not list or len(unigram) != v
                 or not set(map(type, unigram)) <= {int} or min(unigram) < 0):
             raise ValueError(f"unigram_counts is not {v} non-negative integers")
+        model_id = payload["model_id"]
+        # an NSS file's header carries it as one word
+        if type(model_id) is not str or model_id.split() != [model_id]:
+            raise ValueError(f"model_id {model_id!r} is not a non-empty string without "
+                             "whitespace")
         tables, orders = payload["tables"], {str(k) for k in range(2, order + 1)}
         if payload["format"] == "ngram v1":
             if not set(tables) <= orders:
@@ -357,7 +362,7 @@ def load_model(path) -> NgramModel:
                 raise ValueError(f"tables does not hold exactly the orders 2..{order}")
             tables = {k: _array_table(tables[str(k)], k, v) for k in range(2, order + 1)}
         return NgramModel(order=order, weights=weights, vocabulary=vocab, tables=tables,
-                          model_id=payload["model_id"],
+                          model_id=model_id,
                           unigram_counts=np.array(unigram, dtype=np.int64))
     except _MALFORMED as exc:
         raise ValidationError(f"{path}: malformed model file "

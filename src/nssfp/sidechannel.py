@@ -10,13 +10,16 @@ which is what the noise score and the trace filter are for.
 """
 
 import math
+import os
+import pickle
+import signal
 import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (InsufficientDataError, UsageError, ValidationError, check_id,
-                     read_series, write_records)
+from .errors import (InsufficientDataError, NssfpError, UsageError, ValidationError,
+                     check_id, read_series, write_records)
 from .fingerprint import Nss
 
 DEFAULT_CAPTURE_FRACTION = 0.011
@@ -171,12 +174,14 @@ def simulate_trace(nss: Nss, vocab_size: int, cfg: ChannelConfig) -> RawTrace:
 def segment_and_reconstruct(raw: RawTrace, cfg: ChannelConfig, vocab_size: int) -> Trace:
     """Rebuild per-step iteration estimates from the raw hit stream.
 
-    The stream splits at gaps over 50x the median inter-hit gap, one segment
-    per observed step, except where the gap is under half the step gap (a
-    dilated step). A gap of several step periods infers empty steps, so later
-    steps stay aligned; unseen trailing steps pad as zero hits. Hit counts
-    are rescaled by 1/capture_fraction. The noise level is 0.0 until
-    :func:`rescore_noise` scores the trace against the global slope.
+    The stream splits, one segment per observed step, at every inter-hit gap
+    over half the step gap; a shorter gap lies within a (perhaps dilated)
+    step. A gap of exactly half the step gap splits only where it is also
+    over 50x the median inter-hit gap. A gap of several step periods infers
+    empty steps, so later steps stay aligned; unseen trailing steps pad as
+    zero hits. Hit counts are rescaled by 1/capture_fraction. The noise level
+    is 0.0 until :func:`rescore_noise` scores the trace against the global
+    slope.
     """
     n = raw.true_step_count
     if n < 1:
@@ -185,9 +190,12 @@ def segment_and_reconstruct(raw: RawTrace, cfg: ChannelConfig, vocab_size: int) 
     counts, durations = np.zeros(n, dtype=np.int64), np.zeros(n)
     if times.size:
         diffs = np.diff(times)
-        threshold = min(50.0 * max(float(np.median(diffs)), 1e-9), gap / 2.0) \
-            if diffs.size else 0.0
-        bounds = np.flatnonzero((diffs > threshold) & ~(diffs < gap / 2.0))
+        split = diffs > gap / 2.0
+        # the median, a partition of every gap, matters only to a gap of gap / 2
+        tie = diffs == gap / 2.0
+        if tie.any() and 50.0 * max(float(np.median(diffs)), 1e-9) < gap / 2.0:
+            split |= tie
+        bounds = np.flatnonzero(split)
         starts, ends = np.append(0, bounds + 1), np.append(bounds + 1, times.size)
         # unseen steps before each segment, in [0, n]: none before a first
         # hit that jitter pushed below time 0
@@ -204,9 +212,80 @@ def segment_and_reconstruct(raw: RawTrace, cfg: ChannelConfig, vocab_size: int) 
 
 
 def simulate_pool(series: list[Nss], vocab_size: int, cfg: ChannelConfig) -> list[Trace]:
-    """Simulate and reconstruct one trace per series, each on its own stream."""
+    """Simulate and reconstruct one trace per series, each on its own stream.
+
+    The series split into one contiguous chunk per usable CPU. This process
+    runs the first chunk; a forked child runs each other one and sends its
+    traces back pickled over a pipe. Each trace draws only from
+    :func:`trace_rng`, so the pool is the same however it is split. The first
+    error in series order is raised, as a serial loop raises it, and every
+    child is reaped before this returns or raises.
+    """
+    parts = max(1, min(len(series), _usable_cpus())) if hasattr(os, "fork") else 1
+    chunks = [series[len(series) * i // parts:len(series) * (i + 1) // parts]
+              for i in range(parts)]
+    children = []
+    try:
+        for chunk in chunks[1:]:
+            children.append(_fork_chunk(chunk, vocab_size, cfg))
+        traces = _simulate_chunk(chunks[0], vocab_size, cfg)
+        for pid, pipe in children:
+            traces += _receive(pid, pipe)
+        return traces
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # a child whose result is not needed stops now
+            os.waitpid(pid, 0)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _simulate_chunk(series: list[Nss], vocab_size: int, cfg: ChannelConfig) -> list[Trace]:
     return [segment_and_reconstruct(simulate_trace(x, vocab_size, cfg), cfg, vocab_size)
             for x in series]
+
+
+def _fork_chunk(series: list[Nss], vocab_size: int, cfg: ChannelConfig):
+    """(pid, read end of its pipe) of a child that writes the pickled pair
+    (traces, None) or (None, the exception) of :func:`_simulate_chunk`."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as out:
+                try:
+                    outcome = _simulate_chunk(series, vocab_size, cfg), None
+                except Exception as exc:  # re-raised by the parent
+                    outcome = None, exc
+                pickle.dump(outcome, out, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)  # never return into the caller's stack, nor run its exit code
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _receive(pid: int, pipe) -> list[Trace]:
+    """The traces a child sent, or the error it raised, raised here."""
+    try:
+        traces, error = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise NssfpError(f"trace simulation child {pid} ended without a result") from None
+    if error is not None:
+        raise error
+    return traces
 
 
 # huge values overflow to inf or nan here; _usable_slope then rejects the slope

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,14 @@ def tiny_model(tiny_corpus):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_child():
+    """Fail a test that leaves a child process unreaped, running or exited."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process unreaped (waitpid gave pid {pid})")

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from nssfp import sidechannel
 from nssfp.cli import COMMANDS, build_parser, main
 from nssfp.config import PipelineConfig, env_overrides, read_config_file, resolve_config
 from nssfp.errors import ConfigurationError
@@ -396,11 +397,12 @@ def test_report_evaluation_prints_summary_and_rows(tmp_path, capsys):
         f"error: {report}:3: not UTF-8 text"]
 
 
-def _model_json(tables='{"2":{"0":{"1":2}}}', unigram="[2,1,0]", weights="[0.4,0.6]"):
+def _model_json(tables='{"2":{"0":{"1":2}}}', unigram="[2,1,0]", weights="[0.4,0.6]",
+                model_id='"m"', layout="ngram v1"):
     """A model file of 3 tokens and order 2, with the given values in place."""
-    return ('{"format":"ngram v1","model_id":"m","order":2,"tables":%s,'
+    return ('{"format":"%s","model_id":%s,"order":2,"tables":%s,'
             '"tokens":["a","b","c"],"unigram_counts":%s,"weights":%s}'
-            % (tables, unigram, weights))
+            % (layout, model_id, tables, unigram, weights))
 
 
 def _v2_table(contexts="[0]", successors="[1]", ids="[1]", counts="[2]"):
@@ -466,7 +468,12 @@ BAD_INPUTS = {
               (_model_json(tables='{"2":{"0":{"1":1,"01":2}}}'), None),
               (_model_json(unigram="[2,-1,0]"), None), (_model_json(unigram="[2,1]"), None),
               (_model_json(weights="[0.9,0.2]"), None), (_model_json(weights="[1.0]"), None),
-              (_model_json(weights="[NaN,1.0]"), None)],
+              (_model_json(weights="[NaN,1.0]"), None),
+              # an NSS header holds the model id as one word
+              *[(_model_json(model_id=model_id), None) for model_id in ('"a b"', '""', '["x"]')],
+              *[(_model_json(model_id=model_id, layout="ngram v2",
+                             tables='{"2":%s}' % _v2_table()), None)
+                for model_id in ('"a b"', '""', '["x"]')]],
     "seqs": [("s\t0\t1,2\n", 1), ("#seq v1 vocab_size=9\ns\t0\n", 2),
              ("#seq v1 vocab_size=9\ns\t0\t1,x\n", 2),
              ("#seq v1 vocab_size=9\n#seq v1 vocab_size=8\n", 2),
@@ -585,6 +592,8 @@ def _errors(capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--vocab-size", "59", "vocab_size must be >= 60"),
     ("--vocab-size", "0", "vocab_size must be >= 60"),
+    ("--vocab-size", "1048577", "vocab_size must be >= 60, the size of an author's lexicon, "
+                                "and <= 1048576, got 1048577"),
     ("--target-words", "0", "target_words must be >= 1"),
     ("--target-words", "-5", "target_words must be >= 1"),
     ("--seed", "-1", "seed must be >= 0"),
@@ -669,6 +678,18 @@ def test_channel_setting_beyond_the_float_range_ends_in_one_error_line(tmp_path,
     assert main(["simulate", "--nss", str(good_inputs["nss"]), "--vocab-size", "9", *flags,
                  "--out", str(out)]) == 1
     assert _errors(capsys) == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_simulate_error_in_a_child_chunk_ends_in_one_error_line(tmp_path, capsys,
+                                                               monkeypatch):
+    # five series on two CPUs: the caller simulates s0-s1, a child s2-s4
+    nss, out = tmp_path / "pool.nss", tmp_path / "traces.trc"
+    nss.write_text("#nss v1 model=m q=0.9\n" + "".join(
+        f"s{i}\t{t}\tn={12 if (i, t) == (3, 1) else 5}\n" for i in range(5) for t in range(2)))
+    monkeypatch.setattr(sidechannel, "_usable_cpus", lambda: 2)
+    assert main(["simulate", "--nss", str(nss), "--vocab-size", "9", "--out", str(out)]) == 1
+    assert _errors(capsys) == ["error: NSS 's3' has sizes above the vocabulary size 9"]
     assert not out.exists()
 
 

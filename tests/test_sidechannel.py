@@ -1,12 +1,14 @@
 import math
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nssfp import sidechannel
-from nssfp.errors import InsufficientDataError, ParseError, UsageError, ValidationError
+from nssfp.errors import (InsufficientDataError, NssfpError, ParseError, UsageError,
+                          ValidationError)
 from nssfp.fingerprint import Nss
 from nssfp.sidechannel import (ChannelConfig, RawTrace, Trace, estimate_global_slope,
                                filter_noisy, noise_level, read_traces, rescore_noise,
@@ -476,6 +478,11 @@ def _hit_streams(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_hit_streams())
+# gaps of exactly half the step gap: 50x the median above it (no split), below
+# it (a split) and equal to it (no split)
+@example((1_000, 4, np.array([0.0, 500.0, 1000.0, 1500.0])))
+@example((1_000, 3, np.array([0.0, 1.0, 2.0, 3.0, 4.0, 504.0, 505.0, 506.0])))
+@example((1_000, 3, np.array([0.0, 10.0, 20.0, 30.0, 530.0, 540.0, 550.0])))
 def test_reconstruction_equals_segment_loop(stream):
     gap, n, times = stream
     cfg = ChannelConfig(capture_fraction=0.25, segment_gap_cycles=gap)
@@ -486,14 +493,77 @@ def test_reconstruction_equals_segment_loop(stream):
     assert _same(trace.per_step_durations, durations)
 
 
-def test_simulate_pool_is_one_trace_per_series():
-    cfg = ChannelConfig(rng_seed=8)
-    series = [_nss([100, 400, 250], seq_id=f"p{i}") for i in range(3)]
-    pool = simulate_pool(series, 500, cfg)
-    assert [t.seq_id for t in pool] == ["p0", "p1", "p2"]
-    for x, t in zip(series, pool):
-        alone = segment_and_reconstruct(simulate_trace(x, 500, cfg), cfg, 500)
-        assert _same(t.per_step_durations, alone.per_step_durations)
+def _serial_pool(series, vocab_size, cfg):
+    """The pool as one loop in this process: the oracle of every split."""
+    return [segment_and_reconstruct(simulate_trace(x, vocab_size, cfg), cfg, vocab_size)
+            for x in series]
+
+
+def _forks_on(monkeypatch, cpus):
+    """Make ``simulate_pool`` see ``cpus`` usable CPUs; returns the list its
+    forks are appended to."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(sidechannel, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 9, "no fork"])
+def test_simulate_pool_equals_serial_loop_however_split(monkeypatch, cpus):
+    cfg = ChannelConfig(rng_seed=8, outlier_rate=0.2)
+    rng = np.random.default_rng(3)
+    series = [_nss(rng.integers(0, 500, size=30 + i), seq_id=f"p{i}") for i in range(7)]
+    if cpus == "no fork":  # a platform without os.fork runs one chunk
+        monkeypatch.setattr(sidechannel, "_usable_cpus", lambda: 4)
+        monkeypatch.delattr(os, "fork")
+        pool = simulate_pool(series, 500, cfg)
+    else:
+        forks = _forks_on(monkeypatch, cpus)
+        pool = simulate_pool(series, 500, cfg)
+        assert len(forks) == min(cpus, len(series)) - 1
+    assert [t.seq_id for t in pool] == [x.seq_id for x in series]
+    for t, alone in zip(pool, _serial_pool(series, 500, cfg)):
+        assert t.seq_id == alone.seq_id and t.noise_level == alone.noise_level
+        for field in ("estimated_sizes", "per_step_hit_counts", "per_step_durations",
+                      "estimated_iterations"):
+            assert _same(getattr(t, field), getattr(alone, field))
+
+
+# 7 series: 2 CPUs split them 3 + 4, 3 CPUs 2 + 2 + 3, 9 CPUs one each
+@pytest.mark.parametrize("cpus, bad", [(2, [5]), (3, [3, 5]), (3, [1, 6]), (9, [4, 6]),
+                                       (9, [0, 6])])
+def test_simulate_pool_raises_the_first_error_in_series_order(monkeypatch, cpus, bad):
+    cfg = ChannelConfig(rng_seed=2)
+    series = [_nss([100, 600 if i in bad else 200], seq_id=f"p{i}") for i in range(7)]
+    with pytest.raises(ValidationError) as serial:
+        _serial_pool(series, 500, cfg)
+    assert f"'p{bad[0]}'" in str(serial.value)
+    forks = _forks_on(monkeypatch, cpus)
+    with pytest.raises(ValidationError) as pooled:
+        simulate_pool(series, 500, cfg)
+    assert str(pooled.value) == str(serial.value)
+    assert len(forks) == min(cpus, len(series)) - 1
+
+
+def test_child_that_dies_without_a_result_is_one_error(monkeypatch):
+    caller, simulate = os.getpid(), sidechannel.simulate_trace
+
+    def dies_in_a_child(nss, vocab_size, cfg):
+        if os.getpid() != caller:
+            os._exit(3)
+        return simulate(nss, vocab_size, cfg)
+
+    monkeypatch.setattr(sidechannel, "simulate_trace", dies_in_a_child)
+    forks = _forks_on(monkeypatch, 2)
+    with pytest.raises(NssfpError, match="ended without a result"):
+        simulate_pool([_nss([100, 200], seq_id=f"p{i}") for i in range(4)], 500,
+                      ChannelConfig())
+    assert len(forks) == 1
+
+
+def test_simulate_pool_of_no_series_is_empty(monkeypatch):
+    forks = _forks_on(monkeypatch, 4)
+    assert simulate_pool([], 500, ChannelConfig()) == [] and forks == []
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
