@@ -7,6 +7,7 @@ underscores, e.g. ``NSSFP_CHANNEL__CAPTURE_FRACTION=0.02``.
 """
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -37,6 +38,10 @@ class PipelineConfig:
     def __post_init__(self):
         if self.sequence_length < 1:
             raise ConfigurationError(f"sequence_length must be >= 1, got {self.sequence_length}")
+        # a negative threshold is legal: it makes every series variable
+        if not math.isfinite(self.variability_threshold):
+            raise ConfigurationError("variability_threshold must be finite, "
+                                     f"got {self.variability_threshold!r}")
 
     def resolved_lines(self) -> list[str]:
         """Deterministic key=value dump for run logs and output headers."""

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (UsageError, ValidationError, parse_field, read_lines, read_records,
                      write_records)
 from .model import Sequence, Vocabulary, tokenize
-from .sampler import MAX_VOCAB_SIZE
+from .sampler import MAX_AUTHORS, MAX_TARGET_WORDS, MAX_VOCAB_SIZE
 
 TSV_POSTS = "tsv_posts"
 PLAIN_DIR = "plain_dir"
@@ -125,13 +125,14 @@ def synthesize_corpus(
     variability and the author-specific big/small position pattern that
     makes the series distinguishable fingerprints.
     """
-    if authors < 1:
-        raise UsageError("need at least one author")
+    if not 1 <= authors <= MAX_AUTHORS:
+        raise UsageError(f"authors must be >= 1 and <= {MAX_AUTHORS}, got {authors}")
     if not LEXICON_SIZE <= vocab_size <= MAX_VOCAB_SIZE:
         raise UsageError(f"vocab_size must be >= {LEXICON_SIZE}, the size of an author's "
                          f"lexicon, and <= {MAX_VOCAB_SIZE}, got {vocab_size}")
-    if target_words < 1:
-        raise UsageError(f"target_words must be >= 1, got {target_words}")
+    if not 1 <= target_words <= MAX_TARGET_WORDS:
+        raise UsageError(f"target_words must be >= 1 and <= {MAX_TARGET_WORDS}, "
+                         f"got {target_words}")
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

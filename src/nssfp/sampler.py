@@ -26,6 +26,15 @@ BENCH_REPEATS = 5
 #: times the largest tokenizer vocabulary in use (256,000 tokens). A float array
 #: of that size is 8 MiB, and a simulated step runs at most 2**20 iterations.
 MAX_VOCAB_SIZE = 1 << 20
+#: The most authors ``synth`` takes, 10**4: fifty times the README's corpus. At
+#: 1,200 words each, synth writes that many in about a minute on a 2-vCPU Xeon.
+MAX_AUTHORS = 10**4
+#: The most words per author ``synth`` takes, 10**5: about 33 times the 3,000
+#: words of an author that aggregation keeps by default.
+MAX_TARGET_WORDS = 10**5
+#: The most trials per variant ``bench`` takes, 10**4: a hundred times the README's
+#: run, about 40 s per variant at the default vocabulary size on a 2-vCPU Xeon.
+MAX_BENCH_TRIALS = 10**4
 
 #: IEEE-754 double max; doubling it overflows to +inf, which is the whole trick.
 MAXFLOAT = float(np.finfo(np.float64).max)
@@ -238,8 +247,8 @@ def bench_filter(variant: str, vocab_size: int, trials: int, rng_seed: int,
     filter's index-list build are excluded: only the removal differs
     between the variants and only it leaks.
     """
-    if trials < 1:
-        raise UsageError("trials must be >= 1")
+    if not 1 <= trials <= MAX_BENCH_TRIALS:
+        raise UsageError(f"trials must be >= 1 and <= {MAX_BENCH_TRIALS}, got {trials}")
     if variant not in FILTERS:
         raise UsageError(f"unknown variant {variant!r}")
     if rng_seed < 0:

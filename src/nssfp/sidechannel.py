@@ -11,8 +11,6 @@ which is what the noise score and the trace filter are for.
 
 import math
 import os
-import pickle
-import signal
 import zlib
 from dataclasses import dataclass, replace
 
@@ -215,28 +213,30 @@ def simulate_pool(series: list[Nss], vocab_size: int, cfg: ChannelConfig) -> lis
     """Simulate and reconstruct one trace per series, each on its own stream.
 
     The series split into one contiguous chunk per usable CPU. This process
-    runs the first chunk; a forked child runs each other one and sends its
-    traces back pickled over a pipe. Each trace draws only from
-    :func:`trace_rng`, so the pool is the same however it is split. The first
-    error in series order is raised, as a serial loop raises it, and every
-    child is reaped before this returns or raises.
+    runs the first chunk; a fork-context process pool runs each other one.
+    Each trace draws only from :func:`trace_rng`, so the pool is the same
+    however it is split. The first error in series order is raised, as a
+    serial loop raises it, once every worker has finished.
     """
     parts = max(1, min(len(series), _usable_cpus())) if hasattr(os, "fork") else 1
     chunks = [series[len(series) * i // parts:len(series) * (i + 1) // parts]
               for i in range(parts)]
-    children = []
-    try:
-        for chunk in chunks[1:]:
-            children.append(_fork_chunk(chunk, vocab_size, cfg))
+    if parts == 1:
+        return _simulate_chunk(chunks[0], vocab_size, cfg)
+    # imported here, so that a run which never pools does not pay for them: about
+    # 1 MiB and 15-20 ms on a 2-vCPU Xeon
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    # fork, not the platform default: Python 3.14 makes forkserver the POSIX one
+    with ProcessPoolExecutor(parts - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_simulate_chunk, chunk, vocab_size, cfg) for chunk in chunks[1:]]
         traces = _simulate_chunk(chunks[0], vocab_size, cfg)
-        for pid, pipe in children:
-            traces += _receive(pid, pipe)
-        return traces
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)  # a child whose result is not needed stops now
-            os.waitpid(pid, 0)
+        try:
+            for future in futures:
+                traces += future.result()
+        except BrokenProcessPool:
+            raise NssfpError("a trace simulation worker ended without a result") from None
+    return traces
 
 
 def _usable_cpus() -> int:
@@ -248,44 +248,6 @@ def _usable_cpus() -> int:
 def _simulate_chunk(series: list[Nss], vocab_size: int, cfg: ChannelConfig) -> list[Trace]:
     return [segment_and_reconstruct(simulate_trace(x, vocab_size, cfg), cfg, vocab_size)
             for x in series]
-
-
-def _fork_chunk(series: list[Nss], vocab_size: int, cfg: ChannelConfig):
-    """(pid, read end of its pipe) of a child that writes the pickled pair
-    (traces, None) or (None, the exception) of :func:`_simulate_chunk`."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as out:
-                try:
-                    outcome = _simulate_chunk(series, vocab_size, cfg), None
-                except Exception as exc:  # re-raised by the parent
-                    outcome = None, exc
-                pickle.dump(outcome, out, protocol=pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)  # never return into the caller's stack, nor run its exit code
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _receive(pid: int, pipe) -> list[Trace]:
-    """The traces a child sent, or the error it raised, raised here."""
-    try:
-        traces, error = pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
-        raise NssfpError(f"trace simulation child {pid} ended without a result") from None
-    if error is not None:
-        raise error
-    return traces
 
 
 # huge values overflow to inf or nan here; _usable_slope then rejects the slope

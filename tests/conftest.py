@@ -1,4 +1,5 @@
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -50,3 +51,14 @@ def no_unreaped_child():
     except ChildProcessError:
         return
     pytest.fail(f"the test left a child process unreaped (waitpid gave pid {pid})")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_thread():
+    """Fail a test that leaves a thread alive that was not alive before it,
+    such as the manager thread of an executor that was never shut down."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    if leaked:
+        pytest.fail(f"the test left threads alive: {leaked}")

@@ -1,6 +1,8 @@
 import hashlib
+import math
 import re
 
+import numpy as np
 import pytest
 
 from nssfp import sidechannel
@@ -585,6 +587,36 @@ def test_sequence_length_below_one_ends_in_one_error_line(tmp_path, capsys, good
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+def test_config_rejects_a_non_finite_threshold(value):
+    with pytest.raises(ConfigurationError, match="variability_threshold must be finite"):
+        PipelineConfig(variability_threshold=value)
+    # a negative threshold makes every series variable
+    assert PipelineConfig(variability_threshold=-1.0).variability_threshold == -1.0
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--nss", "{nss}", "--seqs", "{seqs}"],
+    ["match", "--nss", "{nss}", "--traces", "{trc}", "--fit", "{fit}"],
+    ["evaluate", "--corpus", "{corpus}"]], ids=lambda command: command[0])
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_threshold_ends_in_one_error_line(tmp_path, capsys, monkeypatch,
+                                                     good_inputs, command, source, value):
+    out = tmp_path / "out"
+    argv = [a.format(**good_inputs) for a in command] + ["--out", str(out)]
+    if source == "flag":
+        argv += ["--threshold", value]
+    elif source == "config":
+        (tmp_path / "run.cfg").write_text(f"variability_threshold={value}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        monkeypatch.setenv("NSSFP_VARIABILITY_THRESHOLD", value)
+    assert main(argv) == 1
+    assert _errors(capsys) == [f"error: variability_threshold must be finite, got {value}"]
+    assert not out.exists()
+
+
 def _errors(capsys):
     return [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
 
@@ -604,6 +636,26 @@ def test_synth_argument_out_of_range_ends_in_one_usage_line(tmp_path, capsys, fl
     assert main(["synth", "--authors", "2", flag, value, "--out", str(out)]) == 2
     errors = _errors(capsys)
     assert len(errors) == 1 and errors[0].startswith(f"error: usage: {message}"), errors
+    assert not out.exists()
+
+
+def _no_work(seed):
+    raise AssertionError("the work started before its size was checked")
+
+
+@pytest.mark.parametrize("argv, name, bound", [
+    (["synth", "--authors", "{}"], "authors", 10_000),
+    (["synth", "--authors", "2", "--target-words", "{}"], "target_words", 100_000),
+    (["bench", "--trials", "{}"], "trials", 10_000)], ids=["authors", "words", "trials"])
+@pytest.mark.parametrize("above", [1, 10**20], ids=["1", "10**20"])
+def test_work_size_above_its_bound_ends_in_one_usage_line(tmp_path, capsys, monkeypatch,
+                                                          argv, name, bound, above):
+    # synth and bench start their work by seeding a generator
+    monkeypatch.setattr(np.random, "default_rng", _no_work)
+    value, out = bound + above, tmp_path / "out"
+    assert main([a.format(value) for a in argv] + ["--out", str(out)]) == 2
+    assert _errors(capsys) == [f"error: usage: {name} must be >= 1 and <= {bound}, "
+                               f"got {value}"]
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -564,6 +566,25 @@ def test_child_that_dies_without_a_result_is_one_error(monkeypatch):
 def test_simulate_pool_of_no_series_is_empty(monkeypatch):
     forks = _forks_on(monkeypatch, 4)
     assert simulate_pool([], 500, ChannelConfig()) == [] and forks == []
+
+
+def test_a_pool_that_never_splits_imports_no_process_pool():
+    # a fresh interpreter: another test may have imported them into this one
+    code = """if True:
+        import sys
+        import numpy as np
+        import nssfp
+        from nssfp import sidechannel
+        sidechannel._usable_cpus = lambda: 1
+        series = [nssfp.Nss(f"p{i}", 0.9, "m", np.array([100, 200])) for i in range(3)]
+        assert len(sidechannel.simulate_pool(series, 500, nssfp.ChannelConfig())) == 3
+        print(sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
+    """
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

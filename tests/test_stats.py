@@ -174,6 +174,42 @@ def test_smoothed_histogram_lognormal_peak(rng):
     assert peak == pytest.approx(math.exp(11.5), rel=0.05)
 
 
+def _smoothed_histogram_loop(samples, buckets, window):
+    """The smoothed densities one bucket at a time: the oracle of the
+    sliding-window mean in ``smoothed_histogram``."""
+    samples = np.asarray(samples, dtype=np.float64)
+    lo, hi = float(samples.min()), float(samples.max())
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    counts, edges = np.histogram(samples, bins=buckets, range=(lo, hi))
+    density = counts / (samples.size * (edges[1] - edges[0]))
+    half = window // 2
+    smoothed = np.empty(buckets)
+    for i in range(buckets):
+        a, b = max(0, i - half), min(buckets, i + half + 1)
+        smoothed[i] = density[a:b].mean()
+    return smoothed
+
+
+def _assert_histogram_is_the_loop(samples, buckets, window):
+    got = np.array([d for _, d in smoothed_histogram(samples, buckets, window)])
+    want = _smoothed_histogram_loop(samples, buckets, window)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=400),
+       st.integers(0, 20), st.integers(0, 300))
+def test_smoothed_histogram_equals_the_bucket_loop(samples, half, extra):
+    _assert_histogram_is_the_loop(samples, 2 * half + 1 + extra, 2 * half + 1)
+
+
+@pytest.mark.parametrize("buckets, window", [(4097, 4097), (7000, 4097), (5000, 1025),
+                                             (6999, 129)])
+def test_smoothed_histogram_equals_the_bucket_loop_at_wide_windows(rng, buckets, window):
+    _assert_histogram_is_the_loop(rng.lognormal(0.0, 1.0, 3000), buckets, window)
+
+
 def test_smoothed_histogram_errors():
     with pytest.raises(UsageError):
         smoothed_histogram([1.0, 2.0], buckets=5, window=11)
