@@ -11,7 +11,8 @@ from .corpus import (AuthorSequence, PostCorpus, aggregate_by_author, load_corpu
                      save_corpus, synthesize_corpus)
 from .errors import (ConfigurationError, InsufficientDataError, NssfpError, ParseError,
                      UsageError, ValidationError)
-from .fingerprint import Nss, VariabilityReport, generate_nss, similar, variability
+from .fingerprint import (Nss, VariabilityReport, generate_nss, nss_series, similar,
+                          variability)
 from .matcher import (EvaluationReport, MatchResult, evaluate, fit_error_bound, match,
                       measurement_error)
 from .model import (NgramModel, Sequence, Vocabulary, load_model, save_model, tokenize,

@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from itertools import chain
 
 from . import corpus as corpus_mod
 from . import fingerprint as fp
@@ -104,8 +105,7 @@ def cmd_nss(args) -> int:
         if args.truncate else sequences
     if not sequences:
         raise UsageError(f"no sequence reaches length {n}")
-    cache: dict = {}
-    series = [fp.generate_nss(model, s, cfg.q, size_cache=cache) for s in sequences]
+    series = fp.nss_series(model, sequences, cfg.q)
     interchange.write_nss(args.out, series, header_lines=cfg.resolved_lines())
     print(f"wrote {len(series)} series of lengths "
           f"{sorted({x.length for x in series})} to {args.out}")
@@ -204,8 +204,7 @@ def cmd_evaluate(args) -> int:
         raise UsageError(f"need >= 2 sequences of length {n}, got {len(sequences)}")
     model = train_model([a.sequence for a in authors], order=cfg.order,
                         weights=cfg.weights, vocabulary=vocab)
-    cache: dict = {}
-    series = [fp.generate_nss(model, s, cfg.q, size_cache=cache) for s in sequences]
+    series = fp.nss_series(model, sequences, cfg.q)
     records, _ = fp.collect_pairwise_distances(
         series, sequences, threshold=cfg.variability_threshold,
         window=cfg.similarity_window)
@@ -265,8 +264,9 @@ def cmd_report(args) -> int:
         records, n = interchange.read_distances(args.distances)
         hist = stats.smoothed_histogram([d for _, _, d in records],
                                         buckets=args.buckets, window=args.hist_window)
-        write_records(args.out, ["bucket_center,smoothed_density"] + [
-            f"{c!r},{d!r}" for c, d in hist],
+        chunks = (hist[a:a + (1 << 16)].tolist() for a in range(0, len(hist), 1 << 16))
+        write_records(args.out, chain(["bucket_center,smoothed_density"], (
+            f"{c!r},{d!r}" for chunk in chunks for c, d in chunk)),
             header_lines=[f"smoothed histogram of {len(records)} distances, N={n}"])
         print(f"wrote {args.buckets}-bucket histogram to {args.out}")
         return 0

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (UsageError, ValidationError, parse_field, read_lines, read_records,
                      write_records)
 from .model import Sequence, Vocabulary, tokenize
-from .sampler import MAX_AUTHORS, MAX_TARGET_WORDS, MAX_VOCAB_SIZE
+from .sampler import MAX_AUTHORS, MAX_SYNTH_WORDS, MAX_TARGET_WORDS, MAX_VOCAB_SIZE
 
 TSV_POSTS = "tsv_posts"
 PLAIN_DIR = "plain_dir"
@@ -133,6 +133,9 @@ def synthesize_corpus(
     if not 1 <= target_words <= MAX_TARGET_WORDS:
         raise UsageError(f"target_words must be >= 1 and <= {MAX_TARGET_WORDS}, "
                          f"got {target_words}")
+    if authors * target_words > MAX_SYNTH_WORDS:
+        raise UsageError(f"authors * target_words must be <= {MAX_SYNTH_WORDS}, "
+                         f"got {authors} * {target_words}")
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

@@ -9,8 +9,6 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import methodcaller
 
 import numpy as np
 
@@ -325,16 +323,18 @@ _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError, Ns
 
 
 def load_model(path) -> NgramModel:
-    """Read a model that :func:`save_model` wrote, or an ``ngram v1`` file of
-    earlier versions (each table an object from context to successor counts),
-    checking every value."""
+    """Read a model that :func:`save_model` wrote, checking every value. The
+    ``ngram v1`` files of earlier versions are refused: rerun ``train``."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.loads(fh.read())
     except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
         raise ParseError(f"not a JSON model file ({exc})", path=str(path),
                          line=getattr(exc, "lineno", 1)) from None
-    if not isinstance(payload, dict) or payload.get("format") not in ("ngram v1", "ngram v2"):
+    if isinstance(payload, dict) and payload.get("format") == "ngram v1":
+        raise ValidationError(f"{path}: the ngram v1 model format is retired; "
+                              "rerun nssfp train to write this model again")
+    if not isinstance(payload, dict) or payload.get("format") != "ngram v2":
         raise ValidationError(f"{path} is not a model file")
     try:
         vocab = Vocabulary(tokens=tuple(payload["tokens"]))
@@ -353,14 +353,9 @@ def load_model(path) -> NgramModel:
             raise ValueError(f"model_id {model_id!r} is not a non-empty string without "
                              "whitespace")
         tables, orders = payload["tables"], {str(k) for k in range(2, order + 1)}
-        if payload["format"] == "ngram v1":
-            if not set(tables) <= orders:
-                raise ValueError(f"table orders {sorted(tables)} outside 2..{order}")
-            tables = {k: _read_table(tables.get(str(k), {}), k, v) for k in range(2, order + 1)}
-        else:
-            if type(tables) is not dict or set(tables) != orders:
-                raise ValueError(f"tables does not hold exactly the orders 2..{order}")
-            tables = {k: _array_table(tables[str(k)], k, v) for k in range(2, order + 1)}
+        if type(tables) is not dict or set(tables) != orders:
+            raise ValueError(f"tables does not hold exactly the orders 2..{order}")
+        tables = {k: _array_table(tables[str(k)], k, v) for k in range(2, order + 1)}
         return NgramModel(order=order, weights=weights, vocabulary=vocab, tables=tables,
                           model_id=model_id,
                           unigram_counts=np.array(unigram, dtype=np.int64))
@@ -394,31 +389,3 @@ def _array_table(arrays: dict, k: int, v: int) -> NgramTable:
     if not (np.all(np.diff(keys) > 0) and rising.all()):
         raise ValueError(f"the contexts or successor ids of table {k} do not strictly ascend")
     return NgramTable(keys, offsets, ids, counts.astype(np.float64))
-
-
-def _read_table(contexts: dict, k: int, v: int) -> NgramTable:
-    """The ``NgramTable`` of one order's JSON object; ValueError if a value is
-    out of range."""
-    if not set(map(methodcaller("count", " "), contexts)) <= {k - 2}:
-        raise ValueError(f"a context of table {k} is not {k - 1} words long")
-    words = np.fromiter(map(int, " ".join(contexts).split(" ")) if contexts else (),
-                        dtype=np.int64).reshape(-1, k - 1)
-    succ = list(contexts.values())
-    lens = np.fromiter(map(len, succ), dtype=np.int64, count=len(succ))
-    ids = np.fromiter(map(int, chain.from_iterable(succ)), dtype=np.int64,
-                      count=int(lens.sum()))
-    counts = list(chain.from_iterable(map(dict.values, succ)))
-    if not set(map(type, counts)) <= {int}:
-        raise ValueError(f"a count of table {k} is not an integer")
-    counts = np.array(counts, dtype=np.int64)
-    if words.size and not (words.min() >= 0 and words.max() < v):
-        raise ValueError(f"a context word of table {k} is outside [0, {v})")
-    if ids.size and not (ids.min() >= 0 and ids.max() < v):
-        raise ValueError(f"a successor id of table {k} is outside [0, {v})")
-    if counts.size and counts.min() <= 0 or np.any(lens == 0):
-        raise ValueError(f"a context of table {k} has a count below 1 or no successor")
-    keys = (words + 1) @ _place_values(k - 1, v + 1)
-    table = NgramTable.build(np.repeat(keys, lens), ids, counts.astype(np.float64))
-    if len(table) != len(contexts) or table.ids.size != ids.size:
-        raise ValueError(f"table {k} repeats a context or a successor")
-    return table

@@ -32,6 +32,10 @@ MAX_AUTHORS = 10**4
 #: The most words per author ``synth`` takes, 10**5: about 33 times the 3,000
 #: words of an author that aggregation keeps by default.
 MAX_TARGET_WORDS = 10**5
+#: The most words ``synth`` writes, ``authors * target_words``: MAX_AUTHORS authors
+#: at the default 1,200 words, about a minute. Both bounds at once would be 10**9
+#: words, about 70 minutes and tens of GB.
+MAX_SYNTH_WORDS = MAX_AUTHORS * 1200
 #: The most trials per variant ``bench`` takes, 10**4: a hundred times the README's
 #: run, about 40 s per variant at the default vocabulary size on a 2-vCPU Xeon.
 MAX_BENCH_TRIALS = 10**4

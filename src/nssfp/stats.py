@@ -76,8 +76,9 @@ class ErrorModel:
         return self.tau > 0
 
 
-def smoothed_histogram(samples, buckets: int, window: int = 11) -> list[tuple[float, float]]:
-    """Equal-width histogram densities averaged over a centered bucket window.
+def smoothed_histogram(samples, buckets: int, window: int = 11) -> np.ndarray:
+    """Equal-width histogram densities averaged over a centered bucket window:
+    one row ``(bucket center, smoothed density)`` per bucket.
 
     The window must be odd so the average is centered; at the edges it is
     truncated to the available buckets. There are at most
@@ -104,7 +105,7 @@ def smoothed_histogram(samples, buckets: int, window: int = 11) -> list[tuple[fl
     smoothed[half:buckets - half] = sliding_window_view(density, window).mean(axis=1)
     for i in (*range(half), *range(buckets - half, buckets)):  # the truncated edges
         smoothed[i] = density[max(0, i - half):i + half + 1].mean()
-    return list(zip(centers.tolist(), smoothed.tolist()))
+    return np.column_stack((centers, smoothed))
 
 
 def fit_lognormal(samples) -> tuple[float, float]:

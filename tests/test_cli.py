@@ -263,6 +263,16 @@ def test_bad_model_file_ends_in_one_error_line(tmp_path, capsys, text):
     assert len(errors) == 1 and str(model) in errors[0], errors
 
 
+def test_ngram_v1_model_ends_in_one_retired_error_line(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text('{"format":"ngram v1"}')
+    assert run(["nss", "--model", model, "--seqs", tmp_path / "seqs.txt",
+                "--out", tmp_path / "out.nss"]) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert errors == [f"error: {model}: the ngram v1 model format is retired; "
+                      "rerun nssfp train to write this model again"]
+
+
 def test_id_with_delimiter_ends_in_one_error_line(tmp_path, capsys):
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text("a,b\t1\tone two three\nc\t2\tfour five six\n")
@@ -399,8 +409,8 @@ def test_report_evaluation_prints_summary_and_rows(tmp_path, capsys):
         f"error: {report}:3: not UTF-8 text"]
 
 
-def _model_json(tables='{"2":{"0":{"1":2}}}', unigram="[2,1,0]", weights="[0.4,0.6]",
-                model_id='"m"', layout="ngram v1"):
+def _model_json(tables='{"2":{"contexts":[0],"counts":[2],"ids":[1],"successors":[1]}}',
+                unigram="[2,1,0]", weights="[0.4,0.6]", model_id='"m"', layout="ngram v2"):
     """A model file of 3 tokens and order 2, with the given values in place."""
     return ('{"format":"%s","model_id":%s,"order":2,"tables":%s,'
             '"tokens":["a","b","c"],"unigram_counts":%s,"weights":%s}'
@@ -458,24 +468,15 @@ GOOD_INPUTS = {
 BAD_INPUTS = {
     "corpus": [("a\t1\tok\nb\t2\n", 2), ("a\tnoon\tok\n", 1), ("a\t1\tcaf\udce9\n", 1)],
     "config": [("seed=3\nseed 4\n", 2), ("# caf\udce9\n", 1)],
-    "model": [("not json\n", 1), (_model_json(tables='{"3":{"0 1":{"1":1}}}'), None),
-              (_model_json(tables='{"1":{"":{"1":1}}}'), None),
-              (_model_json(tables='{"2":{"0 1":{"1":1}}}'), None),
-              (_model_json(tables='{"2":{"3":{"1":1}}}'), None),
-              (_model_json(tables='{"2":{"0":{"999999":1}}}'), None),
-              (_model_json(tables='{"2":{"0":{"1":-2}}}'), None),
-              (_model_json(tables='{"2":{"0":{"1":1.5}}}'), None),
-              (_model_json(tables='{"2":{"0":{}}}'), None),
-              (_model_json(tables='{"2":{"0":{"1":1},"00":{"2":1}}}'), None),
-              (_model_json(tables='{"2":{"0":{"1":1,"01":2}}}'), None),
+    "model": [("not json\n", 1),
+              # the retired layout, whatever its tables hold
+              (_model_json(tables='{"2":{"0":{"1":2}}}', layout="ngram v1"), None),
+              (_model_json(tables='{"2":{"0":{}}}', layout="ngram v1"), None),
               (_model_json(unigram="[2,-1,0]"), None), (_model_json(unigram="[2,1]"), None),
               (_model_json(weights="[0.9,0.2]"), None), (_model_json(weights="[1.0]"), None),
               (_model_json(weights="[NaN,1.0]"), None),
               # an NSS header holds the model id as one word
-              *[(_model_json(model_id=model_id), None) for model_id in ('"a b"', '""', '["x"]')],
-              *[(_model_json(model_id=model_id, layout="ngram v2",
-                             tables='{"2":%s}' % _v2_table()), None)
-                for model_id in ('"a b"', '""', '["x"]')]],
+              *[(_model_json(model_id=model_id), None) for model_id in ('"a b"', '""', '["x"]')]],
     "seqs": [("s\t0\t1,2\n", 1), ("#seq v1 vocab_size=9\ns\t0\n", 2),
              ("#seq v1 vocab_size=9\ns\t0\t1,x\n", 2),
              ("#seq v1 vocab_size=9\n#seq v1 vocab_size=8\n", 2),
@@ -656,6 +657,20 @@ def test_work_size_above_its_bound_ends_in_one_usage_line(tmp_path, capsys, monk
     assert main([a.format(value) for a in argv] + ["--out", str(out)]) == 2
     assert _errors(capsys) == [f"error: usage: {name} must be >= 1 and <= {bound}, "
                                f"got {value}"]
+    assert not out.exists()
+
+
+def test_synth_words_above_their_bound_end_in_one_usage_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", _no_work)
+    out = tmp_path / "out"
+    for authors, words in [("10000", "1201"), ("10000", "100000"), ("121", "100000")]:
+        assert main(["synth", "--authors", authors, "--target-words", words,
+                     "--out", str(out)]) == 2
+        assert _errors(capsys) == [f"error: usage: authors * target_words must be <= "
+                                   f"12000000, got {authors} * {words}"]
+    # at the bound the work starts
+    with pytest.raises(AssertionError, match="the work started"):
+        main(["synth", "--authors", "10000", "--target-words", "1200", "--out", str(out)])
     assert not out.exists()
 
 

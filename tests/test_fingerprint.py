@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from nssfp import fingerprint as fp
 from nssfp.cli import main as cli_main
+from nssfp.corpus import aggregate_by_author, synthesize_corpus
 from nssfp.errors import UsageError, ValidationError
 from nssfp.model import Sequence, Vocabulary, train_model
 from nssfp.sampler import nucleus_size_from_probs
@@ -133,6 +135,98 @@ def test_nss_file_equals_dense_path_on_c9_corpus(tmp_path, monkeypatch):
         nucleus_size_from_probs(m.context_probs(c), p) for c in contexts])
     assert cli_main([*nss, "--out", str(tmp_path / "dense.nss")]) == 0
     assert (tmp_path / "sparse.nss").read_bytes() == (tmp_path / "dense.nss").read_bytes()
+
+
+def test_nss_series_equals_the_loop_and_the_dense_oracle(monkeypatch):
+    """Blocks of a few contexts (so most corpora span several), a size cache
+    shared by a per-sequence loop, q near its extremes and weightless orders."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tied_models(), st.sampled_from([0.5, 0.9, 0.95, 0.999]), st.integers(1, 8))
+    def check(built, q, block):
+        model, seqs = built
+        monkeypatch.setattr(fp, "_BLOCK", block)
+        series = fp.nss_series(model, seqs, q)
+        cache: dict = {}
+        loop = [fp.generate_nss(model, s, q, size_cache=cache) for s in seqs]
+        for s, x, y in zip(seqs, series, loop):
+            dense = [nucleus_size_from_probs(model.context_probs(
+                context_code(model, context_at(model, s, t))), q) for t in range(len(s))]
+            assert x.sizes.tolist() == y.sizes.tolist() == dense
+            assert (x.seq_id, x.q, x.model_id) == (s.id, q, model.model_id)
+
+    check()
+    assert fp.nss_series(train_model([Sequence("s", np.array([0, 1]))], order=1,
+                                     weights=(1.0,), vocabulary=Vocabulary(("a", "b"))),
+                         [], 0.9) == []
+
+
+def test_packed_key_clash_falls_back_to_lexsort():
+    # 0.5 and the next double share their top 48 bits, so their keys tie
+    a, b = 0.5, float(np.nextafter(0.5, 1.0))
+    values = np.array([a, b, b, a] * 4 + [0.25, a, b])
+    seg = np.repeat(np.arange(9), [2] * 8 + [3])
+    want = np.concatenate([np.sort(values[seg == c])[::-1] for c in range(9)])
+    assert fp._descending(values, seg).tolist() == want.tolist()
+
+
+def test_support_value_at_the_top_level_goes_to_the_merge_tier(monkeypatch):
+    """After "a" (code 1) the support values are 9/16 and 3/16, and 3/16 is
+    exactly c1 = 0.5 times the top unigram level 6/16, so the first tier,
+    whose sums pass p = 0.7 on it, leaves the context to the merge."""
+    vocab = Vocabulary(("a", "b", "c", "d"))
+    words = vocab.encode("a b a c a c a c c c d d".split())
+    model = train_model([Sequence("s", words)], order=2, weights=(0.5, 0.5), vocabulary=vocab)
+    assert model.unigram_levels[-1] * 0.5 == 3 / 16 == np.sort(model.context_probs(1))[-2]
+    calls = []
+
+    def crossings(val, mult, seg, n_ctx, p, margin):
+        calls.append(n_ctx)
+        return crossings.real(val, mult, seg, n_ctx, p, margin)
+
+    crossings.real = fp._crossings
+    monkeypatch.setattr(fp, "_crossings", crossings)
+    assert fp._nucleus_sizes(model, np.array([1]), 0.7) == [1]
+    assert nucleus_size_from_probs(model.context_probs(1), 0.7) == 1
+    assert calls == [1, 1]
+
+
+def test_level_block_above_a_support_value_goes_to_the_merge_tier():
+    """After "a" (code 1) the four successors' values, 1/22 + 1/8 each, pass
+    p = 0.52 on the third, but the unigram block of "z", 9/44, ranks above them
+    all, so the dense size is 2, not the support-only 3."""
+    vocab = Vocabulary(("a", "b1", "b2", "b3", "b4", "z"))
+    words = vocab.encode("a b1 a b2 a b3 a b4 z z z z z z z z".split())
+    model = train_model([Sequence("s", words)], order=2, weights=(0.5, 0.5), vocabulary=vocab)
+    assert nucleus_size_from_probs(model.context_probs(1), 0.52) == 2
+    assert fp._nucleus_sizes(model, np.array([1]), 0.52) == [2]
+
+
+def test_prefix_sum_within_the_margin_of_p_is_not_sure():
+    """Prefix sums 0.5, 0.75, 0.875, 1: a size is sure only with p clear of them."""
+    val, seg = np.array([0.5, 0.25, 0.125, 0.125]), np.zeros(4, dtype=np.int64)
+    for p, size, sure in [(0.75, 2, False), (np.nextafter(0.75, 0.0), 1, False),
+                          (np.nextafter(0.75, 1.0), 2, False), (0.7, 1, True), (0.8, 2, True)]:
+        got = fp._crossings(val, np.ones(4, dtype=np.int64), seg, 1, p, 4)
+        assert (got[0].tolist(), got[1].tolist()) == ([size], [sure])
+
+
+def test_nss_series_sizes_distinct_contexts_in_blocks():
+    """Peak traced memory stays at the block's, not the corpus's: unblocked,
+    these 14,832 distinct contexts peaked at 11.0 MiB, in blocks at 2.3 MiB."""
+    vocab, authors = aggregate_by_author(synthesize_corpus(
+        authors=40, seed=3, vocab_size=12000, target_words=600))
+    model = train_model([a.sequence for a in authors], vocabulary=vocab)
+    seqs = [a.sequence for a in authors]
+    n = np.unique(np.concatenate([model.context_codes(s) for s in seqs])).size
+    assert n > 4 * fp._BLOCK
+    tracemalloc.start()
+    try:
+        fp.nss_series(model, seqs, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_generate_nss_rejects_foreign_tokens(tiny_model):

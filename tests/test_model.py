@@ -174,23 +174,18 @@ def _dict_trainer(corpus, order, weights, vocab_size):
     return tables, unigram, hasher.hexdigest()[:16]
 
 
-def _oracle_json(model, tables, unigram, model_id, fmt="ngram v1") -> bytes:
-    """The model file of the dict tables: ``ngram v1`` nests them as sorted-key
-    objects, ``ngram v2`` lists them as arrays, contexts in tuple order, which
-    is their code order."""
-    if fmt == "ngram v1":
-        out = {str(k): {" ".join(map(str, ctx)): {str(i): c for i, c in succ.items()}
-                        for ctx, succ in tables[k].items()} for k in tables}
-    else:
-        out = {}
-        for k, table in tables.items():
-            ctxs = sorted(table)
-            out[str(k)] = {"contexts": [w for ctx in ctxs for w in ctx],
-                           "successors": [len(table[ctx]) for ctx in ctxs],
-                           "ids": [i for ctx in ctxs for i in sorted(table[ctx])],
-                           "counts": [table[ctx][i] for ctx in ctxs for i in sorted(table[ctx])]}
+def _oracle_json(model, tables, unigram, model_id) -> bytes:
+    """The ``ngram v2`` model file of the dict tables: arrays, contexts in
+    tuple order, which is their code order."""
+    out = {}
+    for k, table in tables.items():
+        ctxs = sorted(table)
+        out[str(k)] = {"contexts": [w for ctx in ctxs for w in ctx],
+                       "successors": [len(table[ctx]) for ctx in ctxs],
+                       "ids": [i for ctx in ctxs for i in sorted(table[ctx])],
+                       "counts": [table[ctx][i] for ctx in ctxs for i in sorted(table[ctx])]}
     payload = {
-        "format": fmt, "order": model.order, "weights": list(model.weights),
+        "format": "ngram v2", "order": model.order, "weights": list(model.weights),
         "model_id": model_id, "tokens": list(model.vocabulary.tokens),
         "unigram_counts": unigram.tolist(), "tables": out,
     }
@@ -241,10 +236,7 @@ def test_array_tables_equal_dict_oracle(tmp_path):
 
         path = tmp_path / "model.json"
         save_model(path, model)
-        assert path.read_bytes() == _oracle_json(model, tables, unigram, model_id, "ngram v2")
-        _assert_same_model(load_model(path), model)
-        # a file in the layout of earlier versions loads to the same model
-        path.write_bytes(_oracle_json(model, tables, unigram, model_id))
+        assert path.read_bytes() == _oracle_json(model, tables, unigram, model_id)
         _assert_same_model(load_model(path), model)
 
     check()
@@ -262,8 +254,7 @@ def _assert_same_model(a, b):
             assert x.dtype == y.dtype and np.array_equal(x, y), (k, name)
 
 
-# ids on both sides of the digit boundaries of 10, 100 and 1000 tokens, where
-# the decimal-string order of ngram v1 keys departs from numeric order
+# ids on both sides of the digit boundaries of 10, 100 and 1000 tokens
 _EDGE_IDS = (0, 1, 2, 9, 10, 11, 19, 20, 99, 100, 101, 199, 999, 1000)
 # token stems: ASCII, non-ASCII, and characters JSON escapes
 _STEMS = ("w", "\u00e9", "\u65e5\u672c", 'q"', "b\\", "\u2028", "tab\t")
@@ -298,30 +289,41 @@ def test_model_file_round_trip_is_exact(tmp_path):
         path = tmp_path / "model.json"
         save_model(path, model)
         data = path.read_bytes()
-        assert data == _oracle_json(model, tables, unigram, model_id, "ngram v2")
+        assert data == _oracle_json(model, tables, unigram, model_id)
         _assert_same_model(load_model(path), model)
         save_model(path, model)
         assert path.read_bytes() == data
         # another rendering of the same JSON loads the same
         path.write_text(json.dumps(json.loads(data), indent=1), encoding="utf-8")
         _assert_same_model(load_model(path), model)
-        path.write_bytes(_oracle_json(model, tables, unigram, model_id))
-        _assert_same_model(load_model(path), model)
 
     check()
 
 
-@pytest.mark.parametrize("fmt", ["ngram v1", "ngram v2"])
-def test_mutated_model_file_loads_or_raises_one_nssfp_error(tmp_path, fmt):
+def _mutation_model():
     seqs = [Sequence(id="a", words=np.array([0, 1, 2, 10, 1, 2, 11, 0, 1, 10, 9])),
             Sequence(id="b", words=np.array([2, 1, 0, 11, 10, 1]))]
     vocab = Vocabulary(tuple(f"t{i}" for i in range(12)))
-    model = train_model(seqs, order=3, weights=(0.2, 0.3, 0.5), vocabulary=vocab)
+    return train_model(seqs, order=3, weights=(0.2, 0.3, 0.5), vocabulary=vocab)
+
+
+def test_ngram_v1_model_file_is_refused(tmp_path):
+    # the layout of earlier versions: each table an object from context to successor counts
+    path = tmp_path / "model.json"
+    save_model(path, _mutation_model())
+    payload = json.loads(path.read_text())
+    payload["format"] = "ngram v1"
+    payload["tables"] = {"2": {"0": {"1": 2}}, "3": {"0 1": {"2": 1}}}
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError, match="ngram v1 model format is retired; rerun nssfp "
+                                              "train"):
+        load_model(path)
+
+
+def test_mutated_model_file_loads_or_raises_one_nssfp_error(tmp_path):
+    model = _mutation_model()
     path = tmp_path / "model.json"
     save_model(path, model)
-    if fmt == "ngram v1":
-        path.write_bytes(_oracle_json(model, *_dict_trainer(seqs, model.order, model.weights,
-                                                            model.vocab_size)))
     data = path.read_bytes()
     _assert_same_model(load_model(path), model)
 
