@@ -82,7 +82,8 @@ def smoothed_histogram(samples, buckets: int, window: int = 11) -> np.ndarray:
 
     The window must be odd so the average is centered; at the edges it is
     truncated to the available buckets. There are at most
-    ``MAX_HISTOGRAM_BUCKETS`` buckets.
+    ``MAX_HISTOGRAM_BUCKETS`` buckets, and the samples must be finite and
+    span a range wide enough for distinct bucket edges.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
@@ -94,9 +95,15 @@ def smoothed_histogram(samples, buckets: int, window: int = 11) -> np.ndarray:
     if buckets > MAX_HISTOGRAM_BUCKETS:
         raise UsageError(f"buckets must be at most {MAX_HISTOGRAM_BUCKETS}, got {buckets}")
     lo, hi = float(samples.min()), float(samples.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError("samples to histogram must be finite")
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    counts, edges = np.histogram(samples, bins=buckets, range=(lo, hi))
+    try:
+        counts, edges = np.histogram(samples, bins=buckets, range=(lo, hi))
+    except ValueError as err:  # adjacent bucket edges round to the same float
+        raise UsageError(f"samples span [{lo!r}, {hi!r}], too narrow a range "
+                         f"for {buckets} distinct buckets") from err
     width = edges[1] - edges[0]
     density = counts / (samples.size * width)
     half = window // 2

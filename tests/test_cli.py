@@ -472,6 +472,17 @@ BAD_INPUTS = {
               # the retired layout, whatever its tables hold
               (_model_json(tables='{"2":{"0":{"1":2}}}', layout="ngram v1"), None),
               (_model_json(tables='{"2":{"0":{}}}', layout="ngram v1"), None),
+              # tables of the wrong order, ids out of range, bad counts, no
+              # successors, and contexts or successors out of order or repeated
+              *[(_model_json(tables=tables), None) for tables in (
+                  '{"3":%s}' % _v2_table(contexts="[0,1]"), '{"1":%s}' % _v2_table(contexts="[]"),
+                  '{"2":%s}' % _v2_table(contexts="[0,1]"), '{"2":%s}' % _v2_table(contexts="[3]"),
+                  '{"2":%s}' % _v2_table(ids="[999999]"), '{"2":%s}' % _v2_table(counts="[-2]"),
+                  '{"2":%s}' % _v2_table(counts="[1.5]"),
+                  '{"2":%s}' % _v2_table(successors="[0]", ids="[]", counts="[]"),
+                  '{"2":%s}' % _v2_table("[1,0]", "[1,1]", "[1,2]", "[2,1]"),
+                  '{"2":%s}' % _v2_table("[0,0]", "[1,1]", "[1,2]", "[2,1]"),
+                  '{"2":%s}' % _v2_table("[0]", "[2]", "[1,1]", "[1,2]"))],
               (_model_json(unigram="[2,-1,0]"), None), (_model_json(unigram="[2,1]"), None),
               (_model_json(weights="[0.9,0.2]"), None), (_model_json(weights="[1.0]"), None),
               (_model_json(weights="[NaN,1.0]"), None),
