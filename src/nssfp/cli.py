@@ -7,7 +7,6 @@ with the same inputs and seed are byte-identical.
 """
 
 import argparse
-import dataclasses
 import math
 import sys
 from itertools import chain
@@ -18,7 +17,7 @@ from . import interchange, matcher, sampler, sidechannel, stats
 from .config import (PipelineConfig, env_overrides, parse_weights, read_config_file,
                      resolve_config)
 from .errors import NssfpError, UsageError, read_lines, write_records
-from .model import load_model, save_model, train_model
+from .model import check_vocab_size, load_model, save_model, train_model
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
@@ -52,8 +51,6 @@ def _resolve(args) -> PipelineConfig:
         if key.startswith("channel.") or key in PipelineConfig.__dataclass_fields__:
             flags[key] = value
     cfg = resolve_config(file_values, env_overrides(), flags)
-    # in CLI runs the pipeline seed drives the channel generator
-    cfg = dataclasses.replace(cfg, channel=cfg.channel.with_seed(cfg.seed))
     for line in cfg.resolved_lines():
         print(f"# config {line}", file=sys.stderr)
     return cfg
@@ -161,7 +158,7 @@ def _fit_line(uniq, err) -> str:
 
 def cmd_simulate(args) -> int:
     cfg = _resolve(args)
-    sampler.check_vocab_size(args.vocab_size)
+    check_vocab_size(args.vocab_size)
     series, _ = interchange.read_nss(args.nss)
     traces = sidechannel.simulate_pool(series, args.vocab_size, cfg.channel)
     sidechannel.write_traces(args.out, traces, cfg.channel,
@@ -229,15 +226,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _resolve(args)
-    variants = ([sampler.VULNERABLE, sampler.MITIGATED] if args.variant == "both"
-                else [args.variant])
-    samples = []
-    for variant in variants:
-        samples.extend(sampler.bench_filter(variant, args.vocab_size, args.trials,
-                                            cfg.seed, p=cfg.q))
+    samples = sampler.bench_filter(args.variant, args.vocab_size, args.trials, cfg.seed,
+                                   p=cfg.q)
     summary = sampler.summarize_bench(samples)
     sampler.write_bench_report(args.out, samples, header_lines=cfg.resolved_lines())
-    for variant in variants:
+    for variant in [v for v in sampler.FILTERS if v in summary]:
         info = summary[variant]
         print(f"{variant}: median_loop_ns={info['median_loop_time_ns']:.0f} "
               f"size_time_corr={info['size_time_correlation']:.4f}")
@@ -315,8 +308,7 @@ COMMANDS = {
     "evaluate": ("full end-to-end attack evaluation", [
         ("--corpus", dict(required=True)), _FORMAT, _MIN_WORDS, _OUT]),
     "bench": ("time the removal loop of the filter variants", [
-        ("--variant", dict(default="both",
-                           choices=["both", sampler.VULNERABLE, sampler.MITIGATED])),
+        ("--variant", dict(default=sampler.BOTH, choices=sampler.VARIANTS)),
         ("--vocab-size", dict(type=int, default=50257)),
         ("--trials", dict(type=int, default=50)), _OUT]),
     "report": ("summarize pipeline artifacts", [

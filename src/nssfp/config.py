@@ -100,7 +100,12 @@ def env_overrides() -> dict[str, str]:
 def resolve_config(file_values: dict[str, str] | None = None,
                    env_values: dict[str, str] | None = None,
                    flag_values: dict[str, object] | None = None) -> PipelineConfig:
-    """Merge the three sources, lowest precedence first, and validate."""
+    """Merge the three sources, lowest precedence first, and validate. The
+    channel's seed is always ``seed``: a ``channel.rng_seed`` key is refused."""
+    flag_values = {k: v for k, v in (flag_values or {}).items() if v is not None}
+    for source in (file_values or {}, env_values or {}, flag_values):
+        if "channel.rng_seed" in source:  # resolved from seed below
+            raise ConfigurationError("channel.rng_seed follows seed; set seed instead")
     merged: dict[str, object] = {}
     for source in (file_values or {}, env_values or {}):
         for key, raw in source.items():
@@ -108,14 +113,10 @@ def resolve_config(file_values: dict[str, str] | None = None,
             if key.startswith("channel."):
                 if base not in _CHANNEL_FIELDS:
                     raise ConfigurationError(f"unknown channel option {base!r}")
-                if base == "rng_seed":  # CLI runs overwrite it with seed
-                    raise ConfigurationError("channel.rng_seed follows seed; set seed instead")
             elif base not in _PIPELINE_FIELDS or base == "channel":
                 raise ConfigurationError(f"unknown option {key!r}")
             merged[key] = _convert(base, str(raw))
-    for key, value in (flag_values or {}).items():
-        if value is not None:
-            merged[key] = value
+    merged.update(flag_values)
 
     channel_kwargs = {}
     pipeline_kwargs = {}
@@ -125,7 +126,8 @@ def resolve_config(file_values: dict[str, str] | None = None,
         else:
             pipeline_kwargs[key] = value
     try:
-        channel = ChannelConfig(**channel_kwargs)
-        return PipelineConfig(channel=channel, **pipeline_kwargs)
+        cfg = PipelineConfig(channel=ChannelConfig(**channel_kwargs), **pipeline_kwargs)
     except TypeError as exc:
         raise ConfigurationError(str(exc)) from exc
+    # the pipeline seed drives the channel generator
+    return dataclasses.replace(cfg, channel=cfg.channel.with_seed(cfg.seed))

@@ -17,13 +17,22 @@ import numpy as np
 
 from .errors import (UsageError, ValidationError, parse_field, read_lines, read_records,
                      write_records)
-from .model import Sequence, Vocabulary, tokenize
-from .sampler import MAX_AUTHORS, MAX_SYNTH_WORDS, MAX_TARGET_WORDS, MAX_VOCAB_SIZE
+from .model import MAX_VOCAB_SIZE, Sequence, Vocabulary, tokenize
 
 TSV_POSTS = "tsv_posts"
 PLAIN_DIR = "plain_dir"
 DEFAULT_WORD_CAP = 3000
 LEXICON_SIZE = 60  # words per synthetic author
+#: The most authors ``synth`` takes, 10**4: fifty times the README's corpus. At
+#: 1,200 words each, synth writes that many in about a minute on a 2-vCPU Xeon.
+MAX_AUTHORS = 10**4
+#: The most words per author ``synth`` takes, 10**5: about 33 times the 3,000
+#: words of an author that aggregation keeps by default.
+MAX_TARGET_WORDS = 10**5
+#: The most words ``synth`` writes, ``authors * target_words``: MAX_AUTHORS authors
+#: at the default 1,200 words, about a minute. Both bounds at once would be 10**9
+#: words, about 70 minutes and tens of GB.
+MAX_SYNTH_WORDS = MAX_AUTHORS * 1200
 
 
 @dataclass(frozen=True)

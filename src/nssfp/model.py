@@ -12,12 +12,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NssfpError, ParseError, ValidationError, check_id
+from .errors import (ConfigurationError, NssfpError, ParseError, UsageError, ValidationError,
+                     check_id)
 
 _TOKEN_RE = re.compile(r"[\w']+|[^\w\s]")
 
 DEFAULT_ORDER = 3
 DEFAULT_WEIGHTS = (0.1, 0.3, 0.6)
+#: The largest ``--vocab-size`` that ``synth``, ``bench`` and ``simulate`` take, 2**20:
+#: four times the largest tokenizer vocabulary in use (256,000 tokens). A float
+#: array of that size is 8 MiB, and a simulated step runs at most 2**20 iterations.
+MAX_VOCAB_SIZE = 1 << 20
+
+
+def check_vocab_size(vocab_size: int):
+    """A usage error unless ``1 <= vocab_size <= MAX_VOCAB_SIZE``."""
+    if not 1 <= vocab_size <= MAX_VOCAB_SIZE:
+        raise UsageError(f"vocab_size must be in 1..{MAX_VOCAB_SIZE}, got {vocab_size}")
 
 
 def tokenize(text: str) -> list[str]:

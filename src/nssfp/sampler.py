@@ -17,25 +17,14 @@ import numpy as np
 
 from .errors import (ParseError, UsageError, ValidationError, parse_field, read_records,
                      write_records)
-from .model import softmax
+from .model import check_vocab_size, softmax
 
 VULNERABLE = "vulnerable"
 MITIGATED = "mitigated"
+BOTH = "both"
+#: The variants ``bench_filter`` and ``nssfp bench --variant`` take, in help order.
+VARIANTS = (BOTH, VULNERABLE, MITIGATED)
 BENCH_REPEATS = 5
-#: The largest ``--vocab-size`` that ``bench`` and ``simulate`` take, 2**20: four
-#: times the largest tokenizer vocabulary in use (256,000 tokens). A float array
-#: of that size is 8 MiB, and a simulated step runs at most 2**20 iterations.
-MAX_VOCAB_SIZE = 1 << 20
-#: The most authors ``synth`` takes, 10**4: fifty times the README's corpus. At
-#: 1,200 words each, synth writes that many in about a minute on a 2-vCPU Xeon.
-MAX_AUTHORS = 10**4
-#: The most words per author ``synth`` takes, 10**5: about 33 times the 3,000
-#: words of an author that aggregation keeps by default.
-MAX_TARGET_WORDS = 10**5
-#: The most words ``synth`` writes, ``authors * target_words``: MAX_AUTHORS authors
-#: at the default 1,200 words, about a minute. Both bounds at once would be 10**9
-#: words, about 70 minutes and tens of GB.
-MAX_SYNTH_WORDS = MAX_AUTHORS * 1200
 #: The most trials per variant ``bench`` takes, 10**4: a hundred times the README's
 #: run, about 40 s per variant at the default vocabulary size on a 2-vCPU Xeon.
 MAX_BENCH_TRIALS = 10**4
@@ -47,12 +36,6 @@ MAXFLOAT = float(np.finfo(np.float64).max)
 def _check_p(p: float):
     if not 0.0 < p <= 1.0:
         raise UsageError(f"p must be in (0, 1], got {p}")
-
-
-def check_vocab_size(vocab_size: int):
-    """A usage error unless ``1 <= vocab_size <= MAX_VOCAB_SIZE``."""
-    if not 1 <= vocab_size <= MAX_VOCAB_SIZE:
-        raise UsageError(f"vocab_size must be in 1..{MAX_VOCAB_SIZE}, got {vocab_size}")
 
 
 def _cumulative(sorted_probs: np.ndarray) -> np.ndarray:
@@ -243,24 +226,27 @@ class _pinned_to_one_core:
 
 def bench_filter(variant: str, vocab_size: int, trials: int, rng_seed: int,
                  p: float = 0.9) -> list[TimingSample]:
-    """Time the removal step of one filter variant over random inputs.
+    """Time the removal step of a filter variant, or of both, over random inputs.
 
     Per trial the filter's own removal function is timed ``BENCH_REPEATS`` times
     on the highest-resolution monotonic clock after one discarded warm-up
     run, and the median is recorded. The ranking step and the vulnerable
     filter's index-list build are excluded: only the removal differs
-    between the variants and only it leaks.
+    between the variants and only it leaks. Given ``BOTH``, each trial's
+    logits are drawn and ranked once and both removals are timed back to
+    back on that ranking; the vulnerable samples come first, then the
+    mitigated ones, as two calls at the same seed would return them.
     """
     if not 1 <= trials <= MAX_BENCH_TRIALS:
         raise UsageError(f"trials must be >= 1 and <= {MAX_BENCH_TRIALS}, got {trials}")
-    if variant not in FILTERS:
+    if variant not in VARIANTS:
         raise UsageError(f"unknown variant {variant!r}")
     if rng_seed < 0:
         raise UsageError(f"seed must be >= 0, got {rng_seed}")
     check_vocab_size(vocab_size)
     rng = np.random.default_rng(rng_seed)
     log_ranks = np.log(np.arange(1, vocab_size + 1, dtype=np.float64))
-    samples = []
+    samples = {v: [] for v in FILTERS if variant in (v, BOTH)}
     with _pinned_to_one_core():
         for _ in range(trials):
             logits, order, cum = _rank(_peaked_logits(rng, log_ranks), p)
@@ -268,26 +254,28 @@ def bench_filter(variant: str, vocab_size: int, trials: int, rng_seed: int,
             mask = cum > p
             size = int(vocab_size - np.count_nonzero(mask))
             removed, term = np.empty(vocab_size, dtype=bool), np.empty(vocab_size)
-            times = []
-            for rep in range(BENCH_REPEATS + 1):
-                filtered = logits.copy()
-                if variant == VULNERABLE:
-                    # a fresh list per run, as each filter call builds one;
-                    # a reused list makes the loop measurably faster
-                    not_in_p = order[mask]
-                    t0 = time.perf_counter_ns()
-                    _remove_vulnerable(filtered, not_in_p)
-                    t1 = time.perf_counter_ns()
-                else:
-                    t0 = time.perf_counter_ns()
-                    _remove_mitigated(filtered, order, sorted_logits, cum, p, removed, term)
-                    t1 = time.perf_counter_ns()
-                if rep > 0:  # discard warm-up
-                    times.append(t1 - t0)
-            times.sort()
-            loop_time = max(1, int(times[len(times) // 2]))
-            samples.append(TimingSample(variant, size, loop_time, vocab_size))
-    return samples
+            for timed, out in samples.items():
+                times = []
+                for rep in range(BENCH_REPEATS + 1):
+                    filtered = logits.copy()
+                    if timed == VULNERABLE:
+                        # a fresh list per run, as each filter call builds one;
+                        # a reused list makes the loop measurably faster
+                        not_in_p = order[mask]
+                        t0 = time.perf_counter_ns()
+                        _remove_vulnerable(filtered, not_in_p)
+                        t1 = time.perf_counter_ns()
+                    else:
+                        t0 = time.perf_counter_ns()
+                        _remove_mitigated(filtered, order, sorted_logits, cum, p, removed,
+                                          term)
+                        t1 = time.perf_counter_ns()
+                    if rep > 0:  # discard warm-up
+                        times.append(t1 - t0)
+                times.sort()
+                loop_time = max(1, int(times[len(times) // 2]))
+                out.append(TimingSample(timed, size, loop_time, vocab_size))
+    return [sample for out in samples.values() for sample in out]
 
 
 def pearson(xs, ys) -> float:

@@ -18,8 +18,8 @@ from .errors import (InsufficientDataError, ParseError, UsageError, ValidationEr
 DEFAULT_EPSILON = 1e-18
 ERROR_BOUND_SIGMAS = 10.0
 MIN_FIT_SAMPLES = 30
-# at this many buckets a histogram takes 0.3 s on a 2-vCPU Xeon and its (center,
-# density) pairs about 110 MB; report --distances writes them all
+# at this many buckets a histogram takes 0.3 s on a 2-vCPU Xeon and its one
+# (center, density) float array 16 MB; report --distances writes it in chunks
 MAX_HISTOGRAM_BUCKETS = 10**6
 
 

@@ -241,6 +241,25 @@ def test_match_rejects_fit_without_error_bound(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 1
 
 
+def test_match_target_prints_and_writes_only_that_line(tmp_path, capsys):
+    nss, fit, trc, out = (tmp_path / name for name in ("s.nss", "fit.csv", "pool.trc", "m.txt"))
+    nss.write_text(NSS_ONE + "t\t0\tn=9\nt\t1\tn=3\n")
+    fit.write_text(FIT_HEAD + FIT_ROW)
+    trc.write_text(GOOD_INPUTS["trc"] + "t\t0\t2\t10.0\t9.0\nt\t1\t4\t20.0\t3.0\n")
+    argv = ["match", "--nss", str(nss), "--traces", str(trc), "--fit", str(fit),
+            "--threshold", "-1", "--out", str(out)]
+    assert main(argv) == 0
+    every = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[:3] for line in every] == [["s", "no_match", "-"],
+                                                        ["t", "matched", "t"]]
+    assert main(argv + ["--target", "t"]) == 0
+    assert capsys.readouterr().out.splitlines() == out.read_text().splitlines() == every[1:]
+    out.unlink()
+    assert main(argv + ["--target", "zz"]) == 2
+    assert _errors(capsys) == [f"error: usage: no series named 'zz' in {nss}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, line", [
     ("N,log_mu,log_sigma,U,d,tau\n2,1.0,0.5,5.0,1.0,4.0\n", 1),  # the layout before v2
     (FIT_HEAD + FIT_ROW + FIT_ROW, 5),
@@ -289,6 +308,15 @@ def test_bad_weights_flag_exits_two(capsys):
         main(["train", "--corpus", "c", "--out", "m", "--weights", "a,b"])
     assert exc.value.code == 2
     assert "--weights" in capsys.readouterr().err
+
+
+def test_bench_variant_choices_are_both_then_each_filter(tmp_path, capsys):
+    variant = dict(COMMANDS["bench"][1])["--variant"]
+    assert list(variant["choices"]) == ["both", "vulnerable", "mitigated"]
+    assert variant["default"] == "both"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--variant", "all", "--out", str(tmp_path / "bench.csv")])
+    assert exc.value.code == 2 and "invalid choice: 'all'" in capsys.readouterr().err
 
 
 def test_bench_and_report(tmp_path, capsys):
@@ -342,6 +370,22 @@ def test_config_rejects_unknown_keys():
         resolve_config({"channel.bogus": "1"}, {}, {})
     with pytest.raises(ConfigurationError):
         resolve_config({"q": "not_a_number"}, {}, {})
+
+
+def test_resolve_config_seeds_the_channel_from_seed():
+    assert resolve_config({}, {}, {"seed": 9}).channel.rng_seed == 9
+    assert resolve_config({"seed": "4"}).channel.rng_seed == 4
+    assert resolve_config().channel.rng_seed == 0
+
+
+@pytest.mark.parametrize("sources", [
+    ({"channel.rng_seed": "5"}, {}, {}), ({"channel.rng_seed": "x"}, {}, {}),
+    ({}, {"channel.rng_seed": "5"}, {}), ({}, {}, {"channel.rng_seed": 5})],
+    ids=["file", "file-bad-value", "env", "flags"])
+def test_resolve_config_refuses_a_channel_seed_from_every_source(sources):
+    with pytest.raises(ConfigurationError) as exc:
+        resolve_config(*sources)
+    assert str(exc.value) == "channel.rng_seed follows seed; set seed instead"
 
 
 @pytest.mark.parametrize("source", ["config", "env"])

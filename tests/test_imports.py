@@ -1,10 +1,16 @@
-"""No module of the package or the tests imports a name it never uses, and no
-private module-level name of the package goes unread."""
+"""No module of the package or the tests imports a name it never uses, no
+private module-level name of the package goes unread, and the top level
+exports only what the CLI or the README uses."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import pytest
+
+import nssfp
+from nssfp.errors import NssfpError
 
 ROOT = Path(__file__).resolve().parent.parent
 # __init__.py imports only to re-export; perfbench's tracer rebinds
@@ -97,3 +103,32 @@ def test_no_unread_private_names():
 ])
 def test_unread_private_names_finds_each_orphan(sources, unread):
     assert unread_private_names(sources) == unread
+
+
+def unserved_exports(exports: dict[str, object], cli_source: str, readme: str) -> list[str]:
+    """The functions and classes of ``exports`` (name to object) that ``cli_source``
+    never reads and ``readme`` never names; error classes are exempt."""
+    tree = ast.parse(cli_source)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | \
+        {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    named = set(re.findall(r"\w+", readme))
+    return sorted(name for name, obj in exports.items()
+                  if (inspect.isfunction(obj) or inspect.isclass(obj))
+                  and not (inspect.isclass(obj) and issubclass(obj, NssfpError))
+                  and name not in read | named)
+
+
+def test_every_top_level_export_serves_the_cli_or_the_readme():
+    # a name that only tests use belongs in its module, not at the top level
+    exports = {name: obj for name, obj in vars(nssfp).items() if not name.startswith("_")}
+    assert not unserved_exports(exports, (ROOT / "src" / "nssfp" / "cli.py").read_text(),
+                                (ROOT / "README.md").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("exports, unserved", [
+    ({"run": lambda: 0, "Shown": type("Shown", (), {})}, []),
+    ({"hidden": lambda: 0, "Hidden": type("Hidden", (), {})}, ["Hidden", "hidden"]),
+    ({"Oops": type("Oops", (NssfpError,), {}), "VERSION": "1", "errors": ast}, []),
+])
+def test_unserved_exports_finds_each_unused_name(exports, unserved):
+    assert unserved_exports(exports, "cli.run()\n", "Call `Shown` first.\n") == unserved

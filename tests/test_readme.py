@@ -11,6 +11,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_library_use_example_prints_the_stated_line(tmp_path, monkeypatch, capsys):
     section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    assert re.findall(r"^(?:from|import) (\S+)", code, re.M) == ["nssfp"]
     stated = re.search(r"--seed 7`\nthis prints `([^`]+)`", section).group(1)
     monkeypatch.chdir(tmp_path)
     assert main(["synth", "--authors", "40", "--target-words", "1200", "--seed", "7",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import nssfp.sampler as sampler
 from nssfp.errors import UsageError, ValidationError
 from nssfp.model import softmax
-from nssfp.sampler import (MITIGATED, VULNERABLE, TimingSample, bench_filter,
+from nssfp.sampler import (BOTH, MITIGATED, VULNERABLE, TimingSample, bench_filter,
                            nucleus_size_from_probs, pearson, summarize_bench,
                            top_p_filter_mitigated, top_p_filter_vulnerable,
                            write_bench_report)
@@ -224,6 +224,32 @@ def test_bench_times_the_filters_removal_step(monkeypatch):
     top_p_filter_vulnerable(np.zeros(4), 0.5)
     top_p_filter_mitigated(np.zeros(4), 0.5)
     assert calls == {"vulnerable": 3 * 6 + 1, "mitigated": 3 * 6 + 1}
+
+
+def test_bench_both_ranks_each_trial_once_for_both_removals(monkeypatch):
+    def rows(samples):
+        return [(s.variant, s.vocab_size, s.nucleus_size) for s in samples]
+
+    apart = bench_filter(VULNERABLE, 300, trials=7, rng_seed=11) + \
+        bench_filter(MITIGATED, 300, trials=7, rng_seed=11)
+    calls = {"_rank": 0, "_remove_vulnerable": 0, "_remove_mitigated": 0}
+
+    def counting(name):
+        real = getattr(sampler, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(sampler, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    both = bench_filter(BOTH, 300, trials=7, rng_seed=11)
+    assert rows(both) == rows(apart)
+    assert calls == {"_rank": 7, "_remove_vulnerable": 7 * 6, "_remove_mitigated": 7 * 6}
+    for variant in ("all", "Both", ""):
+        with pytest.raises(UsageError, match="unknown variant"):
+            bench_filter(variant, 300, trials=1, rng_seed=11)
 
 
 def test_pearson_degenerate():

@@ -575,8 +575,9 @@ def test_a_pool_that_never_splits_imports_no_process_pool():
         import numpy as np
         import nssfp
         from nssfp import sidechannel
+        from nssfp.fingerprint import Nss
         sidechannel._usable_cpus = lambda: 1
-        series = [nssfp.Nss(f"p{i}", 0.9, "m", np.array([100, 200])) for i in range(3)]
+        series = [Nss(f"p{i}", 0.9, "m", np.array([100, 200])) for i in range(3)]
         assert len(sidechannel.simulate_pool(series, 500, nssfp.ChannelConfig())) == 3
         print(sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
     """
