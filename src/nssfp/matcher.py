@@ -76,14 +76,14 @@ def fit_error_bound(series: list[Nss], kept: list[Trace],
 
 # a screen that overflows to inf or nan keeps its window for exact measurement
 @np.errstate(over="ignore", invalid="ignore")
-def _near_offsets(sizes: np.ndarray, sizes_sq: float, est: np.ndarray,
+def _near_offsets(sizes: np.ndarray, sizes_sq: float, trace: Trace,
                   tau: float) -> np.ndarray:
-    """Ascending offsets of the windows of ``est`` that can lie within tau of
-    ``sizes``; ``sizes_sq`` is ``sizes @ sizes``.
+    """Ascending offsets of the windows of ``trace`` that can lie within tau
+    of ``sizes``; ``sizes_sq`` is ``sizes @ sizes``.
 
     Screens every window at once by d^2 = |w|^2 + |x|^2 - 2 x.w, with |w|^2
-    from a prefix sum of est^2 and x.w from one correlation pass, so memory
-    is O(len(est)). With u the unit roundoff and S = sum(est^2) + |x|^2:
+    from the trace's prefix sum of est^2 and x.w from one correlation pass, so
+    memory is O(len(est)). With u the unit roundoff and S = sum(est^2) + |x|^2:
     the screened d^2 is off by at most (2 steps + 2N + 8) u S (prefix-sum
     cancellation, the dot product, the last two operations); a window whose
     rounded loop distance is under tau has exact d^2 below
@@ -94,12 +94,15 @@ def _near_offsets(sizes: np.ndarray, sizes_sq: float, est: np.ndarray,
     exceeds the sum for every steps >= N >= 1, so the screen only drops
     windows the loop rejects.
     """
-    n = sizes.size
-    prefix = np.concatenate(([0.0], np.cumsum(est * est)))
-    d2 = (prefix[n:] - prefix[:-n]) + sizes_sq - 2.0 * np.correlate(est, sizes, "valid")
+    n, prefix = sizes.size, trace.squares_prefix
+    est = np.asarray(trace.estimated_sizes, dtype=np.float64)
+    d2 = np.correlate(est, sizes, "valid")
+    d2 *= -2.0
+    d2 += prefix[n:] - prefix[:-n]
+    d2 += sizes_sq
     margin = 8.0 * (est.size + n) * (_EPS * (prefix[-1] + sizes_sq) + _TINY)
     # a window whose screen overflowed (inf or nan) is measured exactly
-    return np.flatnonzero((d2 < tau * tau + margin) | ~np.isfinite(d2))
+    return np.flatnonzero(~(d2 >= tau * tau + margin) | np.isinf(d2))
 
 
 def _scan(x_nss: Nss, traces: list[Trace], models: tuple[UniquenessModel, ErrorModel],
@@ -132,7 +135,7 @@ def _scan(x_nss: Nss, traces: list[Trace], models: tuple[UniquenessModel, ErrorM
             est = np.asarray(trace.estimated_sizes, dtype=np.float64)
             # one window costs less to measure than to screen
             offsets = (range(1) if est.size == n
-                       else _near_offsets(sizes, sizes_sq, est, tau).tolist())
+                       else _near_offsets(sizes, sizes_sq, trace, tau).tolist())
             for offset in offsets:
                 d = _window_distance(sizes, est[offset:offset + n])
                 if d < tau:

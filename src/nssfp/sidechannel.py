@@ -9,10 +9,12 @@ timestamp gaps; occasional steps are dilated by transient interference,
 which is what the noise score and the trace filter are for.
 """
 
+import contextlib
 import math
 import os
 import zlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -114,6 +116,13 @@ class Trace:
     def step_count(self) -> int:
         return int(self.estimated_sizes.size)
 
+    @cached_property
+    @np.errstate(over="ignore")  # a square that overflows is inf, which the screen keeps
+    def squares_prefix(self) -> np.ndarray:
+        """Prefix sums of the squared estimates from 0, for the matcher's screen."""
+        est = np.asarray(self.estimated_sizes, dtype=np.float64)
+        return np.concatenate(([0.0], np.cumsum(est * est)))
+
 
 def trace_rng(cfg: ChannelConfig, seq_id: str) -> np.random.Generator:
     """Per-sequence generator, stable under corpus reordering or subsetting."""
@@ -160,11 +169,17 @@ def simulate_trace(nss: Nss, vocab_size: int, cfg: ChannelConfig) -> RawTrace:
     start = np.append(0.0, np.cumsum(step_cycles[:-1]))
     hit_steps = np.repeat(np.arange(iters.size, dtype=np.int64), counts)
     hit_dilate = dilate[hit_steps]
-    positions = draws[0, :end] * iters[hit_steps]
-    hit_times = start[hit_steps] + (positions + 1.0) * cpi * hit_dilate
+    # in place, in the step loop's operand order: start + ((u * iters + 1) * cpi) * dilate
+    times, jitter = draws[0, :end], draws[1, :end]
+    times *= iters[hit_steps]
+    times += 1.0
+    times *= cpi
+    times *= hit_dilate
+    times += start[hit_steps]
     # normal(0.0, std, k) is 0.0 + std * standard_normal(k): same draws, same sums
-    hit_times += draws[1, :end] * cfg.hit_jitter_std * hit_dilate
-    np.maximum.accumulate(hit_times, out=hit_times)
+    jitter *= cfg.hit_jitter_std
+    times += np.multiply(jitter, hit_dilate, out=jitter)
+    hit_times = np.maximum.accumulate(times)  # a fresh array: the trace pins no draws buffer
     return RawTrace(seq_id=nss.seq_id, hit_steps=hit_steps, hit_times=hit_times,
                     true_step_count=nss.length)
 
@@ -213,30 +228,62 @@ def simulate_pool(series: list[Nss], vocab_size: int, cfg: ChannelConfig) -> lis
     """Simulate and reconstruct one trace per series, each on its own stream.
 
     The series split into one contiguous chunk per usable CPU. This process
-    runs the first chunk; a fork-context process pool runs each other one.
-    Each trace draws only from :func:`trace_rng`, so the pool is the same
-    however it is split. The first error in series order is raised, as a
-    serial loop raises it, once every worker has finished.
+    runs the first chunk; a forked worker process runs each other one and
+    sends its result back over its own one-way pipe, which this process
+    then reads in series order on its own thread. Each trace draws only from
+    :func:`trace_rng`, so the pool is the same however it is split. The
+    first error in series order is raised, as a serial loop raises it, once
+    every worker has finished; none is killed.
     """
     parts = max(1, min(len(series), _usable_cpus())) if hasattr(os, "fork") else 1
     chunks = [series[len(series) * i // parts:len(series) * (i + 1) // parts]
               for i in range(parts)]
     if parts == 1:
         return _simulate_chunk(chunks[0], vocab_size, cfg)
-    # imported here, so that a run which never pools does not pay for them: about
-    # 1 MiB and 15-20 ms on a 2-vCPU Xeon
+    # imported here, so that a run which never pools does not pay for it
     import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     # fork, not the platform default: Python 3.14 makes forkserver the POSIX one
-    with ProcessPoolExecutor(parts - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_simulate_chunk, chunk, vocab_size, cfg) for chunk in chunks[1:]]
+    context, pool = multiprocessing.get_context("fork"), []
+    try:
+        for chunk in chunks[1:]:
+            reader, writer = context.Pipe(duplex=False)
+            worker = context.Process(target=_send_chunk,
+                                     args=(reader, writer, chunk, vocab_size, cfg))
+            with writer:  # then the worker holds the only writer: its exit reads as EOF
+                worker.start()
+            pool.append((reader, worker))
         traces = _simulate_chunk(chunks[0], vocab_size, cfg)
-        try:
-            for future in futures:
-                traces += future.result()
-        except BrokenProcessPool:
-            raise NssfpError("a trace simulation worker ended without a result") from None
-    return traces
+        for reader, _ in pool:
+            try:
+                result, error = reader.recv()
+            except EOFError:
+                raise NssfpError("a trace simulation worker ended without a result") from None
+            if error is not None:
+                raise error
+            traces += result
+        return traces
+    finally:
+        # every read end before any join: a later worker holds copies of the earlier
+        # ones, so a worker blocked on a full pipe stops only once those have exited
+        for reader, _ in pool:
+            reader.close()
+        for _, worker in pool:
+            worker.join()
+
+
+def _send_chunk(reader, writer, series: list[Nss], vocab_size: int, cfg: ChannelConfig):
+    """A pool worker: sends ``(traces, None)`` or ``(None, error)`` and lets
+    no exception escape, since multiprocessing would print it."""
+    reader.close()  # a read end left open here would block a send the caller stopped reading
+    try:
+        result = (_simulate_chunk(series, vocab_size, cfg), None)
+    except BaseException as error:
+        result = (None, error)
+    try:
+        writer.send(result)
+    except BaseException as unsent:  # an error that does not pickle is sent as its message
+        with contextlib.suppress(BaseException):  # unless the caller closed the pipe
+            writer.send((None, NssfpError(str(result[1] or unsent))))
 
 
 def _usable_cpus() -> int:

@@ -1,7 +1,10 @@
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -568,24 +571,114 @@ def test_simulate_pool_of_no_series_is_empty(monkeypatch):
     assert simulate_pool([], 500, ChannelConfig()) == [] and forks == []
 
 
-def test_a_pool_that_never_splits_imports_no_process_pool():
-    # a fresh interpreter: another test may have imported them into this one
-    code = """if True:
+def test_worker_error_that_does_not_pickle_is_one_error_with_its_message(monkeypatch, capfd):
+    caller, simulate = os.getpid(), sidechannel.simulate_trace
+
+    class Unpicklable(ValidationError):  # a class local to a function does not pickle
+        pass
+
+    def fails_in_a_child(nss, vocab_size, cfg):
+        if os.getpid() != caller:
+            raise Unpicklable(f"{nss.seq_id} failed in a worker")
+        return simulate(nss, vocab_size, cfg)
+
+    monkeypatch.setattr(sidechannel, "simulate_trace", fails_in_a_child)
+    forks = _forks_on(monkeypatch, 2)
+    capfd.readouterr()
+    with pytest.raises(NssfpError) as raised:
+        simulate_pool([_nss([100, 200], seq_id=f"p{i}") for i in range(4)], 500,
+                      ChannelConfig())
+    assert type(raised.value) is NssfpError and str(raised.value) == "p2 failed in a worker"
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # the worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+    # the worker writes to the inherited fd 2, which capsys would not see
+    assert capfd.readouterr() == ("", "")
+
+
+def test_the_caller_simulates_its_chunk_with_no_helper_thread(monkeypatch):
+    # an executor would also show its queue feeder and manager threads here
+    caller, simulate, seen = os.getpid(), sidechannel.simulate_trace, []
+
+    def watched(nss, vocab_size, cfg):
+        if os.getpid() == caller:
+            seen.append([t.name for t in threading.enumerate()])
+        return simulate(nss, vocab_size, cfg)
+
+    monkeypatch.setattr(sidechannel, "simulate_trace", watched)
+    forks = _forks_on(monkeypatch, 2)
+    assert len(simulate_pool([_nss([100, 200], seq_id=f"p{i}") for i in range(4)], 500,
+                             ChannelConfig())) == 4
+    assert len(forks) == 1 and seen == [[threading.main_thread().name]] * 2
+
+
+def _fresh_interpreter(code):
+    """What ``code`` prints when a fresh interpreter runs it on this
+    checkout's nssfp; another test may have imported modules into this one.
+    A timeout kills the interpreter's whole process group, so that a hung
+    pool leaves no worker behind."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as child:
+        try:
+            out, err = child.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            raise
+    assert child.returncode == 0, err
+    return out
+
+
+def _modules_after_a_pool(cpus):
+    """The process-pool modules imported by one ``simulate_pool`` call on
+    ``cpus`` usable CPUs in a fresh interpreter."""
+    return _fresh_interpreter(f"""if True:
         import sys
         import numpy as np
         import nssfp
         from nssfp import sidechannel
         from nssfp.fingerprint import Nss
-        sidechannel._usable_cpus = lambda: 1
-        series = [Nss(f"p{i}", 0.9, "m", np.array([100, 200])) for i in range(3)]
+        sidechannel._usable_cpus = lambda: {cpus}
+        series = [Nss(f"p{{i}}", 0.9, "m", np.array([100, 200])) for i in range(3)]
         assert len(sidechannel.simulate_pool(series, 500, nssfp.ChannelConfig())) == 3
-        print(sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
-    """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True, timeout=120)
-    assert done.stdout == "[]\n"
+        print(sorted({{"multiprocessing", "concurrent.futures"}} & set(sys.modules)))
+    """)
+
+
+def test_a_pool_that_never_splits_imports_no_process_pool():
+    assert _modules_after_a_pool(1) == "[]\n"
+
+
+def test_a_split_pool_imports_no_executor():
+    assert _modules_after_a_pool(2) == "['multiprocessing']\n"
+
+
+def test_an_error_in_the_callers_chunk_stops_workers_whose_results_fill_their_pipes():
+    # each worker's 5,000-step trace overfills a pipe, so it is still sending when
+    # the caller raises; a read end left open anywhere would hang the call
+    assert _fresh_interpreter("""if True:
+        import numpy as np
+        import nssfp
+        from nssfp import sidechannel
+        from nssfp.fingerprint import Nss
+        sidechannel._usable_cpus = lambda: 3
+        series = [Nss("bad", 0.9, "m", np.array([600]))] + [
+            Nss(f"p{i}", 0.9, "m", np.full(5000, 100)) for i in range(2)]
+        try:
+            sidechannel.simulate_pool(series, 500, nssfp.ChannelConfig())
+        except nssfp.ValidationError as error:
+            print(error)
+    """) == "NSS 'bad' has sizes above the vocabulary size 500\n"
+
+
+def test_squares_prefix_is_computed_once_and_is_no_field():
+    trace = Trace("t", np.array([3.0, -1.0, 2.0]), np.zeros(3, dtype=np.int64), np.zeros(3),
+                  np.zeros(3), 0.0)
+    assert trace.squares_prefix.tolist() == [0.0, 9.0, 10.0, 14.0]
+    assert trace.squares_prefix is trace.squares_prefix
+    assert "squares_prefix" not in repr(trace)
+    assert trace == replace(trace) and "squares_prefix" not in vars(replace(trace))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
