@@ -54,8 +54,9 @@ class VariabilityReport:
 
 def generate_nss(model: NgramModel, sequence: Sequence, q: float,
                  size_cache: dict | None = None) -> Nss:
-    """Nucleus size for every prefix of one sequence: :func:`nss_series` of it alone."""
-    return nss_series(model, [sequence], q, size_cache)[0]
+    """Nucleus size for every prefix of one sequence: :func:`nss_series` of it alone.
+    ``size_cache`` is ignored: the benchmark's ``openworld`` workload still passes one."""
+    return nss_series(model, [sequence], q)[0]
 
 
 #: Most distinct contexts one call of the core sizes. Sizing all 13,066 of the
@@ -64,13 +65,12 @@ def generate_nss(model: NgramModel, sequence: Sequence, q: float,
 _BLOCK = 1024
 
 
-def nss_series(model: NgramModel, sequences: list[Sequence], q: float,
-               size_cache: dict | None = None) -> list[Nss]:
+def nss_series(model: NgramModel, sequences: list[Sequence], q: float) -> list[Nss]:
     """Nucleus size for every prefix of each sequence, each distinct context sized once.
 
     The conditioning context resets at each session boundary, which is what produces
-    the characteristic size spikes at post starts. Contexts not in ``size_cache`` (q ->
-    known codes, ascending, and sizes; shareable across calls) are sized in blocks.
+    the characteristic size spikes at post starts. The distinct contexts are sized in
+    blocks of ``_BLOCK``.
     """
     for s in sequences:
         if s.words.max() >= model.vocab_size or s.words.min() < 0:
@@ -79,15 +79,8 @@ def nss_series(model: NgramModel, sequences: list[Sequence], q: float,
         return []
     codes, where = np.unique(np.concatenate([model.context_codes(s) for s in sequences]),
                              return_inverse=True)
-    known, known_sizes = (size_cache or {}).get(q, (codes[:0], codes[:0]))
-    at = np.searchsorted(known, codes)
-    sizes = np.append(known_sizes, 0)[at]
-    todo = np.flatnonzero(np.append(known, -1)[at] != codes)
-    for block in (todo[b:b + _BLOCK] for b in range(0, todo.size, _BLOCK)):
-        sizes[block] = _nucleus_sizes(model, codes[block], q)
-    if size_cache is not None:
-        merged, first = np.unique(np.concatenate((known, codes)), return_index=True)
-        size_cache[q] = merged, np.concatenate((known_sizes, sizes))[first]
+    sizes = np.concatenate([_nucleus_sizes(model, codes[b:b + _BLOCK], q)
+                            for b in range(0, codes.size, _BLOCK)])
     ends = np.cumsum([len(s) for s in sequences])[:-1]
     return [Nss(seq_id=s.id, q=q, model_id=model.model_id, sizes=part)
             for s, part in zip(sequences, np.split(sizes[where], ends))]

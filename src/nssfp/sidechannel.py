@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (InsufficientDataError, NssfpError, UsageError, ValidationError,
-                     check_id, read_series, write_records)
+from .errors import (InsufficientDataError, UsageError, ValidationError, check_id,
+                     read_series, write_records)
 from .fingerprint import Nss
 
 DEFAULT_CAPTURE_FRACTION = 0.011
@@ -229,11 +229,11 @@ def simulate_pool(series: list[Nss], vocab_size: int, cfg: ChannelConfig) -> lis
 
     The series split into one contiguous chunk per usable CPU. This process
     runs the first chunk; a forked worker process runs each other one and
-    sends its result back over its own one-way pipe, which this process
-    then reads in series order on its own thread. Each trace draws only from
-    :func:`trace_rng`, so the pool is the same however it is split. The
-    first error in series order is raised, as a serial loop raises it, once
-    every worker has finished; none is killed.
+    sends its traces back over its own one-way pipe, which this process then
+    reads in series order on its own thread. A chunk whose worker sends
+    nothing (it raised, or died, even mid-message) is simulated here. Each
+    trace draws only from :func:`trace_rng`, so the pool returns or raises
+    what a serial loop does, however it is split; no worker is killed.
     """
     parts = max(1, min(len(series), _usable_cpus())) if hasattr(os, "fork") else 1
     chunks = [series[len(series) * i // parts:len(series) * (i + 1) // parts]
@@ -253,14 +253,11 @@ def simulate_pool(series: list[Nss], vocab_size: int, cfg: ChannelConfig) -> lis
                 worker.start()
             pool.append((reader, worker))
         traces = _simulate_chunk(chunks[0], vocab_size, cfg)
-        for reader, _ in pool:
+        for (reader, _), chunk in zip(pool, chunks[1:]):
             try:
-                result, error = reader.recv()
-            except EOFError:
-                raise NssfpError("a trace simulation worker ended without a result") from None
-            if error is not None:
-                raise error
-            traces += result
+                traces += reader.recv()
+            except (EOFError, OSError):
+                traces += _simulate_chunk(chunk, vocab_size, cfg)
         return traces
     finally:
         # every read end before any join: a later worker holds copies of the earlier
@@ -272,18 +269,11 @@ def simulate_pool(series: list[Nss], vocab_size: int, cfg: ChannelConfig) -> lis
 
 
 def _send_chunk(reader, writer, series: list[Nss], vocab_size: int, cfg: ChannelConfig):
-    """A pool worker: sends ``(traces, None)`` or ``(None, error)`` and lets
-    no exception escape, since multiprocessing would print it."""
+    """A pool worker: sends its chunk's traces, or nothing, and lets no
+    exception escape, since multiprocessing would print it."""
     reader.close()  # a read end left open here would block a send the caller stopped reading
-    try:
-        result = (_simulate_chunk(series, vocab_size, cfg), None)
-    except BaseException as error:
-        result = (None, error)
-    try:
-        writer.send(result)
-    except BaseException as unsent:  # an error that does not pickle is sent as its message
-        with contextlib.suppress(BaseException):  # unless the caller closed the pipe
-            writer.send((None, NssfpError(str(result[1] or unsent))))
+    with contextlib.suppress(BaseException):
+        writer.send(_simulate_chunk(series, vocab_size, cfg))
 
 
 def _usable_cpus() -> int:

@@ -128,8 +128,7 @@ def corpus500():
     model = train_model([a.sequence for a in authors], order=3,
                         weights=(0.1, 0.3, 0.6), vocabulary=vocab)
     seqs = [a.sequence.truncated(1000) for a in authors]
-    cache: dict = {}
-    series = [fp.generate_nss(model, s, Q, size_cache=cache) for s in seqs]
+    series = fp.nss_series(model, seqs, Q)
     build_time = time.perf_counter() - t0
     return {"vocab": vocab, "seqs": seqs, "series": series, "build_time": build_time}
 
@@ -251,8 +250,7 @@ def test_c09_end_to_end_evaluation():
     model = train_model([a.sequence for a in authors], order=3,
                         weights=(0.1, 0.3, 0.6), vocabulary=vocab)
     seqs = [a.sequence.truncated(n) for a in authors]
-    cache: dict = {}
-    series = [fp.generate_nss(model, s, Q, size_cache=cache) for s in seqs]
+    series = fp.nss_series(model, seqs, Q)
 
     records, _ = fp.collect_pairwise_distances(series, seqs)
     uniq = uniqueness_radius(PairwiseDistanceSample.from_records(n, records),

@@ -1,10 +1,12 @@
 import math
 import os
 import signal
+import struct
 import subprocess
 import sys
 import threading
 from dataclasses import replace
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -12,8 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nssfp import sidechannel
-from nssfp.errors import (InsufficientDataError, NssfpError, ParseError, UsageError,
-                          ValidationError)
+from nssfp.errors import InsufficientDataError, ParseError, UsageError, ValidationError
 from nssfp.fingerprint import Nss
 from nssfp.sidechannel import (ChannelConfig, RawTrace, Trace, estimate_global_slope,
                                filter_noisy, noise_level, read_traces, rescore_noise,
@@ -527,7 +528,12 @@ def test_simulate_pool_equals_serial_loop_however_split(monkeypatch, cpus):
         pool = simulate_pool(series, 500, cfg)
         assert len(forks) == min(cpus, len(series)) - 1
     assert [t.seq_id for t in pool] == [x.seq_id for x in series]
-    for t, alone in zip(pool, _serial_pool(series, 500, cfg)):
+    _assert_same_traces(pool, _serial_pool(series, 500, cfg))
+
+
+def _assert_same_traces(pool, serial):
+    assert len(pool) == len(serial)
+    for t, alone in zip(pool, serial):
         assert t.seq_id == alone.seq_id and t.noise_level == alone.noise_level
         for field in ("estimated_sizes", "per_step_hit_counts", "per_step_durations",
                       "estimated_iterations"):
@@ -550,49 +556,57 @@ def test_simulate_pool_raises_the_first_error_in_series_order(monkeypatch, cpus,
     assert len(forks) == min(cpus, len(series)) - 1
 
 
-def test_child_that_dies_without_a_result_is_one_error(monkeypatch):
-    caller, simulate = os.getpid(), sidechannel.simulate_trace
-
-    def dies_in_a_child(nss, vocab_size, cfg):
-        if os.getpid() != caller:
-            os._exit(3)
-        return simulate(nss, vocab_size, cfg)
-
-    monkeypatch.setattr(sidechannel, "simulate_trace", dies_in_a_child)
-    forks = _forks_on(monkeypatch, 2)
-    with pytest.raises(NssfpError, match="ended without a result"):
-        simulate_pool([_nss([100, 200], seq_id=f"p{i}") for i in range(4)], 500,
-                      ChannelConfig())
-    assert len(forks) == 1
-
-
 def test_simulate_pool_of_no_series_is_empty(monkeypatch):
     forks = _forks_on(monkeypatch, 4)
     assert simulate_pool([], 500, ChannelConfig()) == [] and forks == []
 
 
-def test_worker_error_that_does_not_pickle_is_one_error_with_its_message(monkeypatch, capfd):
-    caller, simulate = os.getpid(), sidechannel.simulate_trace
+def _fail_in_a_worker(monkeypatch, mode, bad):
+    """Make each worker whose chunk holds series ``bad`` fail in ``mode``;
+    this process still simulates every series as the serial loop does."""
+    caller, simulate, send = os.getpid(), sidechannel.simulate_trace, Connection.send
+    doomed = []
 
     class Unpicklable(ValidationError):  # a class local to a function does not pickle
         pass
 
-    def fails_in_a_child(nss, vocab_size, cfg):
-        if os.getpid() != caller:
-            raise Unpicklable(f"{nss.seq_id} failed in a worker")
+    def failing(nss, vocab_size, cfg):
+        if os.getpid() != caller and nss.seq_id == bad:
+            if mode == "exits without a send":
+                os._exit(3)
+            if mode != "dies during a send":
+                raise (ValidationError if mode == "raises" else Unpicklable)(f"{bad} failed")
+            doomed.append(bad)
         return simulate(nss, vocab_size, cfg)
 
-    monkeypatch.setattr(sidechannel, "simulate_trace", fails_in_a_child)
-    forks = _forks_on(monkeypatch, 2)
+    def dies_mid_message(writer, obj):
+        if doomed:  # a partial message: a 1,000-byte length header, then 7 of those bytes
+            os.write(writer.fileno(), struct.pack("!i", 1000) + b"partial")
+            os._exit(0)
+        send(writer, obj)
+
+    monkeypatch.setattr(sidechannel, "simulate_trace", failing)
+    monkeypatch.setattr(Connection, "send", dies_mid_message)
+
+
+# 7 series: p5 is in the second of 2 chunks, the third of 3 and the sixth of 7
+@pytest.mark.parametrize("cpus", [2, 3, 9])
+@pytest.mark.parametrize("mode", ["raises", "raises what does not pickle",
+                                  "exits without a send", "dies during a send"])
+def test_a_worker_that_sends_nothing_leaves_its_chunk_to_the_caller(monkeypatch, capfd,
+                                                                     mode, cpus):
+    cfg = ChannelConfig(rng_seed=8, outlier_rate=0.2)
+    rng = np.random.default_rng(3)
+    series = [_nss(rng.integers(0, 500, size=30 + i), seq_id=f"p{i}") for i in range(7)]
+    serial = _serial_pool(series, 500, cfg)
+    _fail_in_a_worker(monkeypatch, mode, "p5")
+    forks = _forks_on(monkeypatch, cpus)
     capfd.readouterr()
-    with pytest.raises(NssfpError) as raised:
-        simulate_pool([_nss([100, 200], seq_id=f"p{i}") for i in range(4)], 500,
-                      ChannelConfig())
-    assert type(raised.value) is NssfpError and str(raised.value) == "p2 failed in a worker"
-    assert len(forks) == 1
-    with pytest.raises(ChildProcessError):  # the worker was reaped
+    _assert_same_traces(simulate_pool(series, 500, cfg), serial)
+    assert len(forks) == min(cpus, len(series)) - 1
+    with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
-    # the worker writes to the inherited fd 2, which capsys would not see
+    # a worker writes to the inherited fd 2, which capsys would not see
     assert capfd.readouterr() == ("", "")
 
 
