@@ -202,7 +202,6 @@ def cmd_evaluate(args) -> int:
     model = train_model([a.sequence for a in authors], order=cfg.order,
                         weights=cfg.weights, vocabulary=vocab)
     series = fp.nss_series(model, sequences, cfg.q)
-    # before the pairwise product, whose BLAS threads would spin on a pool worker's CPU
     traces = sidechannel.simulate_pool(series, len(vocab), cfg.channel)
     records, _ = fp.collect_pairwise_distances(
         series, sequences, threshold=cfg.variability_threshold,

@@ -9,9 +9,7 @@ timestamp gaps; occasional steps are dilated by transient interference,
 which is what the noise score and the trace filter are for.
 """
 
-import contextlib
 import math
-import os
 import zlib
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -225,64 +223,12 @@ def segment_and_reconstruct(raw: RawTrace, cfg: ChannelConfig, vocab_size: int) 
 
 
 def simulate_pool(series: list[Nss], vocab_size: int, cfg: ChannelConfig) -> list[Trace]:
-    """Simulate and reconstruct one trace per series, each on its own stream.
+    """Simulate and reconstruct one trace per series, in series order.
 
-    The series split into one contiguous chunk per usable CPU. This process
-    runs the first chunk; a forked worker process runs each other one and
-    sends its traces back over its own one-way pipe, which this process then
-    reads in series order on its own thread. A chunk whose worker sends
-    nothing (it raised, or died, even mid-message) is simulated here. Each
-    trace draws only from :func:`trace_rng`, so the pool returns or raises
-    what a serial loop does, however it is split; no worker is killed.
+    Each trace draws only from :func:`trace_rng`, seeded by its id, so a
+    trace does not depend on the other series; the first error in series
+    order is the one raised.
     """
-    parts = max(1, min(len(series), _usable_cpus())) if hasattr(os, "fork") else 1
-    chunks = [series[len(series) * i // parts:len(series) * (i + 1) // parts]
-              for i in range(parts)]
-    if parts == 1:
-        return _simulate_chunk(chunks[0], vocab_size, cfg)
-    # imported here, so that a run which never pools does not pay for it
-    import multiprocessing
-    # fork, not the platform default: Python 3.14 makes forkserver the POSIX one
-    context, pool = multiprocessing.get_context("fork"), []
-    try:
-        for chunk in chunks[1:]:
-            reader, writer = context.Pipe(duplex=False)
-            worker = context.Process(target=_send_chunk,
-                                     args=(reader, writer, chunk, vocab_size, cfg))
-            with writer:  # then the worker holds the only writer: its exit reads as EOF
-                worker.start()
-            pool.append((reader, worker))
-        traces = _simulate_chunk(chunks[0], vocab_size, cfg)
-        for (reader, _), chunk in zip(pool, chunks[1:]):
-            try:
-                traces += reader.recv()
-            except (EOFError, OSError):
-                traces += _simulate_chunk(chunk, vocab_size, cfg)
-        return traces
-    finally:
-        # every read end before any join: a later worker holds copies of the earlier
-        # ones, so a worker blocked on a full pipe stops only once those have exited
-        for reader, _ in pool:
-            reader.close()
-        for _, worker in pool:
-            worker.join()
-
-
-def _send_chunk(reader, writer, series: list[Nss], vocab_size: int, cfg: ChannelConfig):
-    """A pool worker: sends its chunk's traces, or nothing, and lets no
-    exception escape, since multiprocessing would print it."""
-    reader.close()  # a read end left open here would block a send the caller stopped reading
-    with contextlib.suppress(BaseException):
-        writer.send(_simulate_chunk(series, vocab_size, cfg))
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _simulate_chunk(series: list[Nss], vocab_size: int, cfg: ChannelConfig) -> list[Trace]:
     return [segment_and_reconstruct(simulate_trace(x, vocab_size, cfg), cfg, vocab_size)
             for x in series]
 

@@ -1,11 +1,12 @@
 import hashlib
+import json
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 
-from nssfp import sidechannel
 from nssfp.cli import COMMANDS, build_parser, main
 from nssfp.config import PipelineConfig, env_overrides, read_config_file, resolve_config
 from nssfp.errors import ConfigurationError
@@ -58,7 +59,6 @@ def test_full_command_chain(tmp_path, corpus_file, capsys):
                 "--length", n, "--out", nss, "--seed", "5"]) == 0
     assert run(["analyze", "--nss", nss, "--seqs", seqs, "--threshold", "400",
                 "--out", dists]) == 0
-    import json
     vocab_size = len(json.loads(model.read_text())["tokens"])
     assert run(["simulate", "--nss", nss, "--vocab-size", vocab_size, "--seed", "5",
                 "--capture-fraction", "0.05", "--out", traces]) == 0
@@ -88,6 +88,34 @@ def test_evaluate_reproducible_and_composable(tmp_path, corpus_file, capsys):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_simulate_and_evaluate_start_no_child_process(tmp_path, corpus_file, capsys,
+                                                      monkeypatch):
+    model, nss = tmp_path / "model.json", tmp_path / "series.nss"
+    assert run(["train", "--corpus", corpus_file, "--out", model]) == 0
+    assert run(["nss", "--corpus", corpus_file, "--model", model, "--truncate",
+                "--length", "160", "--out", nss]) == 0
+    vocab_size = len(json.loads(model.read_text())["tokens"])
+    commands = {"traces.trc": ["simulate", "--nss", nss, "--vocab-size", vocab_size],
+                "report.csv": ["evaluate", "--corpus", corpus_file, "--length", "160",
+                               "--threshold", "400", "--epsilon", "1e-6"]}
+
+    def outputs(root):
+        root.mkdir()
+        monkeypatch.chdir(root)
+        capsys.readouterr()
+        for name, args in commands.items():
+            assert run(args + ["--out", name]) == 0
+        return {name: (root / name).read_bytes() for name in commands}, capsys.readouterr()
+
+    def no_fork():
+        raise AssertionError("a command forked")
+
+    alone = outputs(tmp_path / "alone")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert outputs(tmp_path / "four_cpus") == alone
+
+
 def test_evaluate_matches_command_composition(tmp_path, corpus_file, capsys):
     """evaluate == train -> nss -> analyze -> simulate -> fit -> match."""
     n = 160
@@ -101,7 +129,6 @@ def test_evaluate_matches_command_composition(tmp_path, corpus_file, capsys):
 
     assert run(["train", "--corpus", corpus_file, "--out", model,
                 "--save-seqs", seqs, "--seed", "5"]) == 0
-    import json
     vocab_size = len(json.loads(model.read_text())["tokens"])
     for args in (
         ["nss", "--corpus", corpus_file, "--model", model, "--truncate",
@@ -803,13 +830,10 @@ def test_channel_setting_beyond_the_float_range_ends_in_one_error_line(tmp_path,
     assert not out.exists()
 
 
-def test_simulate_error_in_a_child_chunk_ends_in_one_error_line(tmp_path, capsys,
-                                                               monkeypatch):
-    # five series on two CPUs: the caller simulates s0-s1, a child s2-s4
+def test_simulate_error_in_a_later_series_ends_in_one_error_line(tmp_path, capsys):
     nss, out = tmp_path / "pool.nss", tmp_path / "traces.trc"
     nss.write_text("#nss v1 model=m q=0.9\n" + "".join(
         f"s{i}\t{t}\tn={12 if (i, t) == (3, 1) else 5}\n" for i in range(5) for t in range(2)))
-    monkeypatch.setattr(sidechannel, "_usable_cpus", lambda: 2)
     assert main(["simulate", "--nss", str(nss), "--vocab-size", "9", "--out", str(out)]) == 1
     assert _errors(capsys) == ["error: NSS 's3' has sizes above the vocabulary size 9"]
     assert not out.exists()

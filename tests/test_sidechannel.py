@@ -1,12 +1,5 @@
 import math
-import os
-import signal
-import struct
-import subprocess
-import sys
-import threading
 from dataclasses import replace
-from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -500,33 +493,16 @@ def test_reconstruction_equals_segment_loop(stream):
 
 
 def _serial_pool(series, vocab_size, cfg):
-    """The pool as one loop in this process: the oracle of every split."""
+    """The pool as a loop over the two stages: the oracle of ``simulate_pool``."""
     return [segment_and_reconstruct(simulate_trace(x, vocab_size, cfg), cfg, vocab_size)
             for x in series]
 
 
-def _forks_on(monkeypatch, cpus):
-    """Make ``simulate_pool`` see ``cpus`` usable CPUs; returns the list its
-    forks are appended to."""
-    forks, fork = [], os.fork
-    monkeypatch.setattr(sidechannel, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3, 9, "no fork"])
-def test_simulate_pool_equals_serial_loop_however_split(monkeypatch, cpus):
+def test_simulate_pool_equals_serial_loop():
     cfg = ChannelConfig(rng_seed=8, outlier_rate=0.2)
     rng = np.random.default_rng(3)
     series = [_nss(rng.integers(0, 500, size=30 + i), seq_id=f"p{i}") for i in range(7)]
-    if cpus == "no fork":  # a platform without os.fork runs one chunk
-        monkeypatch.setattr(sidechannel, "_usable_cpus", lambda: 4)
-        monkeypatch.delattr(os, "fork")
-        pool = simulate_pool(series, 500, cfg)
-    else:
-        forks = _forks_on(monkeypatch, cpus)
-        pool = simulate_pool(series, 500, cfg)
-        assert len(forks) == min(cpus, len(series)) - 1
+    pool = simulate_pool(series, 500, cfg)
     assert [t.seq_id for t in pool] == [x.seq_id for x in series]
     _assert_same_traces(pool, _serial_pool(series, 500, cfg))
 
@@ -540,150 +516,14 @@ def _assert_same_traces(pool, serial):
             assert _same(getattr(t, field), getattr(alone, field))
 
 
-# 7 series: 2 CPUs split them 3 + 4, 3 CPUs 2 + 2 + 3, 9 CPUs one each
-@pytest.mark.parametrize("cpus, bad", [(2, [5]), (3, [3, 5]), (3, [1, 6]), (9, [4, 6]),
-                                       (9, [0, 6])])
-def test_simulate_pool_raises_the_first_error_in_series_order(monkeypatch, cpus, bad):
-    cfg = ChannelConfig(rng_seed=2)
-    series = [_nss([100, 600 if i in bad else 200], seq_id=f"p{i}") for i in range(7)]
-    with pytest.raises(ValidationError) as serial:
-        _serial_pool(series, 500, cfg)
-    assert f"'p{bad[0]}'" in str(serial.value)
-    forks = _forks_on(monkeypatch, cpus)
-    with pytest.raises(ValidationError) as pooled:
-        simulate_pool(series, 500, cfg)
-    assert str(pooled.value) == str(serial.value)
-    assert len(forks) == min(cpus, len(series)) - 1
+def test_simulate_pool_raises_the_first_error_in_series_order():
+    series = [_nss([100, 600 if i in (4, 6) else 200], seq_id=f"p{i}") for i in range(7)]
+    with pytest.raises(ValidationError, match="^NSS 'p4' has sizes above"):
+        simulate_pool(series, 500, ChannelConfig(rng_seed=2))
 
 
-def test_simulate_pool_of_no_series_is_empty(monkeypatch):
-    forks = _forks_on(monkeypatch, 4)
-    assert simulate_pool([], 500, ChannelConfig()) == [] and forks == []
-
-
-def _fail_in_a_worker(monkeypatch, mode, bad):
-    """Make each worker whose chunk holds series ``bad`` fail in ``mode``;
-    this process still simulates every series as the serial loop does."""
-    caller, simulate, send = os.getpid(), sidechannel.simulate_trace, Connection.send
-    doomed = []
-
-    class Unpicklable(ValidationError):  # a class local to a function does not pickle
-        pass
-
-    def failing(nss, vocab_size, cfg):
-        if os.getpid() != caller and nss.seq_id == bad:
-            if mode == "exits without a send":
-                os._exit(3)
-            if mode != "dies during a send":
-                raise (ValidationError if mode == "raises" else Unpicklable)(f"{bad} failed")
-            doomed.append(bad)
-        return simulate(nss, vocab_size, cfg)
-
-    def dies_mid_message(writer, obj):
-        if doomed:  # a partial message: a 1,000-byte length header, then 7 of those bytes
-            os.write(writer.fileno(), struct.pack("!i", 1000) + b"partial")
-            os._exit(0)
-        send(writer, obj)
-
-    monkeypatch.setattr(sidechannel, "simulate_trace", failing)
-    monkeypatch.setattr(Connection, "send", dies_mid_message)
-
-
-# 7 series: p5 is in the second of 2 chunks, the third of 3 and the sixth of 7
-@pytest.mark.parametrize("cpus", [2, 3, 9])
-@pytest.mark.parametrize("mode", ["raises", "raises what does not pickle",
-                                  "exits without a send", "dies during a send"])
-def test_a_worker_that_sends_nothing_leaves_its_chunk_to_the_caller(monkeypatch, capfd,
-                                                                     mode, cpus):
-    cfg = ChannelConfig(rng_seed=8, outlier_rate=0.2)
-    rng = np.random.default_rng(3)
-    series = [_nss(rng.integers(0, 500, size=30 + i), seq_id=f"p{i}") for i in range(7)]
-    serial = _serial_pool(series, 500, cfg)
-    _fail_in_a_worker(monkeypatch, mode, "p5")
-    forks = _forks_on(monkeypatch, cpus)
-    capfd.readouterr()
-    _assert_same_traces(simulate_pool(series, 500, cfg), serial)
-    assert len(forks) == min(cpus, len(series)) - 1
-    with pytest.raises(ChildProcessError):  # every worker was reaped
-        os.waitpid(-1, os.WNOHANG)
-    # a worker writes to the inherited fd 2, which capsys would not see
-    assert capfd.readouterr() == ("", "")
-
-
-def test_the_caller_simulates_its_chunk_with_no_helper_thread(monkeypatch):
-    # an executor would also show its queue feeder and manager threads here
-    caller, simulate, seen = os.getpid(), sidechannel.simulate_trace, []
-
-    def watched(nss, vocab_size, cfg):
-        if os.getpid() == caller:
-            seen.append([t.name for t in threading.enumerate()])
-        return simulate(nss, vocab_size, cfg)
-
-    monkeypatch.setattr(sidechannel, "simulate_trace", watched)
-    forks = _forks_on(monkeypatch, 2)
-    assert len(simulate_pool([_nss([100, 200], seq_id=f"p{i}") for i in range(4)], 500,
-                             ChannelConfig())) == 4
-    assert len(forks) == 1 and seen == [[threading.main_thread().name]] * 2
-
-
-def _fresh_interpreter(code):
-    """What ``code`` prints when a fresh interpreter runs it on this
-    checkout's nssfp; another test may have imported modules into this one.
-    A timeout kills the interpreter's whole process group, so that a hung
-    pool leaves no worker behind."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    with subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, text=True, start_new_session=True) as child:
-        try:
-            out, err = child.communicate(timeout=120)
-        except subprocess.TimeoutExpired:
-            os.killpg(child.pid, signal.SIGKILL)
-            raise
-    assert child.returncode == 0, err
-    return out
-
-
-def _modules_after_a_pool(cpus):
-    """The process-pool modules imported by one ``simulate_pool`` call on
-    ``cpus`` usable CPUs in a fresh interpreter."""
-    return _fresh_interpreter(f"""if True:
-        import sys
-        import numpy as np
-        import nssfp
-        from nssfp import sidechannel
-        from nssfp.fingerprint import Nss
-        sidechannel._usable_cpus = lambda: {cpus}
-        series = [Nss(f"p{{i}}", 0.9, "m", np.array([100, 200])) for i in range(3)]
-        assert len(sidechannel.simulate_pool(series, 500, nssfp.ChannelConfig())) == 3
-        print(sorted({{"multiprocessing", "concurrent.futures"}} & set(sys.modules)))
-    """)
-
-
-def test_a_pool_that_never_splits_imports_no_process_pool():
-    assert _modules_after_a_pool(1) == "[]\n"
-
-
-def test_a_split_pool_imports_no_executor():
-    assert _modules_after_a_pool(2) == "['multiprocessing']\n"
-
-
-def test_an_error_in_the_callers_chunk_stops_workers_whose_results_fill_their_pipes():
-    # each worker's 5,000-step trace overfills a pipe, so it is still sending when
-    # the caller raises; a read end left open anywhere would hang the call
-    assert _fresh_interpreter("""if True:
-        import numpy as np
-        import nssfp
-        from nssfp import sidechannel
-        from nssfp.fingerprint import Nss
-        sidechannel._usable_cpus = lambda: 3
-        series = [Nss("bad", 0.9, "m", np.array([600]))] + [
-            Nss(f"p{i}", 0.9, "m", np.full(5000, 100)) for i in range(2)]
-        try:
-            sidechannel.simulate_pool(series, 500, nssfp.ChannelConfig())
-        except nssfp.ValidationError as error:
-            print(error)
-    """) == "NSS 'bad' has sizes above the vocabulary size 500\n"
+def test_simulate_pool_of_no_series_is_empty():
+    assert simulate_pool([], 500, ChannelConfig()) == []
 
 
 def test_squares_prefix_is_computed_once_and_is_no_field():
