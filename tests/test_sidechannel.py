@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -498,10 +502,14 @@ def _serial_pool(series, vocab_size, cfg):
             for x in series]
 
 
+def _pool_series():
+    rng = np.random.default_rng(3)
+    return [_nss(rng.integers(0, 500, size=30 + i), seq_id=f"p{i}") for i in range(7)]
+
+
 def test_simulate_pool_equals_serial_loop():
     cfg = ChannelConfig(rng_seed=8, outlier_rate=0.2)
-    rng = np.random.default_rng(3)
-    series = [_nss(rng.integers(0, 500, size=30 + i), seq_id=f"p{i}") for i in range(7)]
+    series = _pool_series()
     pool = simulate_pool(series, 500, cfg)
     assert [t.seq_id for t in pool] == [x.seq_id for x in series]
     _assert_same_traces(pool, _serial_pool(series, 500, cfg))
@@ -516,14 +524,106 @@ def _assert_same_traces(pool, serial):
             assert _same(getattr(t, field), getattr(alone, field))
 
 
-def test_simulate_pool_raises_the_first_error_in_series_order():
-    series = [_nss([100, 600 if i in (4, 6) else 200], seq_id=f"p{i}") for i in range(7)]
-    with pytest.raises(ValidationError, match="^NSS 'p4' has sizes above"):
-        simulate_pool(series, 500, ChannelConfig(rng_seed=2))
+# a trace draws only from its own id's stream, so a caller may batch, reorder or
+# repeat series and get the same trace for each
+@pytest.mark.parametrize("batching", [1, 2, 3, 7, "reversed", "repeated"])
+def test_simulate_pool_is_the_same_however_the_series_are_batched(batching):
+    cfg = ChannelConfig(rng_seed=8, outlier_rate=0.2)
+    series = _pool_series()
+    whole = simulate_pool(series, 500, cfg)
+    if batching == "reversed":
+        _assert_same_traces(simulate_pool(series[::-1], 500, cfg), whole[::-1])
+    elif batching == "repeated":
+        _assert_same_traces(simulate_pool(series + series, 500, cfg), whole + whole)
+    else:
+        n = len(series)
+        batched = [t for i in range(batching)
+                   for t in simulate_pool(series[n * i // batching:n * (i + 1) // batching],
+                                          500, cfg)]
+        _assert_same_traces(batched, whole)
+
+
+@pytest.mark.parametrize("bad", [[5], [3, 5], [1, 6], [4, 6], [0, 6]])
+def test_simulate_pool_raises_the_first_error_in_series_order(bad):
+    cfg = ChannelConfig(rng_seed=2)
+    series = [_nss([100, 600 if i in bad else 200], seq_id=f"p{i}") for i in range(7)]
+    with pytest.raises(ValidationError) as serial:
+        _serial_pool(series, 500, cfg)
+    assert f"'p{bad[0]}'" in str(serial.value)
+    with pytest.raises(ValidationError) as pooled:
+        simulate_pool(series, 500, cfg)
+    assert str(pooled.value) == str(serial.value)
 
 
 def test_simulate_pool_of_no_series_is_empty():
     assert simulate_pool([], 500, ChannelConfig()) == []
+
+
+class _LocalError(ValidationError):
+    """An error class no other module defines."""
+
+
+@pytest.mark.parametrize("bad", [0, 3, 6])
+@pytest.mark.parametrize("error", [ValidationError, _LocalError, MemoryError,
+                                   KeyboardInterrupt])
+def test_a_failing_series_stops_the_pool_with_its_own_exception(monkeypatch, capfd,
+                                                                error, bad):
+    """Nothing retries, swallows or reports a failure: the exception that one
+    series' simulation raises leaves the pool as it is, and no later series is
+    simulated."""
+    simulate, seen, raised = sidechannel.simulate_trace, [], error(f"p{bad} failed")
+
+    def failing(nss, vocab_size, cfg):
+        seen.append(nss.seq_id)
+        if nss.seq_id == f"p{bad}":
+            raise raised
+        return simulate(nss, vocab_size, cfg)
+
+    monkeypatch.setattr(sidechannel, "simulate_trace", failing)
+    capfd.readouterr()
+    with pytest.raises(error) as caught:
+        simulate_pool(_pool_series(), 500, ChannelConfig(rng_seed=8))
+    assert caught.value is raised
+    assert seen == [f"p{i}" for i in range(bad + 1)]
+    assert capfd.readouterr() == ("", "")
+
+
+def test_simulate_pool_runs_every_series_on_the_calling_thread(monkeypatch):
+    # four usable CPUs and a fork that raises: a pool would show a second
+    # process or a helper thread here
+    caller, simulate, seen = os.getpid(), sidechannel.simulate_trace, []
+
+    def watched(nss, vocab_size, cfg):
+        seen.append((nss.seq_id, os.getpid(), [t.name for t in threading.enumerate()]))
+        return simulate(nss, vocab_size, cfg)
+
+    def no_fork():
+        raise AssertionError("simulate_pool forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(sidechannel, "simulate_trace", watched)
+    series = _pool_series()
+    assert len(simulate_pool(series, 500, ChannelConfig())) == len(series)
+    assert seen == [(x.seq_id, caller, [threading.main_thread().name]) for x in series]
+
+
+def test_simulate_pool_imports_no_process_pool():
+    # a fresh interpreter: another test may have imported these into this one
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run([sys.executable, "-c", """if True:
+        import os, sys
+        import numpy as np
+        import nssfp
+        from nssfp.fingerprint import Nss
+        os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
+        series = [Nss(f"p{i}", 0.9, "m", np.array([100, 200])) for i in range(3)]
+        assert len(nssfp.simulate_pool(series, 500, nssfp.ChannelConfig())) == 3
+        print(sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
+    """], env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
 
 
 def test_squares_prefix_is_computed_once_and_is_no_field():
