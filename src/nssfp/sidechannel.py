@@ -22,6 +22,9 @@ from .fingerprint import Nss
 
 DEFAULT_CAPTURE_FRACTION = 0.011
 DEFAULT_DROP_FRACTION = 0.06
+#: The most hits a trace may expect, ``capture_fraction * sum(iterations)``: 2**26
+#: admits V = 2**20 at the default capture for N = 2,700 steps (31M hits).
+MAX_TRACE_HITS = 1 << 26
 TRACE_HEADER = "#trace v1"
 TRACE_FIELDS = (("step", np.int64), ("hit count", np.int64), ("duration", np.float64),
                 ("estimated size", np.float64))
@@ -80,7 +83,7 @@ class RawTrace:
         if not np.isfinite(self.hit_times).all():
             raise ValidationError(f"trace {self.seq_id!r} has non-finite hit times; "
                                   "the channel settings overflow")
-        if np.any(np.diff(self.hit_times) < 0):
+        if np.any(self.hit_times[1:] < self.hit_times[:-1]):
             raise ValidationError("hit timestamps must be non-decreasing")
 
 
@@ -136,50 +139,62 @@ def simulate_trace(nss: Nss, vocab_size: int, cfg: ChannelConfig) -> RawTrace:
     Per step t the victim's removal loop runs ``vocab_size - sizes[t]``
     iterations. The probe captures a binomial fraction of them at jittered
     timestamps; with probability ``outlier_rate`` the whole step is dilated
-    by ``outlier_scale``. Steps are separated by ``segment_gap_cycles``.
-    Only the generator draws and the sort of each step's hit positions run
-    step by step; timestamps take array passes.
+    by ``outlier_scale``. Steps are separated by ``segment_gap_cycles``. A
+    trace expecting over ``MAX_TRACE_HITS`` hits is refused before any draw.
+    Per step run only the four generator draws and the sort of the step's
+    positions; per hit, array passes scale the times, dilate only the hits of
+    dilated steps and take a running max only if some hit falls behind.
     """
     if np.any(nss.sizes > vocab_size):
         raise ValidationError(
             f"NSS {nss.seq_id!r} has sizes above the vocabulary size {vocab_size}")
-    rng = trace_rng(cfg, nss.seq_id)
     cpi, capture = cfg.cycles_per_iteration, cfg.capture_fraction
     iters = vocab_size - nss.sizes
-    dilation = np.empty(iters.size)
-    counts = np.zeros(iters.size, dtype=np.int64)
     expected = capture * float(iters.sum())
+    if expected > MAX_TRACE_HITS:
+        raise UsageError(f"trace {nss.seq_id!r} expects {expected:.0f} hits, "
+                         f"more than {MAX_TRACE_HITS}")
+    rng = trace_rng(cfg, nss.seq_id)
+    random, binomial, standard_normal = rng.random, rng.binomial, rng.standard_normal
+    dilation, counts = [], []
     draws = np.empty((2, int(expected + 4.0 * math.sqrt(expected)) + 16))
+    positions, jitter = draws
     end = 0
-    for t, step_iters in enumerate(iters.tolist()):
-        dilation[t] = rng.random()
-        k = int(rng.binomial(step_iters, capture)) if step_iters > 0 else 0
+    for step_iters in iters.tolist():
+        dilation.append(random())
+        k = binomial(step_iters, capture) if step_iters > 0 else 0
+        counts.append(k)
         if k > 0:
-            if end + k > draws.shape[1]:
-                draws = np.concatenate((draws, np.empty((2, end + k))), axis=1)
-            rng.random(out=draws[0, end:end + k])
-            draws[0, end:end + k].sort()
-            rng.standard_normal(out=draws[1, end:end + k])
-            counts[t], end = k, end + k
-    dilate = np.where(dilation < cfg.outlier_rate, cfg.outlier_scale, 1.0)
+            stop = end + k
+            if stop > positions.size:
+                draws = np.concatenate((draws, np.empty((2, stop))), axis=1)
+                positions, jitter = draws
+            step_positions = positions[end:stop]
+            random(out=step_positions)
+            step_positions.sort()
+            standard_normal(out=jitter[end:stop])
+            end = stop
+    counts = np.array(counts, dtype=np.int64)
+    dilate = np.where(np.array(dilation) < cfg.outlier_rate, cfg.outlier_scale, 1.0)
     step_cycles = iters * cpi * dilate + float(cfg.segment_gap_cycles)
     # cumsum adds in sequence: each step starts at a step loop's running sum
     start = np.append(0.0, np.cumsum(step_cycles[:-1]))
-    hit_steps = np.repeat(np.arange(iters.size, dtype=np.int64), counts)
-    hit_dilate = dilate[hit_steps]
-    # in place, in the step loop's operand order: start + ((u * iters + 1) * cpi) * dilate
-    times, jitter = draws[0, :end], draws[1, :end]
-    times *= iters[hit_steps]
+    # in place, in the step loop's operand order: start + ((u * iters + 1) * cpi) * dilate,
+    # and normal(0.0, std, k) * dilate is (0.0 + std * standard_normal(k)) * dilate
+    times, jitter = draws[:, :end]
+    times *= np.repeat(iters, counts)
     times += 1.0
     times *= cpi
-    times *= hit_dilate
-    times += start[hit_steps]
-    # normal(0.0, std, k) is 0.0 + std * standard_normal(k): same draws, same sums
     jitter *= cfg.hit_jitter_std
-    times += np.multiply(jitter, hit_dilate, out=jitter)
-    hit_times = np.maximum.accumulate(times)  # a fresh array: the trace pins no draws buffer
-    return RawTrace(seq_id=nss.seq_id, hit_steps=hit_steps, hit_times=hit_times,
-                    true_step_count=nss.length)
+    stops = np.cumsum(counts)
+    for t in np.flatnonzero((dilate != 1.0) & (counts > 0)).tolist():  # x * 1.0 == x
+        draws[:, stops[t] - counts[t]:stops[t]] *= dilate[t]
+    times += np.repeat(start, counts)
+    times += jitter
+    # a fresh array either way: the trace pins no draws buffer
+    hit_times = np.maximum.accumulate(times) if np.any(times[1:] < times[:-1]) else times.copy()
+    return RawTrace(nss.seq_id, np.repeat(np.arange(iters.size, dtype=np.int64), counts),
+                    hit_times, nss.length)
 
 
 def segment_and_reconstruct(raw: RawTrace, cfg: ChannelConfig, vocab_size: int) -> Trace:

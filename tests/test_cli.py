@@ -3,10 +3,12 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nssfp import sidechannel
 from nssfp.cli import COMMANDS, build_parser, main
 from nssfp.config import PipelineConfig, env_overrides, read_config_file, resolve_config
 from nssfp.errors import ConfigurationError
@@ -836,6 +838,60 @@ def test_simulate_error_in_a_later_series_ends_in_one_error_line(tmp_path, capsy
         f"s{i}\t{t}\tn={12 if (i, t) == (3, 1) else 5}\n" for i in range(5) for t in range(2)))
     assert main(["simulate", "--nss", str(nss), "--vocab-size", "9", "--out", str(out)]) == 1
     assert _errors(capsys) == ["error: NSS 's3' has sizes above the vocabulary size 9"]
+    assert not out.exists()
+
+
+def _no_draws(cfg, seq_id):
+    raise AssertionError("a trace was drawn before its hit count was checked")
+
+
+def _refused_before_any_buffer(argv, capsys):
+    """Run ``argv`` under tracemalloc; its exit code and error lines, after
+    checking that stderr holds nothing else and that no draws buffer was
+    allocated (one for 2**26 hits takes 1 GiB)."""
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err.splitlines()
+    assert peak < 2**26, peak
+    return rc, [line for line in err if not line.startswith("# config ")]
+
+
+@pytest.mark.parametrize("steps", [65, 200_000])
+def test_simulate_refuses_a_trace_expecting_too_many_hits(tmp_path, capsys, monkeypatch,
+                                                          steps):
+    # at capture 1.0 and V = 2**20 a step of size 0 expects 2**20 hits: 64 such
+    # steps reach MAX_TRACE_HITS = 2**26, and 200,000 would take 3 TiB of draws
+    monkeypatch.setenv("NSSFP_CHANNEL__CAPTURE_FRACTION", "1.0")
+    monkeypatch.setattr(sidechannel, "trace_rng", _no_draws)
+    nss, out = tmp_path / "big.nss", tmp_path / "t.trc"
+    nss.write_text("#nss v1 model=m q=0.9\n" + "".join(f"s\t{t}\tn=0\n" for t in range(steps)))
+    argv = ["simulate", "--nss", str(nss), "--vocab-size", "1048576", "--out", str(out)]
+    assert _refused_before_any_buffer(argv, capsys) == (2, [
+        f"error: usage: trace 's' expects {steps << 20} hits, more than 67108864"])
+    assert not out.exists()
+    # at the bound the draws start
+    nss.write_text("#nss v1 model=m q=0.9\n" + "".join(f"s\t{t}\tn=0\n" for t in range(64)))
+    with pytest.raises(AssertionError, match="a trace was drawn"):
+        main(argv)
+
+
+def test_evaluate_refuses_a_trace_expecting_too_many_hits(tmp_path, capsys, monkeypatch):
+    # two authors of 7,000 distinct words: V = 14,000, and at q = 0.01 nearly
+    # every word leaves the nucleus, so each trace expects about 7,000 * 14,000 hits
+    corpus, out = tmp_path / "wide.tsv", tmp_path / "report.csv"
+    corpus.write_text("".join(f"{a}\t1\t" + " ".join(f"{a}{i}" for i in range(7000)) + "\n"
+                              for a in "ab"))
+    monkeypatch.setattr(sidechannel, "trace_rng", _no_draws)
+    rc, errors = _refused_before_any_buffer(
+        ["evaluate", "--corpus", str(corpus), "--length", "7000", "--cap", "7000",
+         "--q", "0.01", "--capture-fraction", "1.0", "--out", str(out)], capsys)
+    assert rc == 2 and len(errors) == 1, errors
+    assert re.fullmatch(r"error: usage: trace 'a' expects \d+ hits, more than 67108864",
+                        errors[0]), errors
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -456,6 +457,50 @@ def test_simulator_grows_its_hit_buffer(monkeypatch):
                                         rng=_EveryIterationHit(trace_rng(cfg, nss.seq_id)))
     assert raw.hit_times.size == int(np.sum(1000 - nss.sizes))
     assert _same(raw.hit_steps, steps) and _same(raw.hit_times, times)
+
+
+class _NumpySpy:
+    """numpy as the simulator sees it, recording which of its branches ran:
+    the steps whose hits it dilated and each running max it took."""
+
+    def __init__(self):
+        self.dilated_steps, self.running_maxes = None, 0
+        self.maximum = SimpleNamespace(accumulate=self._accumulate)
+
+    def _accumulate(self, times):
+        self.running_maxes += 1
+        return np.maximum.accumulate(times)
+
+    def flatnonzero(self, mask):
+        self.dilated_steps = np.flatnonzero(mask)
+        return self.dilated_steps
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("outlier, dilated", [(0.0, "none"), (0.3, "some"), (1.0, "all")])
+@pytest.mark.parametrize("jitter, running_max", [(0.0, False), (3e4, True)])
+def test_simulator_branches_equal_step_loop(monkeypatch, outlier, dilated, jitter,
+                                            running_max):
+    # no jitter keeps every hit at or after the one before; jitter far above
+    # cycles_per_iteration puts some behind it
+    cfg = ChannelConfig(capture_fraction=0.3, hit_jitter_std=jitter, outlier_rate=outlier,
+                        rng_seed=11)
+    nss = _nss([0, 40, 300, 120, 7, 299, 60, 0, 250, 90] * 3)
+    spy = _NumpySpy()
+    monkeypatch.setattr(sidechannel, "np", spy)
+    raw = simulate_trace(nss, 300, cfg)
+    monkeypatch.undo()
+    steps, times = _loop_simulate_trace(nss, 300, cfg)
+    assert _same(raw.hit_steps, steps) and _same(raw.hit_times, times)
+    scaled, with_hits = spy.dilated_steps.size, np.unique(steps).size
+    assert {"none": scaled == 0, "some": 0 < scaled < with_hits,
+            "all": scaled == with_hits}[dilated]
+    assert spy.running_maxes == running_max
+    # the trace holds its own arrays, no view of the simulator's draws buffer
+    assert raw.hit_times.base is None and raw.hit_times.flags.owndata
+    assert raw.hit_steps.base is None and raw.hit_steps.flags.owndata
 
 
 @st.composite
