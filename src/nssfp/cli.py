@@ -1,9 +1,9 @@
 """Command-line pipeline driver.
 
-One subcommand per pipeline stage; every command reads and writes only the
-documented interchange formats, logs its fully resolved configuration to
-stderr, and embeds that configuration in output headers so any two runs
-with the same inputs and seed are byte-identical.
+One subcommand per pipeline stage, ``cmd_<name>(args, cfg)``; ``main`` logs the
+fully resolved ``cfg`` to stderr before the command starts. Every command reads
+and writes only the documented interchange formats and embeds ``cfg`` in output
+headers, so any two runs with the same inputs and seed are byte-identical.
 """
 
 import argparse
@@ -43,13 +43,9 @@ def _add_config_flags(p: argparse.ArgumentParser):
 
 
 def _resolve(args) -> PipelineConfig:
-    file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
-    flags = {}
-    for key, value in vars(args).items():
-        if key in ("config", "command", "func") or value is None:
-            continue
-        if key.startswith("channel.") or key in PipelineConfig.__dataclass_fields__:
-            flags[key] = value
+    file_values = read_config_file(args.config) if args.config else {}
+    flags = {key: value for key, value in vars(args).items()
+             if key.startswith("channel.") or key in PipelineConfig.__dataclass_fields__}
     cfg = resolve_config(file_values, env_overrides(), flags)
     for line in cfg.resolved_lines():
         print(f"# config {line}", file=sys.stderr)
@@ -63,8 +59,7 @@ def _load_inputs(args, cfg):
                                           min_words=args.min_words)
 
 
-def cmd_synth(args) -> int:
-    cfg = _resolve(args)
+def cmd_synth(args, cfg) -> int:
     corpus = corpus_mod.synthesize_corpus(
         authors=args.authors, seed=cfg.seed, vocab_size=args.vocab_size,
         target_words=args.target_words)
@@ -73,8 +68,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _resolve(args)
+def cmd_train(args, cfg) -> int:
     vocab, authors = _load_inputs(args, cfg)
     model = train_model([a.sequence for a in authors], order=cfg.order,
                         weights=cfg.weights, vocabulary=vocab)
@@ -87,8 +81,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_nss(args) -> int:
-    cfg = _resolve(args)
+def cmd_nss(args, cfg) -> int:
     model = load_model(args.model)
     if args.seqs:
         sequences, _ = interchange.read_sequences(args.seqs)
@@ -109,8 +102,7 @@ def cmd_nss(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    cfg = _resolve(args)
+def cmd_analyze(args, cfg) -> int:
     series, _ = interchange.read_nss(args.nss)
     sequences, _ = interchange.read_sequences(args.seqs)
     by_id = {s.id: s for s in sequences}
@@ -133,8 +125,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_fit(args) -> int:
-    cfg = _resolve(args)
+def cmd_fit(args, cfg) -> int:
     records, n = interchange.read_distances(args.distances)
     uniq = stats.uniqueness_radius(stats.PairwiseDistanceSample.from_records(n, records),
                                    eps=cfg.epsilon)
@@ -156,8 +147,7 @@ def _fit_line(uniq, err) -> str:
     return f"N={uniq.length} U={uniq.radius!r} d={d!r} tau={tau!r}"
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve(args)
+def cmd_simulate(args, cfg) -> int:
     check_vocab_size(args.vocab_size)
     series, _ = interchange.read_nss(args.nss)
     traces = sidechannel.simulate_pool(series, args.vocab_size, cfg.channel)
@@ -168,8 +158,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_match(args) -> int:
-    cfg = _resolve(args)
+def cmd_match(args, cfg) -> int:
     series, _ = interchange.read_nss(args.nss)
     uniq, err = stats.read_fit_report(args.fit)
     n = series[0].length
@@ -192,8 +181,7 @@ def cmd_match(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _resolve(args)
+def cmd_evaluate(args, cfg) -> int:
     vocab, authors = _load_inputs(args, cfg)
     n = cfg.sequence_length
     sequences = [a.sequence.truncated(n) for a in authors if len(a.sequence) >= n]
@@ -202,6 +190,7 @@ def cmd_evaluate(args) -> int:
     model = train_model([a.sequence for a in authors], order=cfg.order,
                         weights=cfg.weights, vocabulary=vocab)
     series = fp.nss_series(model, sequences, cfg.q)
+    # kept before the pairwise stage: moved after it, evaluate ran no faster, at times slower
     traces = sidechannel.simulate_pool(series, len(vocab), cfg.channel)
     records, _ = fp.collect_pairwise_distances(
         series, sequences, threshold=cfg.variability_threshold,
@@ -224,8 +213,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    cfg = _resolve(args)
+def cmd_bench(args, cfg) -> int:
     samples = sampler.bench_filter(args.variant, args.vocab_size, args.trials, cfg.seed,
                                    p=cfg.q)
     summary = sampler.summarize_bench(samples)
@@ -239,8 +227,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    _resolve(args)
+def cmd_report(args, cfg) -> int:
     if args.evaluation:
         for line in read_lines(args.evaluation):
             if line.startswith("# total="):
@@ -342,7 +329,7 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _resolve(args))
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2

@@ -69,12 +69,9 @@ def _finite(value) -> bool:
 
 @dataclass(frozen=True)
 class RawTrace:
-    """Timestamped hit stream. ``hit_steps[i]`` is ground-truth metadata
-    recording which step produced ``hit_times[i]``; reconstruction does not
-    use it."""
+    """Timestamped hit stream of a trace of ``true_step_count`` steps."""
 
     seq_id: str
-    hit_steps: np.ndarray
     hit_times: np.ndarray
     true_step_count: int
 
@@ -193,8 +190,7 @@ def simulate_trace(nss: Nss, vocab_size: int, cfg: ChannelConfig) -> RawTrace:
     times += jitter
     # a fresh array either way: the trace pins no draws buffer
     hit_times = np.maximum.accumulate(times) if np.any(times[1:] < times[:-1]) else times.copy()
-    return RawTrace(nss.seq_id, np.repeat(np.arange(iters.size, dtype=np.int64), counts),
-                    hit_times, nss.length)
+    return RawTrace(nss.seq_id, hit_times, nss.length)
 
 
 def segment_and_reconstruct(raw: RawTrace, cfg: ChannelConfig, vocab_size: int) -> Trace:

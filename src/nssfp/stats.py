@@ -173,10 +173,9 @@ def uniqueness_radius(sample: PairwiseDistanceSample,
     With eps at its default of 1e-18, the probability that a non-similar
     fingerprint falls inside the radius is negligible.
     """
-    if not 0.0 < eps <= 0.5:
-        raise UsageError(f"eps must be in (0, 0.5], got {eps}")
+    z = normal_quantile(eps)  # refuses an eps out of range before the fit
     log_mu, log_sigma = fit_lognormal(sample.distances)
-    radius = math.exp(log_mu + log_sigma * normal_quantile(eps))
+    radius = math.exp(log_mu + log_sigma * z)
     return UniquenessModel(length=sample.length, log_mu=log_mu, log_sigma=log_sigma,
                            epsilon=eps, radius=radius)
 

@@ -652,6 +652,52 @@ def test_report_resolves_its_configuration(tmp_path, capsys, good_inputs):
     assert len(errors) == 1 and "missing.cfg" in errors[0], errors
 
 
+# arguments with which each subcommand runs to completion on the good inputs
+COMMAND_RUNS = {
+    "synth": ["--authors", "2", "--vocab-size", "60", "--target-words", "5"],
+    "train": ["--corpus", "{corpus}"],
+    "nss": ["--model", "{model}", "--seqs", "{seqs}"],
+    "analyze": ["--nss", "{nss}", "--seqs", "{seqs}"],
+    "fit": ["--distances", "{dist}"],
+    "simulate": ["--nss", "{nss}", "--vocab-size", "9"],
+    "match": ["--nss", "{nss}", "--traces", "{trc}", "--fit", "{fit}"],
+    "evaluate": ["--corpus", "{authors}", "--length", "160", "--threshold", "400",
+                 "--epsilon", "1e-6", "--capture-fraction", "0.05"],
+    "bench": ["--vocab-size", "64", "--trials", "1"],
+    "report": ["--fit", "{fit}"],
+}
+
+
+def _command_argv(command, good_inputs, corpus_file, *extra):
+    paths = {**good_inputs, "authors": corpus_file}
+    return [command, *(a.format(**paths) for a in COMMAND_RUNS[command]), *map(str, extra)]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_command_logs_its_configuration_once_first(tmp_path, capsys, good_inputs,
+                                                         corpus_file, command):
+    argv = _command_argv(command, good_inputs, corpus_file, "--seed", 3,
+                         "--out", tmp_path / "out")
+    assert main(argv) == 0
+    err = capsys.readouterr().err.splitlines()
+    keys = [line.split("=", 1)[0] for line in PipelineConfig().resolved_lines()]
+    assert [line.split("=", 1)[0] for line in err[:len(keys)]] == [f"# config {k}"
+                                                                   for k in keys]
+    assert "# config seed=3" in err[:len(keys)]
+    assert not [line for line in err[len(keys):] if line.startswith("# config ")]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_bad_config_value_ends_every_command_in_one_error_line(tmp_path, capsys, good_inputs,
+                                                               corpus_file, command):
+    cfg, out = tmp_path / "bad.cfg", tmp_path / "out"
+    cfg.write_text("q=x\n")
+    assert main(_command_argv(command, good_inputs, corpus_file, "--config", cfg,
+                              "--out", out)) == 1
+    assert _errors(capsys) == ["error: bad value for q: 'x'"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, source, value", [
     ("nss", "flag", -3), ("nss", "config", 0), ("evaluate", "flag", 0),
     ("evaluate", "config", -1)])

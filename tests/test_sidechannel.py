@@ -64,7 +64,6 @@ def test_simulation_is_deterministic():
     a = simulate_trace(nss, 4000, cfg)
     b = simulate_trace(nss, 4000, cfg)
     assert np.array_equal(a.hit_times, b.hit_times)
-    assert np.array_equal(a.hit_steps, b.hit_steps)
     # a different sequence id gets an independent stream
     c = simulate_trace(_nss(np.full(30, 1500), "other"), 4000, cfg)
     assert not np.array_equal(a.hit_times, c.hit_times)
@@ -74,8 +73,8 @@ def test_capture_fraction_hits():
     # 10000 iterations at 1.1% capture: about 110 hits per step
     cfg = ChannelConfig(rng_seed=5)
     nss = _nss(np.full(200, 2000))
-    raw = simulate_trace(nss, 12000, cfg)
-    counts = np.bincount(raw.hit_steps, minlength=200)
+    counts = segment_and_reconstruct(simulate_trace(nss, 12000, cfg), cfg,
+                                     12000).per_step_hit_counts
     assert counts.mean() == pytest.approx(110, rel=0.05)
 
 
@@ -340,27 +339,26 @@ def test_trace_rejects_non_finite_sizes(bad):
 # check the array code bit for bit ---------------------------------------
 
 def _loop_simulate_trace(nss, vocab_size, cfg, rng=None):
+    """(hit count per step, hit times) of the trace, one step at a time."""
     rng = trace_rng(cfg, nss.seq_id) if rng is None else rng
     cpi = cfg.cycles_per_iteration
-    steps, times = [], []
+    counts, times = [], []
     cursor = 0.0
-    for t, size in enumerate(nss.sizes):
+    for size in nss.sizes:
         iters = int(vocab_size - size)
         dilate = cfg.outlier_scale if rng.random() < cfg.outlier_rate else 1.0
         k = int(rng.binomial(iters, cfg.capture_fraction)) if iters > 0 else 0
+        counts.append(k)
         if k > 0:
             positions = np.sort(rng.random(k)) * iters
             ts = cursor + (positions + 1.0) * cpi * dilate
             ts += rng.normal(0.0, cfg.hit_jitter_std, k) * dilate
             np.maximum.accumulate(ts, out=ts)
-            steps.append(np.full(k, t, dtype=np.int64))
             times.append(ts)
         cursor += iters * cpi * dilate + cfg.segment_gap_cycles
-    if not steps:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    hit_times = np.concatenate(times)
+    hit_times = np.concatenate(times) if times else np.empty(0, dtype=np.float64)
     np.maximum.accumulate(hit_times, out=hit_times)
-    return np.concatenate(steps), hit_times
+    return np.array(counts, dtype=np.int64), hit_times
 
 
 def _segment_hits(times, cfg):
@@ -425,8 +423,8 @@ def test_simulator_equals_step_loop(data, vocab, capture, jitter, outlier, gap, 
                         outlier_rate=outlier, segment_gap_cycles=gap, rng_seed=seed)
     nss = _nss(sizes, seq_id=f"s{seed}")
     raw = simulate_trace(nss, vocab, cfg)
-    steps, times = _loop_simulate_trace(nss, vocab, cfg)
-    assert _same(raw.hit_steps, steps) and _same(raw.hit_times, times)
+    _, times = _loop_simulate_trace(nss, vocab, cfg)
+    assert _same(raw.hit_times, times)
     trace = segment_and_reconstruct(raw, cfg, vocab)
     counts, durations = _loop_counts_and_durations(times, len(sizes), cfg)
     assert _same(trace.per_step_hit_counts, counts)
@@ -453,10 +451,10 @@ def test_simulator_grows_its_hit_buffer(monkeypatch):
     monkeypatch.setattr(sidechannel, "trace_rng",
                         lambda cfg, seq_id: _EveryIterationHit(trace_rng(cfg, seq_id)))
     raw = simulate_trace(nss, 1000, cfg)
-    steps, times = _loop_simulate_trace(nss, 1000, cfg,
-                                        rng=_EveryIterationHit(trace_rng(cfg, nss.seq_id)))
-    assert raw.hit_times.size == int(np.sum(1000 - nss.sizes))
-    assert _same(raw.hit_steps, steps) and _same(raw.hit_times, times)
+    counts, times = _loop_simulate_trace(nss, 1000, cfg,
+                                         rng=_EveryIterationHit(trace_rng(cfg, nss.seq_id)))
+    assert raw.hit_times.size == int(np.sum(1000 - nss.sizes)) == counts.sum()
+    assert _same(raw.hit_times, times)
 
 
 class _NumpySpy:
@@ -492,15 +490,14 @@ def test_simulator_branches_equal_step_loop(monkeypatch, outlier, dilated, jitte
     monkeypatch.setattr(sidechannel, "np", spy)
     raw = simulate_trace(nss, 300, cfg)
     monkeypatch.undo()
-    steps, times = _loop_simulate_trace(nss, 300, cfg)
-    assert _same(raw.hit_steps, steps) and _same(raw.hit_times, times)
-    scaled, with_hits = spy.dilated_steps.size, np.unique(steps).size
+    counts, times = _loop_simulate_trace(nss, 300, cfg)
+    assert _same(raw.hit_times, times)
+    scaled, with_hits = spy.dilated_steps.size, np.count_nonzero(counts)
     assert {"none": scaled == 0, "some": 0 < scaled < with_hits,
             "all": scaled == with_hits}[dilated]
     assert spy.running_maxes == running_max
-    # the trace holds its own arrays, no view of the simulator's draws buffer
+    # the trace holds its own times, no view of the simulator's draws buffer
     assert raw.hit_times.base is None and raw.hit_times.flags.owndata
-    assert raw.hit_steps.base is None and raw.hit_steps.flags.owndata
 
 
 @st.composite
@@ -534,7 +531,7 @@ def _hit_streams(draw):
 def test_reconstruction_equals_segment_loop(stream):
     gap, n, times = stream
     cfg = ChannelConfig(capture_fraction=0.25, segment_gap_cycles=gap)
-    raw = RawTrace("x", np.zeros(times.size, dtype=np.int64), times, n)
+    raw = RawTrace("x", times, n)
     trace = segment_and_reconstruct(raw, cfg, 50)
     counts, durations = _loop_counts_and_durations(times, n, cfg)
     assert _same(trace.per_step_hit_counts, counts)

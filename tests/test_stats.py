@@ -90,6 +90,12 @@ def test_degenerate_fit_rejected():
         uniqueness_radius(PairwiseDistanceSample(10, equal), eps=1e-6)
 
 
+def test_uniqueness_radius_refuses_eps_before_the_fit():
+    # 5 distances are too few to fit; the eps error comes first
+    with pytest.raises(UsageError, match=r"eps must be in \(0, 0.5\], got 0"):
+        uniqueness_radius(PairwiseDistanceSample(10, np.arange(1.0, 6.0)), eps=0)
+
+
 def test_distance_sample_validation():
     with pytest.raises(ValidationError):
         PairwiseDistanceSample(10, np.array([1.0, 0.0]))
