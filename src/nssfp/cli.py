@@ -1,7 +1,8 @@
 """Command-line pipeline driver.
 
-One subcommand per pipeline stage, ``cmd_<name>(args, cfg)``; ``main`` logs the
-fully resolved ``cfg`` to stderr before the command starts. Every command reads
+One subcommand per pipeline stage, ``cmd_<name>(args, cfg)``, which returns nothing
+and fails only by raising; ``main`` logs the fully resolved ``cfg`` to stderr
+before the command starts and alone sets the exit status. Every command reads
 and writes only the documented interchange formats and embeds ``cfg`` in output
 headers, so any two runs with the same inputs and seed are byte-identical.
 """
@@ -59,16 +60,15 @@ def _load_inputs(args, cfg):
                                           min_words=args.min_words)
 
 
-def cmd_synth(args, cfg) -> int:
+def cmd_synth(args, cfg):
     corpus = corpus_mod.synthesize_corpus(
         authors=args.authors, seed=cfg.seed, vocab_size=args.vocab_size,
         target_words=args.target_words)
     corpus_mod.save_corpus(args.out, corpus)
     print(f"wrote {len(corpus.posts)} posts for {args.authors} authors to {args.out}")
-    return 0
 
 
-def cmd_train(args, cfg) -> int:
+def cmd_train(args, cfg):
     vocab, authors = _load_inputs(args, cfg)
     model = train_model([a.sequence for a in authors], order=cfg.order,
                         weights=cfg.weights, vocabulary=vocab)
@@ -78,10 +78,9 @@ def cmd_train(args, cfg) -> int:
                                     vocab_size=len(vocab))
     print(f"trained order-{cfg.order} model over {len(authors)} sequences, "
           f"vocab {len(vocab)}, id {model.model_id}; wrote {args.out}")
-    return 0
 
 
-def cmd_nss(args, cfg) -> int:
+def cmd_nss(args, cfg):
     model = load_model(args.model)
     if args.seqs:
         sequences, _ = interchange.read_sequences(args.seqs)
@@ -99,10 +98,9 @@ def cmd_nss(args, cfg) -> int:
     interchange.write_nss(args.out, series, header_lines=cfg.resolved_lines())
     print(f"wrote {len(series)} series of lengths "
           f"{sorted({x.length for x in series})} to {args.out}")
-    return 0
 
 
-def cmd_analyze(args, cfg) -> int:
+def cmd_analyze(args, cfg):
     series, _ = interchange.read_nss(args.nss)
     sequences, _ = interchange.read_sequences(args.seqs)
     by_id = {s.id: s for s in sequences}
@@ -122,10 +120,9 @@ def cmd_analyze(args, cfg) -> int:
                                 header_lines=cfg.resolved_lines())
     print(f"{len(variable_ids)}/{len(series)} variable sequences, "
           f"{len(records)} pair distances written to {args.out}")
-    return 0
 
 
-def cmd_fit(args, cfg) -> int:
+def cmd_fit(args, cfg):
     records, n = interchange.read_distances(args.distances)
     uniq = stats.uniqueness_radius(stats.PairwiseDistanceSample.from_records(n, records),
                                    eps=cfg.epsilon)
@@ -139,7 +136,6 @@ def cmd_fit(args, cfg) -> int:
         err = matcher.fit_error_bound(series, kept, uniq)
     stats.write_fit_report(args.out, uniq, err, header_lines=cfg.resolved_lines())
     print(_fit_line(uniq, err))
-    return 0
 
 
 def _fit_line(uniq, err) -> str:
@@ -147,7 +143,7 @@ def _fit_line(uniq, err) -> str:
     return f"N={uniq.length} U={uniq.radius!r} d={d!r} tau={tau!r}"
 
 
-def cmd_simulate(args, cfg) -> int:
+def cmd_simulate(args, cfg):
     check_vocab_size(args.vocab_size)
     series, _ = interchange.read_nss(args.nss)
     traces = sidechannel.simulate_pool(series, args.vocab_size, cfg.channel)
@@ -155,10 +151,9 @@ def cmd_simulate(args, cfg) -> int:
                              header_lines=cfg.resolved_lines())
     print(f"simulated {len(traces)} traces at capture="
           f"{cfg.channel.capture_fraction} to {args.out}")
-    return 0
 
 
-def cmd_match(args, cfg) -> int:
+def cmd_match(args, cfg):
     series, _ = interchange.read_nss(args.nss)
     uniq, err = stats.read_fit_report(args.fit)
     n = series[0].length
@@ -178,10 +173,9 @@ def cmd_match(args, cfg) -> int:
     print("\n".join(lines))
     if args.out:
         write_records(args.out, lines)
-    return 0
 
 
-def cmd_evaluate(args, cfg) -> int:
+def cmd_evaluate(args, cfg):
     vocab, authors = _load_inputs(args, cfg)
     n = cfg.sequence_length
     sequences = [a.sequence.truncated(n) for a in authors if len(a.sequence) >= n]
@@ -210,10 +204,9 @@ def cmd_evaluate(args, cfg) -> int:
     print(f"recall={report.recall!r} false_positives={report.false_positives} "
           f"variable={report.variable_count}/{report.total} "
           f"dropped={report.filtered_noisy}")
-    return 0
 
 
-def cmd_bench(args, cfg) -> int:
+def cmd_bench(args, cfg):
     samples = sampler.bench_filter(args.variant, args.vocab_size, args.trials, cfg.seed,
                                    p=cfg.q)
     summary = sampler.summarize_bench(samples)
@@ -224,21 +217,18 @@ def cmd_bench(args, cfg) -> int:
               f"size_time_corr={info['size_time_correlation']:.4f}")
     if "slowdown" in summary:
         print(f"slowdown={summary['slowdown']:.3f}x")
-    return 0
 
 
-def cmd_report(args, cfg) -> int:
+def cmd_report(args, cfg):
     if args.evaluation:
         for line in read_lines(args.evaluation):
             if line.startswith("# total="):
                 print(line[2:].rstrip())
             elif line and not line.startswith("#"):
                 print(line.rstrip())
-        return 0
-    if args.fit:
+    elif args.fit:
         print(_fit_line(*stats.read_fit_report(args.fit)))
-        return 0
-    if args.distances:
+    elif args.distances:
         if not args.out:
             raise UsageError("histogram output needs --out")
         records, n = interchange.read_distances(args.distances)
@@ -249,13 +239,12 @@ def cmd_report(args, cfg) -> int:
             f"{c!r},{d!r}" for chunk in chunks for c, d in chunk)),
             header_lines=[f"smoothed histogram of {len(records)} distances, N={n}"])
         print(f"wrote {args.buckets}-bucket histogram to {args.out}")
-        return 0
-    if args.bench:
+    elif args.bench:
         summary = sampler.summarize_bench(sampler.read_bench_report(args.bench))
         for key, value in sorted(summary.items()):
             print(f"{key}: {value}")
-        return 0
-    raise UsageError("report needs one of --evaluation/--fit/--distances/--bench")
+    else:
+        raise UsageError("report needs one of --evaluation/--fit/--distances/--bench")
 
 
 _FORMAT = ("--format", dict(default=corpus_mod.TSV_POSTS,
@@ -329,13 +318,14 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
-        return args.func(args, _resolve(args))
+        args.func(args, _resolve(args))
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
     except (NssfpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -58,27 +58,13 @@ class PipelineConfig:
         return sorted(lines)
 
 
-_PIPELINE_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+_PIPELINE_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig) if f.name != "channel"}
 _CHANNEL_FIELDS = {f.name: f for f in dataclasses.fields(ChannelConfig)}
 
 
 def parse_weights(raw: str) -> tuple[float, ...]:
     """Comma-separated interpolation weights, unigram first; ValueError if bad."""
     return tuple(float(v) for v in raw.split(","))
-
-
-def _convert(base: str, raw: str):
-    try:
-        if base == "weights":
-            return parse_weights(raw)
-        f = _PIPELINE_FIELDS.get(base) or _CHANNEL_FIELDS[base]
-        if f.type is int:
-            return int(raw)
-        if f.type is float:
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigurationError(f"bad value for {base}: {raw!r}") from exc
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -100,31 +86,28 @@ def env_overrides() -> dict[str, str]:
 def resolve_config(file_values: dict[str, str] | None = None,
                    env_values: dict[str, str] | None = None,
                    flag_values: dict[str, object] | None = None) -> PipelineConfig:
-    """Merge the three sources, lowest precedence first, and validate. The
-    channel's seed is always ``seed``: a ``channel.rng_seed`` key is refused."""
+    """Merge the three sources, lowest precedence first, and validate. Every key
+    must name a field, ``channel.<field>`` for the channel's; a string value is
+    parsed by its field's type, any other taken as given, and a None flag is
+    unset. The channel's seed is always ``seed``: ``channel.rng_seed`` is refused."""
     flag_values = {k: v for k, v in (flag_values or {}).items() if v is not None}
-    for source in (file_values or {}, env_values or {}, flag_values):
-        if "channel.rng_seed" in source:  # resolved from seed below
-            raise ConfigurationError("channel.rng_seed follows seed; set seed instead")
-    merged: dict[str, object] = {}
-    for source in (file_values or {}, env_values or {}):
-        for key, raw in source.items():
-            base = key.split(".", 1)[-1] if key.startswith("channel.") else key
-            if key.startswith("channel."):
-                if base not in _CHANNEL_FIELDS:
-                    raise ConfigurationError(f"unknown channel option {base!r}")
-            elif base not in _PIPELINE_FIELDS or base == "channel":
-                raise ConfigurationError(f"unknown option {key!r}")
-            merged[key] = _convert(base, str(raw))
-    merged.update(flag_values)
-
-    channel_kwargs = {}
-    pipeline_kwargs = {}
-    for key, value in merged.items():
-        if key.startswith("channel."):
-            channel_kwargs[key.split(".", 1)[1]] = value
-        else:
-            pipeline_kwargs[key] = value
+    sources = (file_values or {}, env_values or {}, flag_values)
+    if any("channel.rng_seed" in source for source in sources):  # resolved from seed below
+        raise ConfigurationError("channel.rng_seed follows seed; set seed instead")
+    channel_kwargs, pipeline_kwargs = {}, {}
+    for key, value in (item for source in sources for item in source.items()):
+        name = key.removeprefix("channel.")
+        fields, kwargs = ((_CHANNEL_FIELDS, channel_kwargs) if name != key
+                          else (_PIPELINE_FIELDS, pipeline_kwargs))
+        if name not in fields:
+            raise ConfigurationError(f"unknown channel option {name!r}" if name != key
+                                     else f"unknown option {key!r}")
+        if isinstance(value, str):
+            try:
+                value = parse_weights(value) if name == "weights" else fields[name].type(value)
+            except ValueError as exc:
+                raise ConfigurationError(f"bad value for {name}: {value!r}") from exc
+        kwargs[name] = value
     try:
         cfg = PipelineConfig(channel=ChannelConfig(**channel_kwargs), **pipeline_kwargs)
     except TypeError as exc:

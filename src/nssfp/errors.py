@@ -137,13 +137,15 @@ def _read_series_records(path, header: str, types: dict, fields: tuple, tag: str
     records = read_records(path, ("seq_id", *(n.replace(" ", "_") for n, _ in fields)),
                            "\t", header, types)
     meta = next(records)
-    rows: dict[str, list] = {}
+    rows: dict[str, tuple[int, dict]] = {}  # id: (its first line, values by index)
+    repeat = None
     for lineno, (key, index, *texts) in records:
         if key not in rows:
             try:
                 check_id(key, "sequence")
             except ValidationError as exc:
                 raise ParseError(str(exc), path=str(path), line=lineno) from None
+            rows[key] = (lineno, {})
         index = parse_field(int, index, what, path, lineno)
         if not texts[-1].startswith(tag):
             raise ParseError(f"unknown payload {texts[-1]!r}", path=str(path), line=lineno)
@@ -158,27 +160,21 @@ def _read_series_records(path, header: str, types: dict, fields: tuple, tag: str
             if not integer and not np.isfinite(value):
                 raise ParseError(f"non-finite {name}", path=str(path), line=lineno)
             values.append(value)
-        rows.setdefault(key, []).append((index, lineno, values))
-    series, faults = [], []
-    for key, run in rows.items():
-        index, lines, values = zip(*run)
-        n = len(index)
-        if index != tuple(range(n)):  # out of order, repeated or with a gap
-            # by index, then line: each repeat comes right after the record it repeats
-            index, lines, values = zip(*sorted(run))
-            repeats = [(line, i) for i, j, line in zip(index, index[1:], lines[1:]) if i == j]
-            if repeats:
-                line, i = min(repeats)
-                faults.append(((0, line), f"{what} {i} of {key!r} repeats"))
-            elif index != tuple(range(n)):
-                gap = f"{what}s of {key!r} are not dense 0..{n - 1}"
-                faults.append(((1, run[0][1]), gap))
-        series.append((key, tuple(zip(*values))))  # one tuple per value field
-    if faults:
-        (_, line), message = min(faults)
-        raise ParseError(message, path=str(path), line=line)
-    return meta, [key for key, _ in series], [
-        [np.array(run[f], dtype=dtype) for _, run in series] for f, (_, dtype) in enumerate(kinds)]
+        by_index = rows[key][1]
+        if index in by_index and repeat is None:  # raised after the read: a bad field wins
+            repeat = ParseError(f"{what} {index} of {key!r} repeats", path=str(path), line=lineno)
+        by_index[index] = values
+    if repeat:
+        raise repeat
+    for key, (line, by_index) in rows.items():
+        n = len(by_index)
+        if min(by_index) != 0 or max(by_index) != n - 1:  # n distinct ints: a gap
+            raise ParseError(f"{what}s of {key!r} are not dense 0..{n - 1}",
+                             path=str(path), line=line)
+    runs = [list(zip(*(by_index[i] for i in range(len(by_index)))))  # one tuple per field
+            for _, by_index in rows.values()]
+    return meta, list(rows), [[np.array(run[f], dtype=dtype) for run in runs]
+                              for f, (_, dtype) in enumerate(kinds)]
 
 
 def _read_columns(path, header: str, types: dict, dtypes: tuple, tag: str = ""):

@@ -7,7 +7,7 @@ from the candidate's fingerprint, so a match is never a false positive as
 long as both fitted bounds hold.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class MatchResult:
     threshold_used: float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvaluationReport:
     total: int
     variable_count: int
@@ -45,7 +45,7 @@ class EvaluationReport:
     true_matches: int
     false_positives: int
     recall: float
-    details: list[dict] = field(default_factory=list)
+    details: list[dict]
 
 
 # a distance whose squares overflow is inf, which no threshold accepts
@@ -184,38 +184,30 @@ def evaluate(corpus_nss: list[Nss], sequences: list[Sequence], traces: list[Trac
     if any(x.length != n for x in corpus_nss):
         raise UsageError(f"all NSS must reach length {n} before evaluation")
 
-    by_id = {s.id: i for i, s in enumerate(sequences)}
-    report = EvaluationReport(total=len(corpus_nss), variable_count=0,
-                              filtered_noisy=len(traces) - len(kept), true_matches=0,
-                              false_positives=0, recall=0.0)
-    for idx, x in enumerate(corpus_nss):
+    by_id = {s.id: s for s in sequences}
+    rows = []
+    for x, own, trace in zip(corpus_nss, sequences, traces):
         var = variability(x, variability_threshold)
-        error = measurement_error(x, traces[idx])
         result = match(x, kept, models, variability_threshold)
+        hit = result.trace_id if result.verdict == MATCHED else None
         own_kept = x.seq_id in kept_ids
-        false_positive = False
-        if result.verdict == MATCHED and result.trace_id != x.seq_id:
-            other = sequences[by_id[result.trace_id]]
-            false_positive = not similar(sequences[idx], other, similarity_window)
-        if var.is_variable and own_kept:
-            report.variable_count += 1
-            if result.verdict == MATCHED and result.trace_id == x.seq_id and result.offset == 0:
-                report.true_matches += 1
-        if false_positive:
-            report.false_positives += 1
-        matched = result.trace_id if result.verdict == MATCHED else result.verdict
-        report.details.append({
+        rows.append({
             "seq_id": x.seq_id,
             "variability": var.variability,
             "is_variable": var.is_variable,
-            "measurement_error": error,
-            "matched": matched,
+            "measurement_error": measurement_error(x, trace),
+            "matched": result.verdict if hit is None else hit,
             "own_trace_kept": own_kept,
-            "false_positive": false_positive,
+            "true_match": var.is_variable and own_kept and hit == x.seq_id and result.offset == 0,
+            "false_positive": hit not in (None, x.seq_id)
+            and not similar(own, by_id[hit], similarity_window),
         })
-    report.recall = (report.true_matches / report.variable_count
-                     if report.variable_count else float("nan"))
-    return report
+    variable = sum(row["is_variable"] and row["own_trace_kept"] for row in rows)
+    true_matches = sum(row["true_match"] for row in rows)
+    return EvaluationReport(
+        total=len(rows), variable_count=variable, filtered_noisy=len(traces) - len(kept),
+        true_matches=true_matches, false_positives=sum(row["false_positive"] for row in rows),
+        recall=true_matches / variable if variable else float("nan"), details=rows)
 
 
 def write_evaluation_report(path, report: EvaluationReport, header_lines=()):

@@ -8,10 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nssfp import sidechannel
+from nssfp import cli, sidechannel
 from nssfp.cli import COMMANDS, build_parser, main
 from nssfp.config import PipelineConfig, env_overrides, read_config_file, resolve_config
 from nssfp.errors import ConfigurationError
+from nssfp.model import load_model
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +402,33 @@ def test_config_rejects_unknown_keys():
         resolve_config({"q": "not_a_number"}, {}, {})
 
 
+# a flag key follows the rule of a file or environment key
+@pytest.mark.parametrize("sources, message", [
+    (({}, {}, {"bogus": 1}), "unknown option 'bogus'"),
+    (({}, {}, {"channel": 1}), "unknown option 'channel'"),
+    (({}, {}, {"channel.bogus": 1}), "unknown channel option 'bogus'"),
+    (({}, {}, {"q": "x"}), "bad value for q: 'x'"),
+    (({}, {}, {"weights": "a,b"}), "bad value for weights: 'a,b'"),
+    (({}, {}, {"channel.segment_gap_cycles": "1.5"}), "bad value for segment_gap_cycles: '1.5'"),
+], ids=["flag", "flag-channel", "flag-channel-field", "flag-str",
+        "flag-weights", "flag-channel-int"])
+def test_resolve_config_checks_every_source_alike(sources, message):
+    with pytest.raises(ConfigurationError) as exc:
+        resolve_config(*sources)
+    assert str(exc.value) == message
+
+
+def test_resolve_config_parses_strings_and_takes_other_values_as_given():
+    cfg = resolve_config({"q": 0.5, "channel.segment_gap_cycles": 7},
+                         {"weights": "0.2,0.3,0.5"},
+                         {"seed": "4", "channel.capture_fraction": "0.25", "order": None})
+    assert (cfg.q, cfg.weights, cfg.seed, cfg.order) == (0.5, (0.2, 0.3, 0.5), 4, 3)
+    assert (cfg.channel.segment_gap_cycles, cfg.channel.capture_fraction) == (7, 0.25)
+    assert type(cfg.seed) is int and cfg.channel.rng_seed == 4
+    with pytest.raises(ConfigurationError):  # a wrongly typed value that is not a string
+        resolve_config(flag_values={"sequence_length": [5]})
+
+
 def test_resolve_config_seeds_the_channel_from_seed():
     assert resolve_config({}, {}, {"seed": 9}).channel.rng_seed == 9
     assert resolve_config({"seed": "4"}).channel.rng_seed == 4
@@ -696,6 +724,75 @@ def test_bad_config_value_ends_every_command_in_one_error_line(tmp_path, capsys,
                               "--out", out)) == 1
     assert _errors(capsys) == ["error: bad value for q: 'x'"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_command_returns_nothing_and_main_exits_zero(tmp_path, capsys, monkeypatch,
+                                                           good_inputs, corpus_file, command):
+    returned, command_fn = [], getattr(cli, f"cmd_{command}")
+    monkeypatch.setattr(cli, f"cmd_{command}",
+                        lambda args, cfg: returned.append(command_fn(args, cfg)))
+    assert main(_command_argv(command, good_inputs, corpus_file, "--out", tmp_path / "out")) == 0
+    assert returned == [None]
+
+
+# usage faults that each command finds after its arguments parse
+@pytest.mark.parametrize("argv, message", [
+    (["nss", "--model", "{model}"], "nss needs --corpus or --seqs"),
+    (["nss", "--model", "{model}", "--seqs", "{seqs}", "--truncate", "--length", "3"],
+     "no sequence reaches length 3"),
+    (["analyze", "--nss", "{nss}", "--seqs", "{other_seqs}"], "sequences missing for ['s']..."),
+    (["fit", "--distances", "{dist}", "--traces", "{trc}"],
+     "--traces requires --nss for ground truth"),
+    (["evaluate", "--corpus", "{corpus}", "--length", "4"],
+     "need >= 2 sequences of length 4, got 0"),
+    (["report", "--distances", "{dist}"], "histogram output needs --out"),
+    (["report"], "report needs one of --evaluation/--fit/--distances/--bench"),
+], ids=["nss-no-input", "nss-too-short", "analyze-missing-id", "fit-traces-no-nss",
+        "evaluate-too-short", "report-histogram-no-out", "report-no-mode"])
+def test_command_usage_fault_ends_in_one_usage_line(tmp_path, capsys, good_inputs,
+                                                    argv, message):
+    other_seqs, out = tmp_path / "other.seq", tmp_path / "out"
+    other_seqs.write_text("#seq v1 vocab_size=9\nt\t0\t1,2\n")
+    paths = {**good_inputs, "other_seqs": other_seqs}
+    argv = [a.format(**paths) for a in argv]
+    assert main(argv + ([] if argv[:2] == ["report", "--distances"] else ["--out", str(out)])) == 2
+    assert _errors(capsys) == [f"error: usage: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["config", "env"])
+def test_weights_from_config_or_env_reach_the_model(tmp_path, capsys, monkeypatch,
+                                                    good_inputs, source):
+    model, argv = tmp_path / "model.json", ["train", "--corpus", str(good_inputs["corpus"])]
+    if source == "config":
+        (tmp_path / "run.cfg").write_text("weights=0.2,0.3,0.5\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        monkeypatch.setenv("NSSFP_WEIGHTS", "0.2,0.3,0.5")
+    assert main(argv + ["--out", str(model)]) == 0
+    assert "# config weights=0.2,0.3,0.5" in capsys.readouterr().err.splitlines()
+    assert load_model(model).weights == (0.2, 0.3, 0.5)
+
+
+@pytest.mark.parametrize("order", ["3.0", "true"])
+def test_model_order_that_is_not_an_int_ends_in_one_error_line(tmp_path, capsys, good_inputs,
+                                                               order):
+    model, out = tmp_path / "model.json", tmp_path / "out.nss"
+    model.write_text(_model_json().replace('"order":2', f'"order":{order}'))
+    assert main(["nss", "--model", str(model), "--seqs", str(good_inputs["seqs"]),
+                 "--out", str(out)]) == 1
+    errors = _errors(capsys)
+    assert len(errors) == 1 and errors[0].startswith(f"error: {model}: malformed model file ("), \
+        errors
+    assert not out.exists()
+
+
+def test_bench_one_variant_prints_its_line_and_no_slowdown(tmp_path, capsys):
+    assert main(["bench", "--variant", "vulnerable", "--vocab-size", "64", "--trials", "2",
+                 "--out", str(tmp_path / "bench.csv")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("vulnerable: median_loop_ns="), out
 
 
 @pytest.mark.parametrize("command, source, value", [

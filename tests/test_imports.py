@@ -1,15 +1,17 @@
 """No module of the package or the tests imports a name it never uses, no
-private module-level name of the package goes unread, and the top level
-exports only what the CLI or the README uses."""
+private module-level name of the package goes unread, no public one is read by
+tests alone, and the top level exports only what the CLI or the README uses."""
 
 import ast
 import inspect
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import nssfp
+from nssfp.cli import COMMANDS
 from nssfp.errors import NssfpError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,6 +105,66 @@ def test_no_unread_private_names():
 ])
 def test_unread_private_names_finds_each_orphan(sources, unread):
     assert unread_private_names(sources) == unread
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _reads(tree):
+    """Each name that ``tree`` reads, as a variable or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def unread_public_names(sources: dict[str, str], words: set[str]) -> list[tuple[str, int, str]]:
+    """``(file, line, name)`` of each public module-level function or class, or
+    method, of ``sources`` (file name to text) that their code reads only inside
+    its own definition, if at all, and that ``words`` does not hold."""
+    trees = {file: ast.parse(source) for file, source in sources.items()}
+    read = Counter(name for tree in trees.values() for name in _reads(tree))
+    unread = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                methods = [n for n in node.body if isinstance(node, ast.ClassDef)
+                           and isinstance(n, FUNCTIONS)]
+                unread += [(file, d.lineno, d.name) for d in [node, *methods]
+                           if not d.name.startswith("_") and d.name not in words
+                           and read[d.name] <= Counter(_reads(d))[d.name]]
+    return unread
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # an API that only tests use either gets a use in the pipeline or is deleted;
+    # perfbench's tracer names what it wraps in strings, and build_parser looks
+    # each cmd_<name> up by name
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "nssfp").glob("*.py"))}
+    words = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    words |= {f"cmd_{name}" for name in COMMANDS}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        words |= set(_reads(tree)) | {word for n in ast.walk(tree) if isinstance(n, ast.Constant)
+                                      and isinstance(n.value, str)
+                                      for word in re.findall(r"\w+", n.value)}
+    assert not unread_public_names(sources, words)
+
+
+@pytest.mark.parametrize("sources, words, unread", [
+    ({"a.py": "def f(): pass\n"}, set(), [("a.py", 1, "f")]),
+    ({"a.py": "def f(): pass\n", "b.py": "from a import f\nf()\n"}, set(), []),
+    ({"a.py": "def f(): pass\n"}, {"f"}, []),
+    ({"a.py": "def f(n):\n    return f(n - 1)\n"}, set(), [("a.py", 1, "f")]),
+    ({"a.py": "class C:\n    def m(self): pass\n    def n(self): self.m()\nC()\n"}, set(),
+     [("a.py", 3, "n")]),
+    ({"a.py": "class C:\n    def _m(self): pass\ndef _g(): pass\nC()\n"}, set(), []),
+    ({"a.py": "def f():\n    def g(): pass\nf()\n"}, set(), []),
+])
+def test_unread_public_names_finds_each_orphan(sources, words, unread):
+    assert unread_public_names(sources, words) == unread
 
 
 def unserved_exports(exports: dict[str, object], cli_source: str, readme: str) -> list[str]:

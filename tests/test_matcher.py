@@ -274,6 +274,23 @@ def test_evaluate_excludes_similar_duplicates(rng):
     assert report.true_matches == len(series) - 1
 
 
+def test_evaluate_counts_a_non_similar_duplicate_as_false_positive(rng):
+    sequences, series = _corpus(rng, n_seqs=6)
+    # u0's sizes under another text: its match into u0's trace is a false positive
+    sequences.append(Sequence(id="dup", words=rng.integers(0, 50, 120)))
+    series.append(Nss("dup", 0.9, "m", series[0].sizes.copy()))
+    cfg = ChannelConfig(capture_fraction=1.0, hit_jitter_std=0.0,
+                        outlier_rate=0.0, rng_seed=4)
+    models = _models(120, radius=5000.0, bound=500.0)
+    traces = simulate_pool(series, 4096, cfg)
+    report = evaluate(series, sequences, traces, traces, models, variability_threshold=100)
+    dup_row = next(r for r in report.details if r["seq_id"] == "dup")
+    assert dup_row["matched"] == "u0" and dup_row["false_positive"]
+    assert [r["seq_id"] for r in report.details if r["false_positive"]] == ["dup"]
+    assert (report.false_positives, report.true_matches, report.variable_count) == (1, 6, 7)
+    assert report.recall == 6 / 7
+
+
 def test_evaluate_reuses_given_traces(rng):
     sequences, series = _corpus(rng)
     cfg = ChannelConfig(capture_fraction=0.2, rng_seed=4)

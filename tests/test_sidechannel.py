@@ -279,6 +279,12 @@ def test_trace_writer_equals_line_loop(tmp_path):
 @pytest.mark.parametrize("rows, line", [
     (["u\t0\t1\t0.0\t5.0", "u\t1\t1\t0.0\t5.0", "u\t1\t2\t0.0\t5.0"], 4),
     (["v\t0\t1\t0.0\t5.0", "u\t0\t1\t0.0\t5.0", "u\t2\t2\t0.0\t5.0"], 3),
+    # a bad field fails where it is read, even after a repeat
+    (["u\t0\t1\t0.0\t5.0", "u\t1\t1\t0.0\t5.0", "u\t1\t2\t0.0\t5.0", "u\t2\t1\t0.0\t5.0",
+      "u\t3\tx\t0.0\t5.0"], 6),
+    # a repeat beats a gap in an earlier id; a negative step is a gap, at the id's first line
+    (["v\t0\t1\t0.0\t5.0", "v\t2\t1\t0.0\t5.0", "u\t0\t1\t0.0\t5.0", "u\t0\t2\t0.0\t5.0"], 5),
+    (["u\t0\t1\t0.0\t5.0", "u\t-1\t1\t0.0\t5.0"], 2),
 ])
 def test_read_traces_rejects_repeated_or_missing_steps(tmp_path, rows, line):
     path = tmp_path / "pool.trc"
