@@ -2,9 +2,11 @@
 
 One subcommand per pipeline stage, ``cmd_<name>(args, cfg)``, which returns nothing
 and fails only by raising; ``main`` logs the fully resolved ``cfg`` to stderr
-before the command starts and alone sets the exit status. Every command reads
-and writes only the documented interchange formats and embeds ``cfg`` in output
-headers, so any two runs with the same inputs and seed are byte-identical.
+before the command starts and alone sets the exit status, for a failure to parse
+the arguments too. Each setting of ``config.KEYS`` has one flag, whose text
+``resolve_config`` parses by the rule of file and environment values. Every command
+reads and writes only the documented interchange formats and embeds ``cfg`` in
+output headers, so any two runs with the same inputs and seed are byte-identical.
 """
 
 import argparse
@@ -15,39 +17,30 @@ from itertools import chain
 from . import corpus as corpus_mod
 from . import fingerprint as fp
 from . import interchange, matcher, sampler, sidechannel, stats
-from .config import (PipelineConfig, env_overrides, parse_weights, read_config_file,
-                     resolve_config)
-from .errors import NssfpError, UsageError, read_lines, write_records
+from .config import KEYS, PipelineConfig, env_overrides, read_config_file, resolve_config
+from .errors import NssfpError, UsageError, read_lines, read_records, write_records
 from .model import check_vocab_size, load_model, save_model, train_model
+
+
+# the flags not named after their key, and the help of those that have one
+_FLAG_NAMES = {"variability_threshold": "--threshold", "similarity_window": "--window",
+               "sequence_length": "--length", "word_cap": "--cap",
+               "channel.hit_jitter_std": "--jitter-std",
+               "channel.segment_gap_cycles": "--segment-gap"}
+_FLAG_HELP = {"variability_threshold": "variability threshold for fingerprint eligibility",
+              "weights": "comma-separated interpolation weights, unigram first"}
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key=value config file (lowest precedence)")
-    p.add_argument("--q", type=float, dest="q")
-    p.add_argument("--threshold", type=float, dest="variability_threshold",
-                   help="variability threshold for fingerprint eligibility")
-    p.add_argument("--window", type=int, dest="similarity_window")
-    p.add_argument("--epsilon", type=float, dest="epsilon")
-    p.add_argument("--length", type=int, dest="sequence_length")
-    p.add_argument("--drop-fraction", type=float, dest="drop_fraction")
-    p.add_argument("--cap", type=int, dest="word_cap")
-    p.add_argument("--order", type=int, dest="order")
-    p.add_argument("--weights", type=parse_weights, dest="weights",
-                   help="comma-separated interpolation weights, unigram first")
-    p.add_argument("--seed", type=int, dest="seed")
-    p.add_argument("--capture-fraction", type=float, dest="channel.capture_fraction")
-    p.add_argument("--cycles-per-iteration", type=float, dest="channel.cycles_per_iteration")
-    p.add_argument("--jitter-std", type=float, dest="channel.hit_jitter_std")
-    p.add_argument("--outlier-rate", type=float, dest="channel.outlier_rate")
-    p.add_argument("--outlier-scale", type=float, dest="channel.outlier_scale")
-    p.add_argument("--segment-gap", type=int, dest="channel.segment_gap_cycles")
+    for key in KEYS:  # a value stays text: resolve_config parses every source alike
+        flag = _FLAG_NAMES.get(key, "--" + key.removeprefix("channel.").replace("_", "-"))
+        p.add_argument(flag, dest=key, help=_FLAG_HELP.get(key))
 
 
 def _resolve(args) -> PipelineConfig:
     file_values = read_config_file(args.config) if args.config else {}
-    flags = {key: value for key, value in vars(args).items()
-             if key.startswith("channel.") or key in PipelineConfig.__dataclass_fields__}
-    cfg = resolve_config(file_values, env_overrides(), flags)
+    cfg = resolve_config(file_values, env_overrides(), {key: getattr(args, key) for key in KEYS})
     for line in cfg.resolved_lines():
         print(f"# config {line}", file=sys.stderr)
     return cfg
@@ -221,6 +214,8 @@ def cmd_bench(args, cfg):
 
 def cmd_report(args, cfg):
     if args.evaluation:
+        for _ in read_records(args.evaluation, ("row",), ",", matcher.EVALUATION_HEADER):
+            pass  # the framing: one header before the first row
         for line in read_lines(args.evaluation):
             if line.startswith("# total="):
                 print(line[2:].rstrip())
@@ -294,12 +289,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would print its usage and exit 2
+        raise UsageError(message)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of ``command`` alone, which parses
     that command's arguments and prints its help the same way."""
-    parser = argparse.ArgumentParser(
-        prog="nssfp",
-        description="Nucleus-size-series fingerprinting pipeline")
+    parser = _Parser(prog="nssfp", description="Nucleus-size-series fingerprinting pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, arguments) in COMMANDS.items():
         if command in (None, name):
@@ -314,10 +312,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a known subcommand needs only its own parser; anything else gets them all
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
     try:
+        # a known subcommand needs only its own parser; anything else gets them all
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
         args.func(args, _resolve(args))
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)

@@ -60,11 +60,8 @@ class PipelineConfig:
 
 _PIPELINE_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig) if f.name != "channel"}
 _CHANNEL_FIELDS = {f.name: f for f in dataclasses.fields(ChannelConfig)}
-
-
-def parse_weights(raw: str) -> tuple[float, ...]:
-    """Comma-separated interpolation weights, unigram first; ValueError if bad."""
-    return tuple(float(v) for v in raw.split(","))
+#: Every settable key, from any source: the pipeline's fields, then ``channel.<field>``.
+KEYS = (*_PIPELINE_FIELDS, *(f"channel.{name}" for name in _CHANNEL_FIELDS if name != "rng_seed"))
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -104,7 +101,8 @@ def resolve_config(file_values: dict[str, str] | None = None,
                                      else f"unknown option {key!r}")
         if isinstance(value, str):
             try:
-                value = parse_weights(value) if name == "weights" else fields[name].type(value)
+                value = (tuple(float(v) for v in value.split(",")) if name == "weights"
+                         else fields[name].type(value))  # weights: comma-separated, unigram first
             except ValueError as exc:
                 raise ConfigurationError(f"bad value for {name}: {value!r}") from exc
         kwargs[name] = value

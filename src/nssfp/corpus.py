@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (UsageError, ValidationError, parse_field, read_lines, read_records,
-                     write_records)
+from .errors import (ParseError, UsageError, ValidationError, parse_field, read_lines,
+                     read_records, write_records)
 from .model import MAX_VOCAB_SIZE, Sequence, Vocabulary, tokenize
 
 TSV_POSTS = "tsv_posts"
@@ -49,7 +49,7 @@ class AuthorSequence:
 def load_corpus(path, format: str = TSV_POSTS) -> PostCorpus:
     """Parse author/timestamp/text records.
 
-    tsv_posts: one `author<TAB>unix_timestamp<TAB>text` record per line.
+    tsv_posts: one `author<TAB>unix_timestamp<TAB>text` record per line, timestamps finite.
     plain_dir: one *.txt file per author (name gives the author id), one
     post per non-empty line, timestamps from line order.
 
@@ -58,8 +58,12 @@ def load_corpus(path, format: str = TSV_POSTS) -> PostCorpus:
     if format == TSV_POSTS:
         records = read_records(path, ("author", "timestamp", "text"), "\t")
         next(records)
-        posts = [(author, parse_field(float, ts, "timestamp", path, lineno), text)
-                 for lineno, (author, ts, text) in records]
+        posts = []
+        for lineno, (author, ts, text) in records:
+            stamp = parse_field(float, ts, "timestamp", path, lineno)
+            if not math.isfinite(stamp):  # a NaN breaks the chronological sort
+                raise ParseError("non-finite timestamp", path=str(path), line=lineno)
+            posts.append((author, stamp, text))
     elif format == PLAIN_DIR:
         posts = [(name[:-4], float(lineno), line.strip())
                  for name in sorted(os.listdir(path)) if name.endswith(".txt")

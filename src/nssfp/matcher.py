@@ -24,6 +24,7 @@ from .stats import ErrorModel, UniquenessModel, error_bound
 MATCHED = "matched"
 NO_MATCH = "no_match"
 NOT_VARIABLE = "not_variable"
+EVALUATION_HEADER = "#evaluation v1"
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
 
@@ -218,4 +219,4 @@ def write_evaluation_report(path, report: EvaluationReport, header_lines=()):
     write_records(path, ["seq_id,variability,is_variable,measurement_error,matched"] + [
         f"{row['seq_id']},{row['variability']!r},{row['is_variable']},"
         f"{row['measurement_error']!r},{row['matched']}" for row in report.details],
-        "#evaluation v1", [*header_lines, summary])
+        EVALUATION_HEADER, [*header_lines, summary])

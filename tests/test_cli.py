@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,8 +12,9 @@ import pytest
 
 from nssfp import cli, sidechannel
 from nssfp.cli import COMMANDS, build_parser, main
-from nssfp.config import PipelineConfig, env_overrides, read_config_file, resolve_config
-from nssfp.errors import ConfigurationError
+from nssfp.config import (ENV_PREFIX, KEYS, PipelineConfig, env_overrides, read_config_file,
+                          resolve_config)
+from nssfp.errors import ConfigurationError, UsageError
 from nssfp.model import load_model
 
 
@@ -36,9 +39,10 @@ def test_help_exits_zero(capsys):
 
 
 def test_unknown_flag_exits_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--no-such-flag"])
-    assert exc.value.code == 2
+    # argparse checks the required arguments first
+    assert main(["bench", "--no-such-flag"]) == 2
+    assert capsys.readouterr().err == ("error: usage: the following arguments are required: "
+                                       "--out\n")
 
 
 def test_missing_input_exits_nonzero(tmp_path, capsys):
@@ -330,23 +334,25 @@ def test_id_with_delimiter_ends_in_one_error_line(tmp_path, capsys):
     assert len(errors) == 1 and "'a,b'" in errors[0], errors
 
 
-def test_bad_weights_flag_exits_two(capsys):
+def test_bad_weights_flag_ends_in_one_error_line(tmp_path, capsys):
+    # a flag value stays text, which resolve_config parses as it parses a file's
     assert build_parser().parse_args(
         ["train", "--corpus", "c", "--out", "m", "--weights", "0.2,0.3,0.5"]
-    ).weights == (0.2, 0.3, 0.5)
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--corpus", "c", "--out", "m", "--weights", "a,b"])
-    assert exc.value.code == 2
-    assert "--weights" in capsys.readouterr().err
+    ).weights == "0.2,0.3,0.5"
+    out = tmp_path / "m.json"
+    assert main(["train", "--corpus", "c", "--out", str(out), "--weights", "a,b"]) == 1
+    assert capsys.readouterr().err == "error: bad value for weights: 'a,b'\n"
+    assert not out.exists()
 
 
 def test_bench_variant_choices_are_both_then_each_filter(tmp_path, capsys):
     variant = dict(COMMANDS["bench"][1])["--variant"]
     assert list(variant["choices"]) == ["both", "vulnerable", "mitigated"]
     assert variant["default"] == "both"
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--variant", "all", "--out", str(tmp_path / "bench.csv")])
-    assert exc.value.code == 2 and "invalid choice: 'all'" in capsys.readouterr().err
+    assert main(["bench", "--variant", "all", "--out", str(tmp_path / "bench.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: usage: argument --variant: "), err
+    assert "invalid choice: 'all'" in err[0]
 
 
 def test_bench_and_report(tmp_path, capsys):
@@ -565,9 +571,11 @@ GOOD_INPUTS = {
     "trc": "#trace v1 seed=0 capture=0.5\ns\t0\t2\t10.0\t5.0\ns\t1\t4\t20.0\t7.0\n",
     "fit": FIT_HEAD + FIT_ROW,
     "bench": BENCH_HEAD + "vulnerable,10,5,7\n",
+    "evaluation": "#evaluation v1\n# total=1 recall=1.0\nseq_id,matched\ns,no_match\n",
 }
 BAD_INPUTS = {
-    "corpus": [("a\t1\tok\nb\t2\n", 2), ("a\tnoon\tok\n", 1), ("a\t1\tcaf\udce9\n", 1)],
+    "corpus": [("a\t1\tok\nb\t2\n", 2), ("a\tnoon\tok\n", 1), ("a\t1\tcaf\udce9\n", 1),
+               ("a\tnan\tok\n", 1), ("a\t1\tok\nb\t-inf\tok\n", 2)],
     "config": [("seed=3\nseed 4\n", 2), ("# caf\udce9\n", 1)],
     "model": [("not json\n", 1),
               # the retired layout, whatever its tables hold
@@ -615,6 +623,8 @@ BAD_INPUTS = {
               ("# caf\udce9\n", 1), (BENCH_HEAD + "vulnerabel,10,5,7\n", 2),
               (BENCH_HEAD + "vulnerable,10,-5,-7\n", 2), (BENCH_HEAD + "vulnerable,10,50,7\n", 2),
               (BENCH_HEAD + "mitigated,0,0,7\n", 2), (BENCH_HEAD + "mitigated,10,5,-1\n", 2)],
+    "evaluation": [("seq_id,matched\ns,no_match\n", 1),
+                   ("#evaluation v1\n# total=1\n#evaluation v1\nseq_id,matched\n", 3)],
 }
 # every subcommand that reads a file, with the format of each input it reads
 READING_COMMANDS = [
@@ -631,6 +641,7 @@ READING_COMMANDS = [
     (["report", "--fit", "{fit}"], ["fit"]),
     (["report", "--distances", "{dist}"], ["dist"]),
     (["report", "--bench", "{bench}"], ["bench"]),
+    (["report", "--evaluation", "{evaluation}"], ["evaluation"]),
 ]
 
 
@@ -1064,6 +1075,93 @@ def test_one_command_parser_parses_and_helps_as_the_full_one(capsys, command):
     assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
     assert _help(one, command, capsys) == _help(full, command, capsys)
     other = next(c for c in COMMANDS if c != command)
-    with pytest.raises(SystemExit) as exc:
+    with pytest.raises(UsageError, match="invalid choice"):
         one.parse_args([other])
-    assert exc.value.code == 2
+
+
+# each setting's flag, and a text that sets it to other than its default
+KEY_FLAGS = {
+    "q": ("--q", "0.8"), "variability_threshold": ("--threshold", "400"),
+    "similarity_window": ("--window", "40"), "epsilon": ("--epsilon", "1e-6"),
+    "sequence_length": ("--length", "100"), "drop_fraction": ("--drop-fraction", "0.1"),
+    "word_cap": ("--cap", "500"), "order": ("--order", "2"),
+    "weights": ("--weights", "0.4,0.6"), "seed": ("--seed", "3"),
+    "channel.capture_fraction": ("--capture-fraction", "0.02"),
+    "channel.cycles_per_iteration": ("--cycles-per-iteration", "250"),
+    "channel.hit_jitter_std": ("--jitter-std", "30"),
+    "channel.outlier_rate": ("--outlier-rate", "0.02"),
+    "channel.outlier_scale": ("--outlier-scale", "5"),
+    "channel.segment_gap_cycles": ("--segment-gap", "1000000"),
+}
+
+
+def test_every_key_has_its_flag_in_key_order():
+    assert tuple(KEY_FLAGS) == KEYS
+
+
+def _bench_setting(tmp_path, monkeypatch, source, key, text):
+    """main's exit code and output path for a one-trial bench with ``key``
+    set to ``text`` from ``source``."""
+    out = tmp_path / f"{source}.csv"
+    argv = ["bench", "--vocab-size", "64", "--trials", "1", "--out", str(out)]
+    with monkeypatch.context() as m:
+        if source == "flag":
+            argv += [KEY_FLAGS[key][0], text]
+        elif source == "config":
+            (tmp_path / "run.cfg").write_text(f"{key}={text}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        else:
+            m.setenv(ENV_PREFIX + key.upper().replace(".", "__"), text)
+        return main(argv), out
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_every_setting_is_parsed_alike_from_every_source(tmp_path, capsys, monkeypatch, key):
+    sources = ["flag", "config", "env"]
+    for source in sources:
+        rc, out = _bench_setting(tmp_path, monkeypatch, source, key, "x")
+        assert rc == 1 and not out.exists(), source
+        bad_value = f"error: bad value for {key.removeprefix('channel.')}: 'x'\n"
+        assert tuple(capsys.readouterr()) == ("", bad_value), source
+    logs = []
+    for source in sources:
+        assert _bench_setting(tmp_path, monkeypatch, source, key, KEY_FLAGS[key][1])[0] == 0
+        logs.append([l for l in capsys.readouterr().err.splitlines() if l.startswith("# config")])
+    assert logs[0] == logs[1] == logs[2]
+    line = next(l for l in logs[0] if l.startswith(f"# config {key}="))
+    assert line.removeprefix("# config ") not in PipelineConfig().resolved_lines(), line
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["bench", "--no-such-flag", "--out", "{out}"], "unrecognized arguments: --no-such-flag"),
+    (["evaluate", "--out", "{out}"], "the following arguments are required: --corpus"),
+    (["bench", "--variant", "all", "--out", "{out}"], "argument --variant: invalid choice: 'all'"),
+    (["synth", "--authors", "x", "--out", "{out}"], "argument --authors: invalid int value: 'x'"),
+    (["synth", "--out", "{out}", "--authors"], "argument --authors: expected one argument"),
+    (["bench", "--out", "{out}", "--seed"], "argument --seed: expected one argument"),
+], ids=["no-command", "unknown-command", "unknown-flag", "missing-required", "bad-choice",
+        "bad-int", "no-value", "setting-no-value"])
+def test_every_parse_failure_ends_in_one_usage_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([a.format(out=out) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1, captured
+    assert captured.err.startswith(f"error: usage: {message}"), captured.err
+    assert not out.exists()
+
+
+def test_the_entry_point_exits_with_the_status_main_returns():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def nssfp(*argv):
+        return subprocess.run([sys.executable, "-m", "nssfp.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    bad = nssfp("bench", "--trials", "x")
+    assert (bad.returncode, bad.stdout) == (2, ""), bad
+    assert bad.stderr == "error: usage: argument --trials: invalid int value: 'x'\n"
+    shown = nssfp("--help")
+    assert (shown.returncode, shown.stderr) == (0, "") and shown.stdout.startswith("usage: nssfp")
