@@ -75,11 +75,9 @@ def cmd_train(args, cfg):
 
 def cmd_nss(args, cfg):
     model = load_model(args.model)
-    if args.seqs:
+    if args.seqs is not None:
         sequences, _ = interchange.read_sequences(args.seqs)
     else:
-        if not args.corpus:
-            raise UsageError("nss needs --corpus or --seqs")
         _, authors = _load_inputs(args, cfg)
         sequences = [a.sequence for a in authors]
     n = cfg.sequence_length
@@ -116,13 +114,13 @@ def cmd_analyze(args, cfg):
 
 
 def cmd_fit(args, cfg):
+    if (args.nss is None) != (args.traces is None):
+        raise UsageError("fit takes --nss and --traces together or not at all")
     records, n = interchange.read_distances(args.distances)
     uniq = stats.uniqueness_radius(stats.PairwiseDistanceSample.from_records(n, records),
                                    eps=cfg.epsilon)
     err = None
-    if args.traces:
-        if not args.nss:
-            raise UsageError("--traces requires --nss for ground truth")
+    if args.traces is not None:
         series, _ = interchange.read_nss(args.nss)
         traces, _ = sidechannel.read_traces(args.traces)
         kept, _, _ = sidechannel.prepare_pool(traces, cfg.drop_fraction)
@@ -213,17 +211,18 @@ def cmd_bench(args, cfg):
 
 
 def cmd_report(args, cfg):
-    if args.evaluation:
-        for _ in read_records(args.evaluation, ("row",), ",", matcher.EVALUATION_HEADER):
-            pass  # the framing: one header before the first row
+    if args.evaluation is not None:
+        for _ in read_records(args.evaluation, matcher.EVALUATION_COLUMNS, ",",
+                              matcher.EVALUATION_HEADER, columns=True):
+            pass  # the framing: one header, the column line, rows of its fields
         for line in read_lines(args.evaluation):
             if line.startswith("# total="):
                 print(line[2:].rstrip())
             elif line and not line.startswith("#"):
                 print(line.rstrip())
-    elif args.fit:
+    elif args.fit is not None:
         print(_fit_line(*stats.read_fit_report(args.fit)))
-    elif args.distances:
+    elif args.distances is not None:
         if not args.out:
             raise UsageError("histogram output needs --out")
         records, n = interchange.read_distances(args.distances)
@@ -234,12 +233,10 @@ def cmd_report(args, cfg):
             f"{c!r},{d!r}" for chunk in chunks for c, d in chunk)),
             header_lines=[f"smoothed histogram of {len(records)} distances, N={n}"])
         print(f"wrote {args.buckets}-bucket histogram to {args.out}")
-    elif args.bench:
+    else:  # --bench
         summary = sampler.summarize_bench(sampler.read_bench_report(args.bench))
         for key, value in sorted(summary.items()):
             print(f"{key}: {value}")
-    else:
-        raise UsageError("report needs one of --evaluation/--fit/--distances/--bench")
 
 
 _FORMAT = ("--format", dict(default=corpus_mod.TSV_POSTS,
@@ -247,7 +244,8 @@ _FORMAT = ("--format", dict(default=corpus_mod.TSV_POSTS,
 _MIN_WORDS = ("--min-words", dict(type=int, default=1))
 _OUT = ("--out", dict(required=True))
 
-# each subcommand cmd_<name>: (help, its own arguments after the config flags)
+# each subcommand cmd_<name>: (help, its own arguments after the config flags); a
+# list holds alternative inputs, of which each run takes exactly one
 COMMANDS = {
     "synth": ("generate a seeded synthetic post corpus", [
         ("--authors", dict(type=int, required=True)),
@@ -259,9 +257,8 @@ COMMANDS = {
         ("--save-seqs", dict(help="also persist aggregated sequences (#seq v1)")),
         _OUT]),
     "nss": ("generate nucleus size series", [
-        ("--corpus", {}), _FORMAT,
-        ("--seqs", dict(help="read sequences from a #seq v1 file instead")),
-        ("--model", dict(required=True)), _MIN_WORDS,
+        [("--corpus", {}), ("--seqs", dict(help="read sequences from a #seq v1 file instead"))],
+        _FORMAT, ("--model", dict(required=True)), _MIN_WORDS,
         ("--truncate", dict(action="store_true",
                             help="drop shorter sequences and cut the rest to --length")),
         _OUT]),
@@ -283,7 +280,7 @@ COMMANDS = {
         ("--vocab-size", dict(type=int, default=50257)),
         ("--trials", dict(type=int, default=50)), _OUT]),
     "report": ("summarize pipeline artifacts", [
-        ("--evaluation", {}), ("--fit", {}), ("--bench", {}), ("--distances", {}),
+        [("--evaluation", {}), ("--fit", {}), ("--bench", {}), ("--distances", {})],
         ("--buckets", dict(type=int, default=100)),
         ("--hist-window", dict(type=int, default=11)), ("--out", {})]),
 }
@@ -305,8 +302,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             # looked up now, so that a rebound module attribute (a tracer's) runs
             p.set_defaults(func=globals()[f"cmd_{name}"])
             _add_config_flags(p)
-            for flag, options in arguments:
-                p.add_argument(flag, **options)
+            for entry in arguments:
+                group, entry = ((p.add_mutually_exclusive_group(required=True), entry)
+                                if isinstance(entry, list) else (p, [entry]))
+                for flag, options in entry:
+                    group.add_argument(flag, **options)
     return parser
 
 

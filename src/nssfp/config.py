@@ -97,14 +97,13 @@ def resolve_config(file_values: dict[str, str] | None = None,
         fields, kwargs = ((_CHANNEL_FIELDS, channel_kwargs) if name != key
                           else (_PIPELINE_FIELDS, pipeline_kwargs))
         if name not in fields:
-            raise ConfigurationError(f"unknown channel option {name!r}" if name != key
-                                     else f"unknown option {key!r}")
+            raise ConfigurationError(f"unknown option {key!r}")
         if isinstance(value, str):
             try:
                 value = (tuple(float(v) for v in value.split(",")) if name == "weights"
                          else fields[name].type(value))  # weights: comma-separated, unigram first
             except ValueError as exc:
-                raise ConfigurationError(f"bad value for {name}: {value!r}") from exc
+                raise ConfigurationError(f"bad value for {key}: {value!r}") from exc
         kwargs[name] = value
     try:
         cfg = PipelineConfig(channel=ChannelConfig(**channel_kwargs), **pipeline_kwargs)

@@ -62,20 +62,21 @@ def parse_field(convert, text: str, what: str, path, line: int):
         raise ParseError(f"bad {what} {text!r}", path=str(path), line=line) from None
 
 
-def read_records(path, fields, sep: str, header: str = "", types=None):
+def read_records(path, fields, sep: str, header: str = "", types=None, columns=False):
     """Stream the records of a line-record file: the header's ``key=value``
     fields as a dict first (empty if ``header`` is ""), then ``(lineno,
     parts)`` per record.
 
-    The file is UTF-8 with universal newlines; empty and ``#`` lines are
-    skipped. Exactly one ``header`` line, if given, must precede the first
-    record and carry exactly the keys of ``types``, converted by
-    :func:`parse_field`. A record splits at its first ``len(fields) - 1``
-    separators, so the last field keeps any later ones. Short records, bad
-    headers and undecodable bytes raise a :class:`ParseError` at their line.
+    The file is UTF-8 with universal newlines; empty and ``#`` lines are skipped. Exactly
+    one ``header`` line, if given, must precede the first record and carry exactly the keys
+    of ``types``, converted by :func:`parse_field`. With ``columns``, the first record must
+    be the column line ``fields``, which is not yielded and may not repeat. A record splits
+    at its first ``len(fields) - 1`` separators; the last field keeps any later ones. Short
+    records, bad headers and undecodable bytes raise a :class:`ParseError` at their line.
     """
     shape = "expected " + ("<TAB>" if sep == "\t" else sep).join(fields)
     width = len(fields)
+    names = [*fields] if columns else None  # the column line; ``columns``: not read yet
     meta = None if header else {}
     if not header:
         yield meta
@@ -94,13 +95,19 @@ def read_records(path, fields, sep: str, header: str = "", types=None):
                     if meta is None:
                         break
                     parts = line.split(sep, width - 1)
-                    if len(parts) != width:
+                    if len(parts) != width or columns and parts != names:
                         raise ParseError(shape, path=str(path), line=lineno)
-                    yield lineno, parts
+                    if columns:  # the column line: checked, not yielded
+                        columns = False
+                    elif names and parts == names:  # no list comparison without ``columns``
+                        raise ParseError("repeated column line", path=str(path), line=lineno)
+                    else:
+                        yield lineno, parts
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    if meta is None:
-        raise ParseError(f"expected {header!r} header", path=str(path), line=1)
+    if meta is None or columns:  # no header, or no column line
+        raise ParseError(f"expected {header!r} header" if meta is None else shape,
+                         path=str(path), line=1)
 
 
 def write_records(path, lines, header: str = "", header_lines=()):

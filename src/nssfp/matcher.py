@@ -25,6 +25,7 @@ MATCHED = "matched"
 NO_MATCH = "no_match"
 NOT_VARIABLE = "not_variable"
 EVALUATION_HEADER = "#evaluation v1"
+EVALUATION_COLUMNS = ("seq_id", "variability", "is_variable", "measurement_error", "matched")
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
 
@@ -216,7 +217,7 @@ def write_evaluation_report(path, report: EvaluationReport, header_lines=()):
     summary = (f"total={report.total} variable={report.variable_count} "
                f"filtered_noisy={report.filtered_noisy} true_matches={report.true_matches} "
                f"false_positives={report.false_positives} recall={report.recall!r}")
-    write_records(path, ["seq_id,variability,is_variable,measurement_error,matched"] + [
+    write_records(path, [",".join(EVALUATION_COLUMNS)] + [
         f"{row['seq_id']},{row['variability']!r},{row['is_variable']},"
         f"{row['measurement_error']!r},{row['matched']}" for row in report.details],
         EVALUATION_HEADER, [*header_lines, summary])

@@ -307,12 +307,12 @@ def summarize_bench(samples: list[TimingSample]) -> dict:
     return out
 
 
-_BENCH_COLUMNS = "variant,vocab_size,nucleus_size,loop_time_ns"
+_BENCH_COLUMNS = ("variant", "vocab_size", "nucleus_size", "loop_time_ns")
 
 
 def write_bench_report(path, samples: list[TimingSample], header_lines=()):
     """Line-delimited records for plotting size-vs-time scatters."""
-    write_records(path, [_BENCH_COLUMNS] + [
+    write_records(path, [",".join(_BENCH_COLUMNS)] + [
         f"{s.variant},{s.vocab_size},{s.nucleus_size},{s.loop_time_ns}" for s in samples],
         header_lines=header_lines)
 
@@ -320,17 +320,14 @@ def write_bench_report(path, samples: list[TimingSample], header_lines=()):
 def read_bench_report(path) -> list[TimingSample]:
     """The samples :func:`write_bench_report` stored: per row a vocabulary of at
     least 1, a nucleus size in 0..vocab_size and a non-negative loop time."""
-    names = _BENCH_COLUMNS.split(",")
-    records = read_records(path, names, ",")
+    records = read_records(path, _BENCH_COLUMNS, ",", columns=True)
     next(records)
     samples = []
     for lineno, fields in records:
-        if fields == names:
-            continue
         if fields[0] not in FILTERS:
             raise ParseError(f"unknown variant {fields[0]!r}", path=str(path), line=lineno)
         vocab, size, ns = (parse_field(int, text, name, path, lineno) for name, text in
-                           zip(names[1:], fields[1:]))
+                           zip(_BENCH_COLUMNS[1:], fields[1:]))
         if vocab < 1 or not 0 <= size <= vocab or ns < 0:
             raise ParseError(f"impossible sample: vocab_size {vocab}, nucleus_size {size}, "
                              f"loop_time_ns {ns}", path=str(path), line=lineno)

@@ -200,30 +200,27 @@ def error_bound(errors, uniqueness: UniquenessModel) -> ErrorModel:
 
 
 FIT_HEADER = "#fit v2"
-_FIT_COLUMNS = "N,epsilon,log_mu,log_sigma,U,mean,std,d,tau"
+_FIT_COLUMNS = ("N", "epsilon", "log_mu", "log_sigma", "U", "mean", "std", "d", "tau")
 
 
 def write_fit_report(path, uniq: UniquenessModel, err: ErrorModel | None, header_lines=()):
     """Both models in one CSV record; mean, std, d and tau are nan if ``err`` is None."""
     e = (err.mean, err.std, err.bound, err.tau) if err else (math.nan,) * 4
     values = (uniq.epsilon, uniq.log_mu, uniq.log_sigma, uniq.radius) + e
-    write_records(path, (_FIT_COLUMNS, f"{uniq.length},{','.join(map(repr, values))}"),
+    write_records(path, (",".join(_FIT_COLUMNS), f"{uniq.length},{','.join(map(repr, values))}"),
                   FIT_HEADER, header_lines)
 
 
 def read_fit_report(path) -> tuple[UniquenessModel, ErrorModel | None]:
     """The models :func:`write_fit_report` stored; None if an error column is nan."""
-    names = _FIT_COLUMNS.split(",")
-    records = read_records(path, names, ",", FIT_HEADER)
+    records = read_records(path, _FIT_COLUMNS, ",", FIT_HEADER, columns=True)
     next(records)
     record, record_line = None, 0
     for lineno, fields in records:
-        if fields == names:
-            continue
         if record is not None:
             raise ParseError("expected one fit record", path=str(path), line=lineno)
         record = [parse_field(int if name == "N" else float, text, name, path, lineno)
-                  for name, text in zip(names, fields)]
+                  for name, text in zip(_FIT_COLUMNS, fields)]
         record_line = lineno
     if record is None:
         raise ParseError("no fit record", path=str(path), line=1)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -173,9 +174,12 @@ def test_evaluate_matches_command_composition(tmp_path, corpus_file, capsys):
 
 
 NSS_ONE = "#nss v1 model=m q=0.9\ns\t0\tn=5\ns\t1\tn=7\n"
-FIT_HEAD = "#fit v2\n# epsilon=1e-06\nN,epsilon,log_mu,log_sigma,U,mean,std,d,tau\n"
+FIT_COLUMNS = "N,epsilon,log_mu,log_sigma,U,mean,std,d,tau\n"
+FIT_HEAD = "#fit v2\n# epsilon=1e-06\n" + FIT_COLUMNS
 FIT_ROW = "2,1e-06,1.0,0.5,5.0,0.5,0.05,1.0,4.0\n"
 BENCH_HEAD = "variant,vocab_size,nucleus_size,loop_time_ns\n"
+EVALUATION_COLUMNS = "seq_id,variability,is_variable,measurement_error,matched\n"
+EVALUATION_HEAD = "#evaluation v1\n# total=1 recall=1.0\n" + EVALUATION_COLUMNS
 
 
 @pytest.mark.parametrize("command, files", [
@@ -412,10 +416,11 @@ def test_config_rejects_unknown_keys():
 @pytest.mark.parametrize("sources, message", [
     (({}, {}, {"bogus": 1}), "unknown option 'bogus'"),
     (({}, {}, {"channel": 1}), "unknown option 'channel'"),
-    (({}, {}, {"channel.bogus": 1}), "unknown channel option 'bogus'"),
+    (({}, {}, {"channel.bogus": 1}), "unknown option 'channel.bogus'"),
     (({}, {}, {"q": "x"}), "bad value for q: 'x'"),
     (({}, {}, {"weights": "a,b"}), "bad value for weights: 'a,b'"),
-    (({}, {}, {"channel.segment_gap_cycles": "1.5"}), "bad value for segment_gap_cycles: '1.5'"),
+    (({}, {}, {"channel.segment_gap_cycles": "1.5"}),
+     "bad value for channel.segment_gap_cycles: '1.5'"),
 ], ids=["flag", "flag-channel", "flag-channel-field", "flag-str",
         "flag-weights", "flag-channel-int"])
 def test_resolve_config_checks_every_source_alike(sources, message):
@@ -505,9 +510,12 @@ def test_non_utf8_input_ends_in_one_error_line(tmp_path, capsys, files, args, wh
 def test_report_evaluation_prints_summary_and_rows(tmp_path, capsys):
     report = tmp_path / "report.csv"
     report.write_bytes(b"#evaluation v1\n# seed=4\n# total=2 recall=1.0\n"
-                       b"seq_id,verdict\na,b  \n")
+                       b"seq_id,variability,is_variable,measurement_error,matched\n"
+                       b"a,1.5,True,0.25,no_match  \n")
     assert main(["report", "--evaluation", str(report)]) == 0
-    assert capsys.readouterr().out == "total=2 recall=1.0\nseq_id,verdict\na,b\n"
+    assert capsys.readouterr().out == (
+        "total=2 recall=1.0\nseq_id,variability,is_variable,measurement_error,matched\n"
+        "a,1.5,True,0.25,no_match\n")
     report.write_bytes(b"#evaluation v1\n# total=1\ncaf\xe9,x\n")
     assert main(["report", "--evaluation", str(report)]) == 1
     captured = capsys.readouterr()
@@ -571,7 +579,7 @@ GOOD_INPUTS = {
     "trc": "#trace v1 seed=0 capture=0.5\ns\t0\t2\t10.0\t5.0\ns\t1\t4\t20.0\t7.0\n",
     "fit": FIT_HEAD + FIT_ROW,
     "bench": BENCH_HEAD + "vulnerable,10,5,7\n",
-    "evaluation": "#evaluation v1\n# total=1 recall=1.0\nseq_id,matched\ns,no_match\n",
+    "evaluation": EVALUATION_HEAD + "s,1.5,True,0.25,no_match\n",
 }
 BAD_INPUTS = {
     "corpus": [("a\t1\tok\nb\t2\n", 2), ("a\tnoon\tok\n", 1), ("a\t1\tcaf\udce9\n", 1),
@@ -618,13 +626,21 @@ BAD_INPUTS = {
             ("#trace v1 seed=0 capture=0.5\ns\t0\t2\t10.0\t5.0\n"
              "#trace v1 seed=0 capture=0.01\ns\t1\t4\t20.0\t7.0\n", 3)],
     "fit": [(FIT_ROW, 1), (FIT_HEAD + "2,1e-06\n", 4), (FIT_HEAD + FIT_ROW + FIT_ROW, 5),
-            ("#fit v2\n\udce9\n", 2)],
+            ("#fit v2\n\udce9\n", 2),
+            # the column line, missing or repeated
+            ("#fit v2\n" + FIT_ROW, 2), (FIT_HEAD + FIT_COLUMNS + FIT_ROW, 4)],
     "bench": [(BENCH_HEAD + "vulnerable,10\n", 2), (BENCH_HEAD + "mitigated,1,2,x\n", 2),
               ("# caf\udce9\n", 1), (BENCH_HEAD + "vulnerabel,10,5,7\n", 2),
               (BENCH_HEAD + "vulnerable,10,-5,-7\n", 2), (BENCH_HEAD + "vulnerable,10,50,7\n", 2),
-              (BENCH_HEAD + "mitigated,0,0,7\n", 2), (BENCH_HEAD + "mitigated,10,5,-1\n", 2)],
+              (BENCH_HEAD + "mitigated,0,0,7\n", 2), (BENCH_HEAD + "mitigated,10,5,-1\n", 2),
+              # the column line after a row, or missing
+              ("vulnerable,10,5,7\n" + BENCH_HEAD, 1), ("", 1), ("# no rows\n", 1)],
     "evaluation": [("seq_id,matched\ns,no_match\n", 1),
-                   ("#evaluation v1\n# total=1\n#evaluation v1\nseq_id,matched\n", 3)],
+                   ("#evaluation v1\n# total=1\n#evaluation v1\nseq_id,matched\n", 3),
+                   ("#evaluation v1\n# total=1\nseq_id,verdict\ns,no_match\n", 3),
+                   (EVALUATION_HEAD + "hello,world\n", 4),
+                   (EVALUATION_HEAD + EVALUATION_COLUMNS + "s,1.5,True,0.25,no_match\n", 4),
+                   ("#evaluation v1\n# total=0\n", 1)],
 }
 # every subcommand that reads a file, with the format of each input it reads
 READING_COMMANDS = [
@@ -747,20 +763,28 @@ def test_every_command_returns_nothing_and_main_exits_zero(tmp_path, capsys, mon
     assert returned == [None]
 
 
-# usage faults that each command finds after its arguments parse
+# usage faults: a choice of input that argparse refuses, then those that each
+# command finds after its arguments parse
 @pytest.mark.parametrize("argv, message", [
-    (["nss", "--model", "{model}"], "nss needs --corpus or --seqs"),
+    (["nss", "--model", "{model}"], "one of the arguments --corpus --seqs is required"),
+    (["nss", "--model", "{model}", "--corpus", "{corpus}", "--seqs", "{seqs}"],
+     "argument --seqs: not allowed with argument --corpus"),
+    (["report"], "one of the arguments --evaluation --fit --bench --distances is required"),
+    (["report", "--fit", "{fit}", "--bench", "{bench}"],
+     "argument --bench: not allowed with argument --fit"),
     (["nss", "--model", "{model}", "--seqs", "{seqs}", "--truncate", "--length", "3"],
      "no sequence reaches length 3"),
     (["analyze", "--nss", "{nss}", "--seqs", "{other_seqs}"], "sequences missing for ['s']..."),
     (["fit", "--distances", "{dist}", "--traces", "{trc}"],
-     "--traces requires --nss for ground truth"),
+     "fit takes --nss and --traces together or not at all"),
+    (["fit", "--distances", "{dist}", "--nss", "{nss}"],
+     "fit takes --nss and --traces together or not at all"),
     (["evaluate", "--corpus", "{corpus}", "--length", "4"],
      "need >= 2 sequences of length 4, got 0"),
     (["report", "--distances", "{dist}"], "histogram output needs --out"),
-    (["report"], "report needs one of --evaluation/--fit/--distances/--bench"),
-], ids=["nss-no-input", "nss-too-short", "analyze-missing-id", "fit-traces-no-nss",
-        "evaluate-too-short", "report-histogram-no-out", "report-no-mode"])
+], ids=["nss-no-input", "nss-corpus-and-seqs", "report-no-mode", "report-two-modes",
+        "nss-too-short", "analyze-missing-id", "fit-traces-no-nss", "fit-nss-no-traces",
+        "evaluate-too-short", "report-histogram-no-out"])
 def test_command_usage_fault_ends_in_one_usage_line(tmp_path, capsys, good_inputs,
                                                     argv, message):
     other_seqs, out = tmp_path / "other.seq", tmp_path / "out"
@@ -1066,17 +1090,41 @@ def _help(parser, command, capsys):
     return capsys.readouterr().out
 
 
+def _required_flags(command, but=None):
+    """The flags that every run of ``command`` gives: each required argument,
+    and the first alternative of each exclusive group (a list) other than ``but``."""
+    return [entry[0][0] if isinstance(entry, list) else entry[0]
+            for entry in COMMANDS[command][1]
+            if entry is not but and (isinstance(entry, list) or entry[1].get("required"))]
+
+
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_one_command_parser_parses_and_helps_as_the_full_one(capsys, command):
     argv = [command, "--seed", "3", "--weights", "0.5,0.5", "--jitter-std", "2.5"]
-    argv += [a for flag, options in COMMANDS[command][1] if options.get("required")
-             for a in (flag, "7")]
+    argv += [a for flag in _required_flags(command) for a in (flag, "7")]
     full, one = build_parser(), build_parser(command)
     assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
     assert _help(one, command, capsys) == _help(full, command, capsys)
     other = next(c for c in COMMANDS if c != command)
     with pytest.raises(UsageError, match="invalid choice"):
         one.parse_args([other])
+
+
+@pytest.mark.parametrize("command, group", [
+    pytest.param(command, entry, id=command) for command, (_, entries) in COMMANDS.items()
+    for entry in entries if isinstance(entry, list)])
+def test_every_exclusive_group_takes_exactly_one_input(tmp_path, capsys, command, group):
+    out = str(tmp_path / "out")
+    argv = [command, *(a for flag in _required_flags(command, but=group) for a in (flag, out))]
+    flags = [flag for flag, _ in group]
+    cases = [([], f"one of the arguments {' '.join(flags)} is required")] + [
+        ([a, b], f"argument {b}: not allowed with argument {a}")
+        for a, b in itertools.combinations(flags, 2)]
+    for given, message in cases:
+        assert main(argv + [a for flag in given for a in (flag, out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: usage: {message}\n")
+        assert not os.path.exists(out)
 
 
 # each setting's flag, and a text that sets it to other than its default
@@ -1121,7 +1169,7 @@ def test_every_setting_is_parsed_alike_from_every_source(tmp_path, capsys, monke
     for source in sources:
         rc, out = _bench_setting(tmp_path, monkeypatch, source, key, "x")
         assert rc == 1 and not out.exists(), source
-        bad_value = f"error: bad value for {key.removeprefix('channel.')}: 'x'\n"
+        bad_value = f"error: bad value for {key}: 'x'\n"
         assert tuple(capsys.readouterr()) == ("", bad_value), source
     logs = []
     for source in sources:

@@ -317,7 +317,9 @@ _FRAMED = {
     read_sequences: ("#seq v1 vocab_size=9\n", "s\t0\t1,2\n"),
     read_distances: ("#pairdist v1 length=3\n", "a,b,1.5\n"),
     read_traces: ("#trace v1 seed=0 capture=0.5\n", "s\t0\t2\t10.0\t5.0\n"),
-    read_fit_report: ("#fit v2\n", "2,1e-06,1.0,0.5,5.0,0.5,0.05,1.0,4.0\n"),
+    # a fit report's record is its column line and then its one row
+    read_fit_report: ("#fit v2\n", "N,epsilon,log_mu,log_sigma,U,mean,std,d,tau\n"
+                                  "2,1e-06,1.0,0.5,5.0,0.5,0.05,1.0,4.0\n"),
 }
 
 
@@ -350,12 +352,29 @@ def test_header_may_follow_blank_and_comment_lines(tmp_path, reader, before):
 ])
 def test_framing_errors_name_their_line(tmp_path, reader, case, text, line):
     header, record = _FRAMED[reader]
+    if text.startswith("{h}{r}"):  # a fault after the first record
+        line += record.count("\n") - 1
     path = tmp_path / "framed"
     text = text.format(h=header, H=header.rstrip("\n"), r=record)
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(ParseError) as exc:
         reader(path)
     assert exc.value.line == line and str(exc.value).startswith(f"{path}:{line}: "), case
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("{r}", 1, "expected {c}"), ("# note\n{r}{c}{r}", 2, "expected {c}"),
+    ("{c}{c}{r}", 2, "repeated column line"), ("{c}{r}{r}\n{c}", 5, "repeated column line"),
+    ("", 1, "expected {c}"), ("# note\n\n", 1, "expected {c}"),
+])
+def test_column_line_comes_first_and_once(tmp_path, text, line, message):
+    path = tmp_path / "bench.csv"
+    columns = "variant,vocab_size,nucleus_size,loop_time_ns"
+    path.write_text(text.format(c=columns + "\n", r="vulnerable,10,5,7\n"))
+    with pytest.raises(ParseError) as exc:
+        read_bench_report(path)
+    assert exc.value.line == line
+    assert str(exc.value) == f"{path}:{line}: " + message.format(c=columns)
 
 
 @pytest.mark.parametrize("text", ["#nss v1 q=0.5\ns\t0\tn=5\n",
